@@ -20,9 +20,12 @@ test:
 # HTTP handlers) are the places goroutines share state; hammer them
 # under the race detector. internal/dom rides along because every
 # crawl worker drives its own event loop — the race detector proves
-# the loops really are confined to their workers.
+# the loops really are confined to their workers. internal/jsvm and
+# internal/raster run on every crawl worker at once: one parsed Program
+# is shared between workers, each with its own Interp and method
+# tables, and Rasterize draws its scratch from a shared pool.
 race:
-	$(GO) test -race ./internal/crawler ./internal/dom ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
+	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
 
 vet:
 	$(GO) vet ./...

@@ -68,7 +68,13 @@ type ContinueStmt struct{}
 type ThrowStmt struct{ X Expr }
 
 // BlockStmt is a braced statement list with its own lexical scope.
-type BlockStmt struct{ Body []Stmt }
+// Parse marks a block Flat when executing it cannot declare a name in
+// its own scope; a flat block runs in its parent's scope, which no
+// lookup can tell apart from an empty child scope.
+type BlockStmt struct {
+	Body []Stmt
+	Flat bool
+}
 
 // TryStmt is try/catch/finally. HasCatch/HasFinally distinguish empty
 // clauses from absent ones.

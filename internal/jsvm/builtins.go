@@ -8,10 +8,10 @@ import (
 
 // interpArrayMethod serves the array methods that must re-enter the
 // interpreter to run user callbacks.
-func (in *Interp) interpArrayMethod(name string) Value {
+func (in *Interp) interpArrayMethod(name string) NativeFunc {
 	switch name {
 	case "forEach":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			o := this.Object()
 			if o == nil || len(args) == 0 {
 				return Undefined(), nil
@@ -22,9 +22,9 @@ func (in *Interp) interpArrayMethod(name string) Value {
 				}
 			}
 			return Undefined(), nil
-		})
+		}
 	case "map":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			o := this.Object()
 			if o == nil || len(args) == 0 {
 				return NewArray(), nil
@@ -38,9 +38,9 @@ func (in *Interp) interpArrayMethod(name string) Value {
 				out[i] = v
 			}
 			return NewArray(out...), nil
-		})
+		}
 	case "filter":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			o := this.Object()
 			if o == nil || len(args) == 0 {
 				return NewArray(), nil
@@ -56,9 +56,9 @@ func (in *Interp) interpArrayMethod(name string) Value {
 				}
 			}
 			return NewArray(out...), nil
-		})
+		}
 	case "reduce":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			o := this.Object()
 			if o == nil || len(args) == 0 {
 				return Undefined(), rtErrf("reduce needs a callback")
@@ -82,9 +82,9 @@ func (in *Interp) interpArrayMethod(name string) Value {
 				acc = v
 			}
 			return acc, nil
-		})
+		}
 	}
-	return Undefined()
+	return nil
 }
 
 // nextRandom advances the deterministic Math.random stream (SplitMix64).

@@ -4,27 +4,75 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 )
 
-// Scope is a lexical environment frame.
+// Scope is a lexical environment frame. The global scope keeps its
+// bindings in a map; every other frame holds a handful of names, so its
+// bindings sit in a slice that lookups scan linearly.
 type Scope struct {
-	vars   map[string]Value
+	vars   []binding
+	global map[string]Value // non-nil only on the global scope
 	parent *Scope
 }
 
-// NewScope returns a child scope of parent (parent may be nil).
-func NewScope(parent *Scope) *Scope {
-	return &Scope{vars: map[string]Value{}, parent: parent}
+type binding struct {
+	name string
+	val  Value
 }
 
-func (s *Scope) lookup(name string) (*Scope, bool) {
+func newScope(parent *Scope) *Scope { return &Scope{parent: parent} }
+
+// get returns the value of the nearest binding of name.
+func (s *Scope) get(name string) (Value, bool) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if _, ok := sc.vars[name]; ok {
-			return sc, true
+		if sc.global != nil {
+			v, ok := sc.global[name]
+			return v, ok
+		}
+		for i := range sc.vars {
+			if sc.vars[i].name == name {
+				return sc.vars[i].val, true
+			}
 		}
 	}
-	return nil, false
+	return Undefined(), false
+}
+
+// set rebinds the nearest binding of name, reporting whether one exists.
+func (s *Scope) set(name string, v Value) bool {
+	for sc := s; sc != nil; sc = sc.parent {
+		if sc.global != nil {
+			if _, ok := sc.global[name]; ok {
+				sc.global[name] = v
+				return true
+			}
+			return false
+		}
+		for i := range sc.vars {
+			if sc.vars[i].name == name {
+				sc.vars[i].val = v
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// declare binds name in s itself, overwriting a binding s already holds
+// (duplicate parameters, a parameter named arguments, var re-declaration).
+func (s *Scope) declare(name string, v Value) {
+	if s.global != nil {
+		s.global[name] = v
+		return
+	}
+	for i := range s.vars {
+		if s.vars[i].name == name {
+			s.vars[i].val = v
+			return
+		}
+	}
+	s.vars = append(s.vars, binding{name, v})
 }
 
 // RuntimeError is a script-level failure (thrown value, type error, step
@@ -80,6 +128,11 @@ type Interp struct {
 	maxSteps int
 	steps    int
 	rands    uint64
+	// argStack holds the arguments of in-flight native calls.
+	argStack []Value
+	// methods serves the natives behind primitive and array methods,
+	// built on first read (see method).
+	methods [numMethodTables]map[string]Value
 	// ConsoleLog receives console.log lines (joined with spaces).
 	ConsoleLog []string
 }
@@ -90,7 +143,7 @@ func New(opts Options) *Interp {
 		opts.MaxSteps = 5_000_000
 	}
 	in := &Interp{
-		globals:  NewScope(nil),
+		globals:  &Scope{global: map[string]Value{}},
 		maxSteps: opts.MaxSteps,
 		rands:    opts.RandSeed ^ 0x9E3779B97F4A7C15,
 	}
@@ -99,11 +152,11 @@ func New(opts Options) *Interp {
 }
 
 // SetGlobal binds a global variable (host objects go here).
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.vars[name] = v }
+func (in *Interp) SetGlobal(name string, v Value) { in.globals.global[name] = v }
 
 // Global reads a global variable.
 func (in *Interp) Global(name string) (Value, bool) {
-	v, ok := in.globals.vars[name]
+	v, ok := in.globals.global[name]
 	return v, ok
 }
 
@@ -168,13 +221,16 @@ func (in *Interp) execStmt(st Stmt, sc *Scope) (Value, error) {
 					return Undefined(), err
 				}
 			}
-			sc.vars[name] = v
+			sc.declare(name, v)
 		}
 		return Undefined(), nil
 	case *ExprStmt:
 		return in.eval(s.X, sc)
 	case *BlockStmt:
-		inner := NewScope(sc)
+		inner := sc
+		if !s.Flat {
+			inner = newScope(sc)
+		}
 		var last Value
 		for _, st2 := range s.Body {
 			v, err := in.execStmt(st2, inner)
@@ -197,7 +253,7 @@ func (in *Interp) execStmt(st Stmt, sc *Scope) (Value, error) {
 		}
 		return Undefined(), nil
 	case *ForStmt:
-		loop := NewScope(sc)
+		loop := newScope(sc)
 		if s.Init != nil {
 			if _, err := in.execStmt(s.Init, loop); err != nil {
 				return Undefined(), err
@@ -296,16 +352,16 @@ func (in *Interp) execTry(s *TryStmt, sc *Scope) (Value, error) {
 		}
 		return nil
 	}
-	err := runBody(s.Body, NewScope(sc))
+	err := runBody(s.Body, newScope(sc))
 	if err != nil && s.HasCatch && !isControlFlow(err) {
-		frame := NewScope(sc)
+		frame := newScope(sc)
 		if s.CatchParam != "" {
-			frame.vars[s.CatchParam] = errorValue(err)
+			frame.declare(s.CatchParam, errorValue(err))
 		}
 		err = runBody(s.Catch, frame)
 	}
 	if s.HasFinally {
-		if ferr := runBody(s.Finally, NewScope(sc)); ferr != nil {
+		if ferr := runBody(s.Finally, newScope(sc)); ferr != nil {
 			return Undefined(), ferr
 		}
 	}
@@ -330,8 +386,6 @@ func (in *Interp) eval(e Expr, sc *Scope) (Value, error) {
 		return Undefined(), err
 	}
 	switch x := e.(type) {
-	case *preEvaluated:
-		return x.v, nil
 	case *NumberLit:
 		return Number(x.Value), nil
 	case *StringLit:
@@ -343,8 +397,8 @@ func (in *Interp) eval(e Expr, sc *Scope) (Value, error) {
 	case *UndefinedLit:
 		return Undefined(), nil
 	case *Ident:
-		if frame, ok := sc.lookup(x.Name); ok {
-			return frame.vars[x.Name], nil
+		if v, ok := sc.get(x.Name); ok {
+			return v, nil
 		}
 		return Undefined(), rtErrf("%s is not defined", x.Name)
 	case *ArrayLit:
@@ -425,7 +479,7 @@ func (in *Interp) evalUnary(x *Unary, sc *Scope) (Value, error) {
 	if x.Op == "typeof" {
 		// typeof tolerates undefined identifiers.
 		if id, ok := x.X.(*Ident); ok {
-			if _, found := sc.lookup(id.Name); !found {
+			if _, found := sc.get(id.Name); !found {
 				return String("undefined"), nil
 			}
 		}
@@ -503,7 +557,12 @@ func (in *Interp) evalBinary(x *Binary, sc *Scope) (Value, error) {
 	if err != nil {
 		return Undefined(), err
 	}
-	switch x.Op {
+	return binop(x.Op, l, r)
+}
+
+// binop applies a non-short-circuit binary operator to evaluated operands.
+func binop(op string, l, r Value) (Value, error) {
+	switch op {
 	case "+":
 		if l.Kind() == KindString || r.Kind() == KindString ||
 			(l.Kind() == KindObject && !l.IsCallable()) || (r.Kind() == KindObject && !r.IsCallable()) {
@@ -529,7 +588,7 @@ func (in *Interp) evalBinary(x *Binary, sc *Scope) (Value, error) {
 	case "<", ">", "<=", ">=":
 		if l.Kind() == KindString && r.Kind() == KindString {
 			ls, rs := l.Str(), r.Str()
-			switch x.Op {
+			switch op {
 			case "<":
 				return Boolean(ls < rs), nil
 			case ">":
@@ -541,7 +600,7 @@ func (in *Interp) evalBinary(x *Binary, sc *Scope) (Value, error) {
 			}
 		}
 		ln, rn := l.Num(), r.Num()
-		switch x.Op {
+		switch op {
 		case "<":
 			return Boolean(ln < rn), nil
 		case ">":
@@ -568,7 +627,7 @@ func (in *Interp) evalBinary(x *Binary, sc *Scope) (Value, error) {
 		}
 		return Boolean(false), nil
 	}
-	return Undefined(), rtErrf("unknown operator %q", x.Op)
+	return Undefined(), rtErrf("unknown operator %q", op)
 }
 
 func (in *Interp) evalAssign(x *Assign, sc *Scope) (Value, error) {
@@ -581,12 +640,18 @@ func (in *Interp) evalAssign(x *Assign, sc *Scope) (Value, error) {
 		if err != nil {
 			return Undefined(), err
 		}
-		op := strings.TrimSuffix(x.Op, "=")
-		combined, err := in.evalBinary(&Binary{Op: op, L: litFor(cur), R: litFor(val)}, sc)
-		if err != nil {
+		// Compound assignment charges one more step per operand, as if
+		// both were evaluated again as literals. Steps() feeds the
+		// deterministic metrics, so this charge is part of the format.
+		if err := in.step(); err != nil {
 			return Undefined(), err
 		}
-		val = combined
+		if err := in.step(); err != nil {
+			return Undefined(), err
+		}
+		if val, err = binop(x.Op[:len(x.Op)-1], cur, val); err != nil {
+			return Undefined(), err
+		}
 	}
 	if err := in.assignTo(x.Target, val, sc); err != nil {
 		return Undefined(), err
@@ -594,39 +659,13 @@ func (in *Interp) evalAssign(x *Assign, sc *Scope) (Value, error) {
 	return val, nil
 }
 
-// litFor wraps an already-computed value as a literal expression so that
-// compound assignment can reuse evalBinary.
-func litFor(v Value) Expr {
-	switch v.Kind() {
-	case KindNumber:
-		return &NumberLit{Value: v.num}
-	case KindString:
-		return &StringLit{Value: v.str}
-	case KindBool:
-		return &BoolLit{Value: v.b}
-	case KindNull:
-		return &NullLit{}
-	case KindObject:
-		return &preEvaluated{v}
-	}
-	return &UndefinedLit{}
-}
-
-// preEvaluated smuggles an object value through evalBinary.
-type preEvaluated struct{ v Value }
-
-func (*preEvaluated) node() {}
-func (*preEvaluated) expr() {}
-
 func (in *Interp) assignTo(target Expr, val Value, sc *Scope) error {
 	switch t := target.(type) {
 	case *Ident:
-		if frame, ok := sc.lookup(t.Name); ok {
-			frame.vars[t.Name] = val
-			return nil
+		if !sc.set(t.Name, val) {
+			// Implicit global, as in sloppy-mode JS.
+			in.globals.global[t.Name] = val
 		}
-		// Implicit global, as in sloppy-mode JS.
-		in.globals.vars[t.Name] = val
 		return nil
 	case *Member:
 		obj, err := in.eval(t.X, sc)
@@ -685,15 +724,30 @@ func (in *Interp) evalCall(x *Call, sc *Scope) (Value, error) {
 			return Undefined(), err
 		}
 	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := in.eval(a, sc)
-		if err != nil {
-			return Undefined(), err
+	// Arguments live on the interpreter's argument stack for the duration
+	// of the call, so calling a native allocates nothing. An interpreted
+	// function keeps its arguments (in `arguments` and in closures), so
+	// it gets its own copy.
+	base := len(in.argStack)
+	var ret Value
+	for _, a := range x.Args {
+		var v Value
+		if v, err = in.eval(a, sc); err != nil {
+			break
 		}
-		args[i] = v
+		in.argStack = append(in.argStack, v)
 	}
-	return in.CallValue(fn, this, args)
+	if err == nil {
+		top := len(in.argStack)
+		if fn.IsCallable() && fn.obj.Native != nil {
+			ret, err = fn.obj.Native(this, in.argStack[base:top:top])
+		} else {
+			ret, err = in.CallValue(fn, this, slices.Clone(in.argStack[base:top]))
+		}
+	}
+	clear(in.argStack[base:])
+	in.argStack = in.argStack[:base]
+	return ret, err
 }
 
 // CallValue invokes a callable value with an explicit this and arguments.
@@ -705,20 +759,19 @@ func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
 	if fn.obj.Native != nil {
 		return fn.obj.Native(this, args)
 	}
-	frame := NewScope(fn.obj.Env)
 	def := fn.obj.Fn
+	frame := &Scope{vars: make([]binding, 0, len(def.Params)+3), parent: fn.obj.Env}
 	for i, p := range def.Params {
+		v := Undefined()
 		if i < len(args) {
-			frame.vars[p] = args[i]
-		} else {
-			frame.vars[p] = Undefined()
+			v = args[i]
 		}
+		frame.declare(p, v)
 	}
-	frame.vars["this"] = this
-	argsArr := NewArray(args...)
-	frame.vars["arguments"] = argsArr
+	frame.declare("this", this)
+	frame.declare("arguments", NewArray(args...))
 	if def.Name != "" {
-		frame.vars[def.Name] = fn
+		frame.declare(def.Name, fn)
 	}
 	for _, st := range def.Body {
 		if _, err := in.execStmt(st, frame); err != nil {

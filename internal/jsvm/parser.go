@@ -113,7 +113,7 @@ func (p *parser) statement() (Stmt, error) {
 		return p.block()
 	case t.kind == tPunct && t.text == ";":
 		p.next()
-		return &BlockStmt{}, nil
+		return &BlockStmt{Flat: true}, nil
 	default:
 		x, err := p.expression()
 		if err != nil {
@@ -203,7 +203,30 @@ func (p *parser) block() (Stmt, error) {
 	if _, err := p.expect(tPunct, "}"); err != nil {
 		return nil, err
 	}
+	b.Flat = true
+	for _, st := range b.Body {
+		if declares(st) {
+			b.Flat = false
+			break
+		}
+	}
 	return b, nil
+}
+
+// declares reports whether executing st can bind a name in the scope it
+// runs in: a var/let/const or function declaration, directly or as the
+// unbraced body of an if or while. Nested blocks, for loops and try
+// clauses open scopes of their own.
+func declares(st Stmt) bool {
+	switch s := st.(type) {
+	case *VarDecl:
+		return true
+	case *IfStmt:
+		return declares(s.Then) || s.Else != nil && declares(s.Else)
+	case *WhileStmt:
+		return declares(s.Body)
+	}
+	return false
 }
 
 func (p *parser) tryStmt() (Stmt, error) {

@@ -5,12 +5,56 @@ import (
 	"strings"
 )
 
+// Method tables: one per receiver kind whose methods are natives.
+const (
+	stringMethods = iota
+	arrayMethods
+	numberMethods
+	objectMethods
+	numMethodTables
+)
+
+// method returns the native serving a method of the given table, or
+// undefined. Each native is built on first read and then shared by every
+// later read in this interpreter, so a method read allocates nothing.
+// The tables are per-Interp, never package-global: a script can write
+// properties onto a method object ("".charCodeAt.x = 1), and that must
+// not leak across pages or race between crawler workers.
+func (in *Interp) method(table int, name string) Value {
+	if v, ok := in.methods[table][name]; ok {
+		return v
+	}
+	var fn NativeFunc
+	switch table {
+	case stringMethods:
+		fn = stringMethod(name)
+	case arrayMethods:
+		fn = in.arrayMethod(name)
+	case numberMethods:
+		fn = numberMethod(name)
+	case objectMethods:
+		fn = objectMethod(name)
+	}
+	if fn == nil {
+		return Undefined()
+	}
+	if in.methods[table] == nil {
+		in.methods[table] = map[string]Value{}
+	}
+	v := NewNative(fn)
+	in.methods[table][name] = v
+	return v
+}
+
 // getProp implements obj.name for every value kind, including primitive
 // string/array methods and host-object dispatch.
 func (in *Interp) getProp(v Value, name string) (Value, error) {
 	switch v.kind {
 	case KindString:
-		return stringProp(v.str, name)
+		if name == "length" {
+			return Number(float64(len(v.str))), nil
+		}
+		return in.method(stringMethods, name), nil
 	case KindObject:
 		o := v.obj
 		switch {
@@ -20,56 +64,66 @@ func (in *Interp) getProp(v Value, name string) (Value, error) {
 			}
 			return Undefined(), nil
 		case o.IsArray:
-			if m := in.interpArrayMethod(name); m.IsCallable() {
-				return m, nil
+			if name == "length" {
+				return Number(float64(len(o.Elems))), nil
 			}
-			return arrayProp(v, name)
+			return in.method(arrayMethods, name), nil
 		default:
 			if o.Props != nil {
 				if pv, ok := o.Props[name]; ok {
 					return pv, nil
 				}
 			}
-			if name == "hasOwnProperty" {
-				return NewNative(func(this Value, args []Value) (Value, error) {
-					if len(args) == 0 || this.Object() == nil || this.Object().Props == nil {
-						return Boolean(false), nil
-					}
-					_, ok := this.Object().Props[args[0].Str()]
-					return Boolean(ok), nil
-				}), nil
-			}
-			return Undefined(), nil
+			return in.method(objectMethods, name), nil
 		}
 	case KindNumber:
-		if name == "toFixed" {
-			return NewNative(func(this Value, args []Value) (Value, error) {
-				digits := 0
-				if len(args) > 0 {
-					digits = int(args[0].Num())
-				}
-				if digits < 0 || digits > 20 {
-					digits = 0
-				}
-				mult := math.Pow(10, float64(digits))
-				r := math.Floor(this.Num()*mult+0.5) / mult
-				s := formatNumber(r)
-				if digits > 0 && !strings.Contains(s, ".") {
-					s += "." + strings.Repeat("0", digits)
-				}
-				return String(s), nil
-			}), nil
-		}
-		if name == "toString" {
-			return NewNative(func(this Value, args []Value) (Value, error) {
-				return String(this.Str()), nil
-			}), nil
-		}
-		return Undefined(), nil
+		return in.method(numberMethods, name), nil
 	case KindUndefined, KindNull:
 		return Undefined(), rtErrf("cannot read property %q of %s", name, v.Str())
 	}
 	return Undefined(), nil
+}
+
+// objectMethod serves the methods every plain object inherits.
+func objectMethod(name string) NativeFunc {
+	if name != "hasOwnProperty" {
+		return nil
+	}
+	return func(this Value, args []Value) (Value, error) {
+		if len(args) == 0 || this.Object() == nil || this.Object().Props == nil {
+			return Boolean(false), nil
+		}
+		_, ok := this.Object().Props[args[0].Str()]
+		return Boolean(ok), nil
+	}
+}
+
+// numberMethod serves number methods.
+func numberMethod(name string) NativeFunc {
+	switch name {
+	case "toFixed":
+		return func(this Value, args []Value) (Value, error) {
+			digits := 0
+			if len(args) > 0 {
+				digits = int(args[0].Num())
+			}
+			if digits < 0 || digits > 20 {
+				digits = 0
+			}
+			mult := math.Pow(10, float64(digits))
+			r := math.Floor(this.Num()*mult+0.5) / mult
+			s := formatNumber(r)
+			if digits > 0 && !strings.Contains(s, ".") {
+				s += "." + strings.Repeat("0", digits)
+			}
+			return String(s), nil
+		}
+	case "toString":
+		return func(this Value, args []Value) (Value, error) {
+			return String(this.Str()), nil
+		}
+	}
+	return nil
 }
 
 // getIndex implements obj[i].
@@ -135,13 +189,11 @@ func (in *Interp) setIndex(v Value, idx Value, val Value) error {
 	return in.setProp(v, idx.Str(), val)
 }
 
-// stringProp serves string properties and methods.
-func stringProp(s, name string) (Value, error) {
+// stringMethod serves string methods.
+func stringMethod(name string) NativeFunc {
 	switch name {
-	case "length":
-		return Number(float64(len(s))), nil
 	case "charCodeAt":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			i := 0
 			if len(args) > 0 {
 				i = int(args[0].Num())
@@ -151,9 +203,9 @@ func stringProp(s, name string) (Value, error) {
 				return Number(math.NaN()), nil
 			}
 			return Number(float64(str[i])), nil
-		}), nil
+		}
 	case "charAt":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			i := 0
 			if len(args) > 0 {
 				i = int(args[0].Num())
@@ -163,44 +215,44 @@ func stringProp(s, name string) (Value, error) {
 				return String(""), nil
 			}
 			return String(str[i : i+1]), nil
-		}), nil
+		}
 	case "indexOf":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return Number(-1), nil
 			}
 			return Number(float64(strings.Index(this.Str(), args[0].Str()))), nil
-		}), nil
+		}
 	case "lastIndexOf":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return Number(-1), nil
 			}
 			return Number(float64(strings.LastIndex(this.Str(), args[0].Str()))), nil
-		}), nil
+		}
 	case "includes":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return Boolean(false), nil
 			}
 			return Boolean(strings.Contains(this.Str(), args[0].Str())), nil
-		}), nil
+		}
 	case "startsWith":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return Boolean(false), nil
 			}
 			return Boolean(strings.HasPrefix(this.Str(), args[0].Str())), nil
-		}), nil
+		}
 	case "endsWith":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return Boolean(false), nil
 			}
 			return Boolean(strings.HasSuffix(this.Str(), args[0].Str())), nil
-		}), nil
+		}
 	case "slice", "substring":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			str := this.Str()
 			start, end := 0, len(str)
 			if len(args) > 0 {
@@ -217,21 +269,21 @@ func stringProp(s, name string) (Value, error) {
 				}
 			}
 			return String(str[start:end]), nil
-		}), nil
+		}
 	case "toUpperCase":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			return String(strings.ToUpper(this.Str())), nil
-		}), nil
+		}
 	case "toLowerCase":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			return String(strings.ToLower(this.Str())), nil
-		}), nil
+		}
 	case "trim":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			return String(strings.TrimSpace(this.Str())), nil
-		}), nil
+		}
 	case "split":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			str := this.Str()
 			if len(args) == 0 {
 				return NewArray(String(str)), nil
@@ -242,16 +294,16 @@ func stringProp(s, name string) (Value, error) {
 				out[i] = String(p)
 			}
 			return NewArray(out...), nil
-		}), nil
+		}
 	case "replace":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			if len(args) < 2 {
 				return this, nil
 			}
 			return String(strings.Replace(this.Str(), args[0].Str(), args[1].Str(), 1)), nil
-		}), nil
+		}
 	case "repeat":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			n := 0
 			if len(args) > 0 {
 				n = int(args[0].Num())
@@ -260,21 +312,21 @@ func stringProp(s, name string) (Value, error) {
 				return Undefined(), rtErrf("invalid repeat count")
 			}
 			return String(strings.Repeat(this.Str(), n)), nil
-		}), nil
+		}
 	case "concat":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			out := this.Str()
 			for _, a := range args {
 				out += a.Str()
 			}
 			return String(out), nil
-		}), nil
+		}
 	case "toString":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			return String(this.Str()), nil
-		}), nil
+		}
 	}
-	return Undefined(), nil
+	return nil
 }
 
 func normIndex(i, n int, allowNegative bool) int {
@@ -292,23 +344,21 @@ func normIndex(i, n int, allowNegative bool) int {
 	return i
 }
 
-// arrayProp serves array properties and methods.
-func arrayProp(v Value, name string) (Value, error) {
-	o := v.obj
+// arrayMethod serves array methods; forEach, map, filter and reduce
+// re-enter the interpreter to run their callbacks.
+func (in *Interp) arrayMethod(name string) NativeFunc {
 	switch name {
-	case "length":
-		return Number(float64(len(o.Elems))), nil
 	case "push":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			if to == nil {
 				return Undefined(), rtErrf("push on non-array")
 			}
 			to.Elems = append(to.Elems, args...)
 			return Number(float64(len(to.Elems))), nil
-		}), nil
+		}
 	case "pop":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			if to == nil || len(to.Elems) == 0 {
 				return Undefined(), nil
@@ -316,9 +366,9 @@ func arrayProp(v Value, name string) (Value, error) {
 			last := to.Elems[len(to.Elems)-1]
 			to.Elems = to.Elems[:len(to.Elems)-1]
 			return last, nil
-		}), nil
+		}
 	case "join":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			sep := ","
 			if len(args) > 0 {
 				sep = args[0].Str()
@@ -331,9 +381,9 @@ func arrayProp(v Value, name string) (Value, error) {
 				}
 			}
 			return String(strings.Join(parts, sep)), nil
-		}), nil
+		}
 	case "indexOf":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			if len(args) > 0 {
 				for i, e := range to.Elems {
@@ -343,9 +393,9 @@ func arrayProp(v Value, name string) (Value, error) {
 				}
 			}
 			return Number(-1), nil
-		}), nil
+		}
 	case "includes":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			if len(args) > 0 {
 				for _, e := range to.Elems {
@@ -355,9 +405,9 @@ func arrayProp(v Value, name string) (Value, error) {
 				}
 			}
 			return Boolean(false), nil
-		}), nil
+		}
 	case "slice":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			start, end := 0, len(to.Elems)
 			if len(args) > 0 {
@@ -372,9 +422,9 @@ func arrayProp(v Value, name string) (Value, error) {
 			cp := make([]Value, end-start)
 			copy(cp, to.Elems[start:end])
 			return NewArray(cp...), nil
-		}), nil
+		}
 	case "concat":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			out := make([]Value, len(to.Elems))
 			copy(out, to.Elems)
@@ -386,17 +436,15 @@ func arrayProp(v Value, name string) (Value, error) {
 				}
 			}
 			return NewArray(out...), nil
-		}), nil
+		}
 	case "reverse":
-		return NewNative(func(this Value, args []Value) (Value, error) {
+		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
 			for i, j := 0, len(to.Elems)-1; i < j; i, j = i+1, j-1 {
 				to.Elems[i], to.Elems[j] = to.Elems[j], to.Elems[i]
 			}
 			return this, nil
-		}), nil
+		}
 	}
-	// forEach/map/filter need the interpreter; they are installed by
-	// builtins via interpArrayMethod.
-	return Undefined(), nil
+	return in.interpArrayMethod(name)
 }

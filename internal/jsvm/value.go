@@ -21,7 +21,9 @@ const (
 	KindObject
 )
 
-// NativeFunc is a Go function callable from scripts.
+// NativeFunc is a Go function callable from scripts. args belongs to the
+// interpreter and is reused after the call returns, so a native that
+// keeps the arguments must copy them.
 type NativeFunc func(this Value, args []Value) (Value, error)
 
 // HostObject lets a Go object participate as a script object: property
@@ -46,13 +48,14 @@ type Object struct {
 	Host    HostObject
 }
 
-// Value is a script value. The zero Value is undefined.
+// Value is a script value. The zero Value is undefined. The one-byte
+// fields sit together at the end, which keeps a Value at 40 bytes.
 type Value struct {
-	kind Kind
 	num  float64
 	str  string
-	b    bool
 	obj  *Object
+	kind Kind
+	b    bool
 }
 
 // Undefined returns the undefined value.

@@ -2,7 +2,8 @@ package raster
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"canvassing/internal/geom"
 )
@@ -31,12 +32,26 @@ type edge struct {
 // anti-aliased coverage into an Image. A Rasterizer may be reused by
 // calling Reset.
 type Rasterizer struct {
-	edges        []edge
+	edges        []edge // in insertion order
 	minY, maxY   float64
-	covRow       []float64
-	crossings    []crossing
 	haveGeometry bool
 }
+
+// scan is the scratch state of one Rasterize call: the coverage of one
+// pixel row, the crossings of one subsample row, edge indices bucketed by
+// the row that first reaches their top (byRow, delimited by rowStart),
+// edges no subsample row has reached yet (pending), and, in insertion
+// order, the edges the current subsample row can cross (active). The
+// canvas builds a fresh Rasterizer per glyph, so scans are pooled rather
+// than owned by a Rasterizer; Rasterize resets every field it reads.
+type scan struct {
+	cov                    []float64
+	crossings              []crossing
+	byRow, pending, active []int32
+	rowStart               []int
+}
+
+var scans = sync.Pool{New: func() any { return new(scan) }}
 
 type crossing struct {
 	x   float64
@@ -124,35 +139,64 @@ func (r *Rasterizer) Rasterize(img *Image, paint Paint, opt Options) {
 			return
 		}
 	}
-	if cap(r.covRow) < img.W {
-		r.covRow = make([]float64, img.W)
+	if y0 >= y1 {
+		return // also where an infinite or NaN bottom overflowed y1
 	}
-	cov := r.covRow[:img.W]
+	sc := scans.Get().(*scan)
+	defer scans.Put(sc)
+	if cap(sc.cov) < img.W {
+		sc.cov = make([]float64, img.W)
+	}
+	cov := sc.cov[:img.W]
+	clear(cov)
 
+	// Active-edge scan. Subsample rows only move down, so an edge joins
+	// the active list once a row reaches its top and leaves it for good
+	// below its bottom. The active list keeps insertion order, so each
+	// row's crossings, and with them the sort's result, are exactly those
+	// of a scan over every edge: !(sy < y0) and sy >= y1 are that scan's
+	// tests, and they admit and keep NaN-ended edges the same way.
+	sc.bucketEdges(r.edges, y0, y1)
+	sc.pending = sc.pending[:0]
+	sc.active = sc.active[:0]
 	for y := y0; y < y1; y++ {
-		for i := range cov {
-			cov[i] = 0
-		}
-		rowHasCoverage := false
+		lo, hi := len(cov), -1 // coverage touched in this row
+		sc.pending = append(sc.pending, sc.byRow[sc.rowStart[y-y0]:sc.rowStart[y-y0+1]]...)
 		for sub := 0; sub < subSamples; sub++ {
 			sy := float64(y) + (float64(sub)+0.5)/subSamples
-			r.crossings = r.crossings[:0]
-			for _, e := range r.edges {
-				if sy < e.y0 || sy >= e.y1 {
+			waiting := sc.pending[:0]
+			for _, ei := range sc.pending {
+				if sy < r.edges[ei].y0 {
+					waiting = append(waiting, ei)
 					continue
 				}
-				x := e.x0 + (sy-e.y0)*(e.x1-e.x0)/(e.y1-e.y0)
-				r.crossings = append(r.crossings, crossing{x: x, dir: e.dir})
+				sc.active = append(sc.active, ei)
+				j := len(sc.active) - 1
+				for ; j > 0 && sc.active[j-1] > ei; j-- {
+					sc.active[j] = sc.active[j-1]
+				}
+				sc.active[j] = ei
 			}
-			if len(r.crossings) < 2 {
+			sc.pending = waiting
+			sc.crossings = sc.crossings[:0]
+			kept := sc.active[:0]
+			for _, ei := range sc.active {
+				e := &r.edges[ei]
+				if sy >= e.y1 {
+					continue
+				}
+				kept = append(kept, ei)
+				x := e.x0 + (sy-e.y0)*(e.x1-e.x0)/(e.y1-e.y0)
+				sc.crossings = append(sc.crossings, crossing{x: x, dir: e.dir})
+			}
+			sc.active = kept
+			if len(sc.crossings) < 2 {
 				continue
 			}
-			sort.Slice(r.crossings, func(i, j int) bool {
-				return r.crossings[i].x < r.crossings[j].x
-			})
+			sortCrossings(sc.crossings)
 			winding := 0
-			for i := 0; i < len(r.crossings)-1; i++ {
-				winding += int(r.crossings[i].dir)
+			for i := 0; i < len(sc.crossings)-1; i++ {
+				winding += int(sc.crossings[i].dir)
 				inside := winding != 0
 				if opt.Rule == EvenOdd {
 					inside = (i % 2) == 0
@@ -160,19 +204,17 @@ func (r *Rasterizer) Rasterize(img *Image, paint Paint, opt Options) {
 				if !inside {
 					continue
 				}
-				xa := math.Max(r.crossings[i].x, clipX0)
-				xb := math.Min(r.crossings[i+1].x, clipX1)
+				xa := math.Max(sc.crossings[i].x, clipX0)
+				xb := math.Min(sc.crossings[i+1].x, clipX1)
 				if xb <= xa {
 					continue
 				}
-				accumulateSpan(cov, xa, xb, 1.0/subSamples)
-				rowHasCoverage = true
+				if first, last := accumulateSpan(cov, xa, xb, 1.0/subSamples); first <= last {
+					lo, hi = min(lo, first), max(hi, last)
+				}
 			}
 		}
-		if !rowHasCoverage {
-			continue
-		}
-		for x := 0; x < img.W; x++ {
+		for x := lo; x <= hi; x++ {
 			c := cov[x]
 			if c <= 0 {
 				continue
@@ -193,12 +235,68 @@ func (r *Rasterizer) Rasterize(img *Image, paint Paint, opt Options) {
 			}
 			img.BlendPixel(x, y, src, cv, opt.Op)
 		}
+		if lo <= hi {
+			clear(cov[lo : hi+1])
+		}
 	}
 }
 
+// sortCrossings orders crossings by x with the very comparisons and
+// swaps of sort.Slice under a.x < b.x, so NaN crossings land in the same
+// places: slices.SortFunc runs the same pdqsort and consults only
+// "less".
+func sortCrossings(cs []crossing) {
+	slices.SortFunc(cs, func(a, b crossing) int {
+		if a.x < b.x {
+			return -1
+		}
+		return 0
+	})
+}
+
+// bucketEdges counting-sorts the edge indices by the row in [y0, y1)
+// whose subsamples can first reach the edge's top (no row above it
+// passes !(sy < top)): bucket b is byRow[rowStart[b]:rowStart[b+1]].
+// Tops above y0, NaN included, go to the first row; an edge whose top no
+// row reaches is left out.
+func (sc *scan) bucketEdges(edges []edge, y0, y1 int) {
+	rows := y1 - y0
+	row := func(top float64) (int, bool) {
+		switch {
+		case !(top >= float64(y0)):
+			return 0, true
+		case top >= float64(y1):
+			return 0, false
+		}
+		return int(top) - y0, true
+	}
+	sc.rowStart = slices.Grow(sc.rowStart[:0], rows+1)[:rows+1]
+	clear(sc.rowStart)
+	for _, e := range edges {
+		if b, ok := row(e.y0); ok {
+			sc.rowStart[b+1]++
+		}
+	}
+	for b := 1; b <= rows; b++ {
+		sc.rowStart[b] += sc.rowStart[b-1]
+	}
+	// Place each edge at its bucket's cursor. That advances rowStart[b]
+	// to the end of bucket b; shifting by one restores the starts.
+	sc.byRow = slices.Grow(sc.byRow[:0], sc.rowStart[rows])[:sc.rowStart[rows]]
+	for i, e := range edges {
+		if b, ok := row(e.y0); ok {
+			sc.byRow[sc.rowStart[b]] = int32(i)
+			sc.rowStart[b]++
+		}
+	}
+	copy(sc.rowStart[1:], sc.rowStart[:rows])
+	sc.rowStart[0] = 0
+}
+
 // accumulateSpan adds weight×overlap coverage for the horizontal span
-// [xa, xb) into cov, handling fractional pixel boundaries.
-func accumulateSpan(cov []float64, xa, xb, weight float64) {
+// [xa, xb) into cov, handling fractional pixel boundaries, and returns
+// the first and last index it touched (first > last when none).
+func accumulateSpan(cov []float64, xa, xb, weight float64) (first, last int) {
 	if xa < 0 {
 		xa = 0
 	}
@@ -206,13 +304,13 @@ func accumulateSpan(cov []float64, xa, xb, weight float64) {
 		xb = float64(len(cov))
 	}
 	if xb <= xa {
-		return
+		return 0, -1
 	}
 	ix0 := int(math.Floor(xa))
 	ix1 := int(math.Ceil(xb)) - 1
 	if ix0 == ix1 {
 		cov[ix0] += (xb - xa) * weight
-		return
+		return ix0, ix0
 	}
 	cov[ix0] += (float64(ix0+1) - xa) * weight
 	for x := ix0 + 1; x < ix1; x++ {
@@ -220,5 +318,7 @@ func accumulateSpan(cov []float64, xa, xb, weight float64) {
 	}
 	if ix1 < len(cov) {
 		cov[ix1] += (xb - float64(ix1)) * weight
+		return ix0, ix1
 	}
+	return ix0, ix1 - 1
 }

@@ -88,7 +88,7 @@ func (r *Rasterizer) Stroke(pts []geom.Point, closed bool, st StrokeStyle) {
 		// round/square caps, matching browser behavior closely enough.
 		switch st.Cap {
 		case CapRound:
-			r.AddPolygon(circlePolygon(pts[0], hw))
+			r.addCircle(pts[0], hw)
 		case CapSquare:
 			p := pts[0]
 			r.AddPolygon([]geom.Point{
@@ -106,7 +106,8 @@ func (r *Rasterizer) Stroke(pts []geom.Point, closed bool, st StrokeStyle) {
 	for i := 0; i < segCount; i++ {
 		a := pts[i]
 		b := pts[(i+1)%n]
-		r.AddPolygon(segmentQuad(a, b, hw))
+		q := segmentQuad(a, b, hw)
+		r.AddPolygon(q[:])
 	}
 	// Joins at interior vertices.
 	firstJoint, lastJoint := 1, n-1
@@ -126,8 +127,15 @@ func (r *Rasterizer) Stroke(pts []geom.Point, closed bool, st StrokeStyle) {
 }
 
 // dedupePoints removes consecutive duplicates which would produce
-// degenerate zero-length segments.
+// degenerate zero-length segments. Without any, it returns pts itself.
 func dedupePoints(pts []geom.Point) []geom.Point {
+	i := 1
+	for i < len(pts) && pts[i] != pts[i-1] {
+		i++
+	}
+	if i >= len(pts) {
+		return pts
+	}
 	out := pts[:0:0]
 	for _, p := range pts {
 		if len(out) > 0 && out[len(out)-1] == p {
@@ -139,10 +147,10 @@ func dedupePoints(pts []geom.Point) []geom.Point {
 }
 
 // segmentQuad returns the CCW rectangle covering segment a-b widened by hw.
-func segmentQuad(a, b geom.Point, hw float64) []geom.Point {
+func segmentQuad(a, b geom.Point, hw float64) [4]geom.Point {
 	d := b.Sub(a).Normalize()
 	nrm := d.Perp().Mul(hw)
-	return []geom.Point{
+	return [4]geom.Point{
 		a.Add(nrm), b.Add(nrm), b.Sub(nrm), a.Sub(nrm),
 	}
 }
@@ -156,7 +164,7 @@ func (r *Rasterizer) addJoin(prev, cur, next geom.Point, hw float64, st StrokeSt
 	}
 	switch st.Join {
 	case JoinRound:
-		r.AddPolygon(circlePolygon(cur, hw))
+		r.addCircle(cur, hw)
 	case JoinBevel:
 		r.addBevel(cur, d0, d1, hw, cross)
 	default: // miter, falling back to bevel past the miter limit
@@ -202,7 +210,7 @@ func (r *Rasterizer) addBevel(cur, d0, d1 geom.Point, hw, cross float64) {
 func (r *Rasterizer) addCap(from, end geom.Point, hw float64, cap LineCap) {
 	switch cap {
 	case CapRound:
-		r.AddPolygon(circlePolygon(end, hw))
+		r.addCircle(end, hw)
 	case CapSquare:
 		d := end.Sub(from).Normalize()
 		nrm := d.Perp().Mul(hw)
@@ -213,16 +221,24 @@ func (r *Rasterizer) addCap(from, end geom.Point, hw float64, cap LineCap) {
 	}
 }
 
-// circlePolygon returns a CCW 24-gon approximating a circle.
-func circlePolygon(c geom.Point, radius float64) []geom.Point {
-	const sides = 24
-	pts := make([]geom.Point, 0, sides)
-	for i := 0; i < sides; i++ {
-		a := 2 * math.Pi * float64(i) / sides
-		s, co := math.Sincos(a)
-		pts = append(pts, geom.Point{X: c.X + radius*co, Y: c.Y + radius*s})
+// circleSides is the vertex count of the polygon approximating a circle.
+const circleSides = 24
+
+// unitCircle holds the sine and cosine of each circle vertex's angle.
+var unitCircle = func() (t [circleSides][2]float64) {
+	for i := range t {
+		t[i][0], t[i][1] = math.Sincos(2 * math.Pi * float64(i) / circleSides)
 	}
-	return orientCCW(pts)
+	return t
+}()
+
+// addCircle adds a CCW 24-gon approximating a circle.
+func (r *Rasterizer) addCircle(c geom.Point, radius float64) {
+	var pts [circleSides]geom.Point
+	for i, sc := range unitCircle {
+		pts[i] = geom.Point{X: c.X + radius*sc[1], Y: c.Y + radius*sc[0]}
+	}
+	r.AddPolygon(orientCCW(pts[:]))
 }
 
 // orientCCW returns pts ordered counter-clockwise in a y-down coordinate
