@@ -40,14 +40,16 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzBlockQuery -fuzztime 10s ./internal/serve
 	$(GO) test -run XXX -fuzz FuzzMergePartialBundles -fuzztime 10s ./internal/distrib
 	$(GO) test -run XXX -fuzz FuzzParseProfile -fuzztime 10s ./internal/crawler
+	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/checkpoint
 
-check: build test race vet fuzz-smoke bench-smoke bench-check trace-smoke serve-smoke distrib-smoke interact-smoke
+check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 
 # resume-smoke is the shell-level half of the resume oracle (the Go
 # half is TestResumeOracle): run a checkpointed study to completion,
 # run it again interrupted mid-flight (-interrupt-after exits 3),
-# resume from the sidecar, and require the two bundles' deterministic
-# artifacts to be byte-identical via cmp.
+# append a torn frame (bytes with no trailing newline) to the journal
+# as a crash mid-append would, resume from it, and require the two
+# bundles' deterministic artifacts to be byte-identical via cmp.
 SMOKE := .resume-smoke
 resume-smoke:
 	rm -rf $(SMOKE)
@@ -56,6 +58,7 @@ resume-smoke:
 	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt-ref -checkpoint-every 100 -snapshots -outdir $(SMOKE)/ref >/dev/null
 	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt -checkpoint-every 100 -snapshots -interrupt-after 4 >/dev/null; \
 	  status=$$?; [ $$status -eq 3 ] || { echo "resume-smoke: expected exit 3 from the interrupted run, got $$status"; exit 1; }
+	printf '{"schema":2,"seq":5,"crawls":[{"from":0,"condition":"control","pages":[{"Domain":"torn' >> $(SMOKE)/ckpt/checkpoint.json
 	$(SMOKE)/repro -resume $(SMOKE)/ckpt -exp compare -outdir $(SMOKE)/resumed >/dev/null
 	cmp $(SMOKE)/ref/manifest.json $(SMOKE)/resumed/manifest.json
 	cmp $(SMOKE)/ref/events.jsonl $(SMOKE)/resumed/events.jsonl

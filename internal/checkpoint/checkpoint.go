@@ -1,7 +1,7 @@
 // Package checkpoint persists crawl/study progress so a killed run
-// resumes instead of restarting. A checkpoint is a versioned JSON
-// sidecar (checkpoint.json) written atomically next to the run bundle;
-// it captures, at a committed crawl frontier:
+// resumes instead of restarting. A checkpoint is a versioned,
+// append-only JSON journal (checkpoint.json) next to the run bundle;
+// folded together, its frames capture, at a committed crawl frontier:
 //
 //   - the completed page prefix per crawl condition (the PageResults
 //     themselves — replayable verbatim);
@@ -12,6 +12,18 @@
 //   - the fault model's cursor (seed + rate + forced plans — PlanFor
 //     is a pure function of those, so nothing else is needed);
 //   - the list of pipeline phases already finished.
+//
+// Each cut appends one frame: one line holding the small head state
+// (sequence, options, phases, metrics snapshot, fault cursor, event
+// high-water marks, the advanced crawls' frontier and parse cursor)
+// plus only the pages and events committed since the previous frame.
+// A cut therefore costs O(pages since the last cut), not O(study). A
+// frame counts once its terminating newline is written; Load folds the
+// longest prefix of complete frames and ignores a torn trailing line,
+// and the writer truncates the file to its last known-good length
+// before every append, so a crash mid-append loses at most that cut.
+// Frames are not fsynced: the journal survives a killed process, not a
+// power loss.
 //
 // The crawler's ordered-commit pipeline guarantees the cut is exact:
 // when Config.OnCommit runs, the registry and sink contain writes for
@@ -24,8 +36,11 @@
 package checkpoint
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -37,11 +52,13 @@ import (
 	"canvassing/internal/snapshot"
 )
 
-// SchemaVersion is the checkpoint.json format version. Bump on any
-// shape change; Load rejects newer schemas rather than misreading.
-const SchemaVersion = 1
+// SchemaVersion is the journal frame format version. Bump on any shape
+// change; Load rejects every frame of another schema rather than
+// misreading it. There is no reader for older schemas: a checkpoint
+// only lives between a crash and its resume.
+const SchemaVersion = 2
 
-// FileName is the sidecar file a Writer maintains under its directory.
+// FileName is the journal file a Writer maintains under its directory.
 const FileName = "checkpoint.json"
 
 // SnapshotDirName is the snapshot-store subdirectory Save uses.
@@ -65,7 +82,7 @@ type CrawlState struct {
 	ParseSeen []uint64 `json:"parse_seen,omitempty"`
 }
 
-// Checkpoint is the whole sidecar document.
+// Checkpoint is the state the journal describes at its last frame.
 type Checkpoint struct {
 	Schema int `json:"schema"`
 	// Sequence counts checkpoint writes, monotonically across resumes.
@@ -79,7 +96,8 @@ type Checkpoint struct {
 	Crawls []*CrawlState `json:"crawls,omitempty"`
 	// Metrics is the full registry snapshot at the cut.
 	Metrics obs.Snapshot `json:"metrics"`
-	// Events is the retained evidence log with its high-water marks.
+	// Events is the retained evidence log, exactly the seqs
+	// (EventsDropped, EventsSeq].
 	Events        []event.Event `json:"events,omitempty"`
 	EventsSeq     uint64        `json:"events_seq"`
 	EventsDropped uint64        `json:"events_dropped,omitempty"`
@@ -87,6 +105,10 @@ type Checkpoint struct {
 	Faults *netsim.FaultState `json:"faults,omitempty"`
 	// HasSnapshots marks a saved snapshot store under SnapshotDirName.
 	HasSnapshots bool `json:"has_snapshots,omitempty"`
+
+	// size is the length of the complete frames Load read, where
+	// Adopt continues the journal.
+	size int64
 }
 
 // Crawl returns the state recorded for condition (nil if none).
@@ -109,7 +131,23 @@ func (cp *Checkpoint) PhaseDone(name string) bool {
 	return false
 }
 
-// Writer maintains the checkpoint sidecar for one run. It is driven
+// frame is one journal line. Its Checkpoint carries the head state at
+// the cut, with Events holding only the events recorded since the
+// previous frame; Crawls shadows Checkpoint.Crawls with the crawls
+// that advanced since then.
+type frame struct {
+	Checkpoint
+	Crawls []crawlFrame `json:"crawls,omitempty"`
+}
+
+// crawlFrame is one condition's progress in a frame: its head state,
+// with Pages holding only the pages [From, Frontier).
+type crawlFrame struct {
+	From int `json:"from"`
+	CrawlState
+}
+
+// Writer maintains the checkpoint journal for one run. It is driven
 // from two places: the crawler's committer goroutine (via Hook) and
 // the study's phase boundaries (via FinishPhase). A mutex serializes
 // them; in practice they never overlap, since phases and crawls are
@@ -125,32 +163,45 @@ type Writer struct {
 	// after that many checkpoint writes — the interruption lever the
 	// resume oracle and `make resume-smoke` pull. 0 never stops.
 	StopAfter int
-	// Status, when set, is told about every successful sidecar write so
-	// /statusz can report live checkpoint state. It is an observer only:
-	// nothing from it enters the checkpoint document.
+	// Status, when set, is told about every successful journal append
+	// so /statusz can report live checkpoint state. It is an observer
+	// only: nothing from it enters the journal.
 	Status *obs.Status
 
 	dir   string
 	every int
 
-	mu      sync.Mutex
-	cp      *Checkpoint
+	mu sync.Mutex
+	// head is the next frame's head state: the last frame's, plus
+	// options and phases recorded since. Its EventsSeq is the event
+	// cursor (every event up to it is journaled or dropped).
+	head Checkpoint
+	// crawls are the per-condition cursors, in start order.
+	crawls []*crawlCursor
+	// size is the journal's known-good length; every append first
+	// truncates the file to it.
+	size    int64
 	writes  int
 	stopped bool
 }
 
+// crawlCursor is the next frame's entry for one condition: From is the
+// journaled prefix length and Pages the committed pages beyond it.
+type crawlCursor struct {
+	crawlFrame
+	// dirty marks a commit not yet journaled.
+	dirty bool
+}
+
 // NewWriter returns a writer that checkpoints into dir every `every`
 // committed pages (<=0 selects 256). Pass Every() as the crawl
-// config's CommitEvery.
+// config's CommitEvery. Its first append replaces any journal already
+// in dir.
 func NewWriter(dir string, every int) *Writer {
 	if every <= 0 {
 		every = 256
 	}
-	return &Writer{
-		dir:   dir,
-		every: every,
-		cp:    &Checkpoint{Schema: SchemaVersion},
-	}
+	return &Writer{dir: dir, every: every}
 }
 
 // Every returns the checkpoint cadence in committed pages.
@@ -173,30 +224,43 @@ func (w *Writer) Stopped() bool {
 	return w.stopped
 }
 
-// SetOpts records the run configuration in the sidecar.
+// SetOpts records the run configuration in the journal.
 func (w *Writer) SetOpts(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("checkpoint: opts: %w", err)
 	}
 	w.mu.Lock()
-	w.cp.Opts = data
+	w.head.Opts = data
 	w.mu.Unlock()
 	return nil
 }
 
-// Adopt continues a loaded checkpoint: sequence numbering and finished
-// phases carry over, so a resumed run's sidecar is a continuation, not
-// a restart.
+// Adopt continues a checkpoint loaded from this writer's directory:
+// sequence numbering, options and finished phases carry over, and the
+// next append first truncates the journal to the frames Load accepted
+// (dropping a crash's torn tail), then adds only what follows. The
+// caller restores the live sources (registry, event sink, fault model)
+// to cp before that append, as Resume does. cp itself is never
+// written to.
 func (w *Writer) Adopt(cp *Checkpoint) {
 	w.mu.Lock()
-	w.cp = cp
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	w.head = *cp
+	w.head.Phases = cp.Phases[:len(cp.Phases):len(cp.Phases)]
+	w.head.Crawls, w.head.Events = nil, nil
+	w.size = cp.size
+	w.crawls = nil
+	for _, cs := range cp.Crawls {
+		c := &crawlCursor{crawlFrame: crawlFrame{From: cs.Frontier, CrawlState: *cs}}
+		c.Pages = nil // all journaled
+		w.crawls = append(w.crawls, c)
+	}
 }
 
 // Hook returns the crawler OnCommit callback for one crawl. Each
-// invocation snapshots the live sources, updates the condition's
-// CrawlState, and rewrites the sidecar atomically.
+// invocation records the condition's committed progress and appends a
+// frame to the journal.
 func (w *Writer) Hook(machine, extension string) func(crawler.CommitState) bool {
 	return func(st crawler.CommitState) bool {
 		return w.commit(st, machine, extension)
@@ -206,22 +270,21 @@ func (w *Writer) Hook(machine, extension string) func(crawler.CommitState) bool 
 func (w *Writer) commit(st crawler.CommitState, machine, extension string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cs := w.cp.Crawl(st.Condition)
-	if cs == nil {
-		cs = &CrawlState{Condition: st.Condition}
-		w.cp.Crawls = append(w.cp.Crawls, cs)
-	}
-	cs.Total = st.Total
-	cs.Frontier = st.Frontier
-	cs.Done = st.Final
-	cs.Machine = machine
-	cs.Extension = extension
-	cs.Pages = append(cs.Pages[:0], st.Pages...)
-	cs.ParseSeen = append(cs.ParseSeen[:0], st.ParseSeen...)
+	c := w.crawl(st.Condition)
+	// st.Pages aliases the crawl's result slice: copy the new tail.
+	c.Pages = append(c.Pages, st.Pages[c.From+len(c.Pages):]...)
+	c.Total = st.Total
+	c.Frontier = st.Frontier
+	c.Done = st.Final
+	c.Machine = machine
+	c.Extension = extension
+	c.ParseSeen = append([]uint64(nil), st.ParseSeen...)
+	c.dirty = true
 	if err := w.writeLocked(); err != nil {
 		// A failed checkpoint write must not corrupt the crawl; the run
-		// continues and the next cut retries. Surface it on stderr —
-		// there is no error channel through the crawler hook.
+		// continues and the next cut journals what this one missed.
+		// Surface it on stderr — there is no error channel through the
+		// crawler hook.
 		fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
 		return false
 	}
@@ -232,32 +295,54 @@ func (w *Writer) commit(st crawler.CommitState, machine, extension string) bool 
 	return false
 }
 
+// crawl returns condition's cursor, starting one if none exists.
+func (w *Writer) crawl(condition string) *crawlCursor {
+	for _, c := range w.crawls {
+		if c.Condition == condition {
+			return c
+		}
+	}
+	c := &crawlCursor{crawlFrame: crawlFrame{CrawlState: CrawlState{Condition: condition}}}
+	w.crawls = append(w.crawls, c)
+	return c
+}
+
 // FinishPhase records a completed pipeline phase and checkpoints.
 func (w *Writer) FinishPhase(name string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.cp.PhaseDone(name) {
-		w.cp.Phases = append(w.cp.Phases, name)
+	if !w.head.PhaseDone(name) {
+		w.head.Phases = append(w.head.Phases, name)
 	}
 	return w.writeLocked()
 }
 
-// writeLocked captures the live sources into the document and writes
-// the sidecar. Callers hold w.mu.
+// writeLocked appends one frame: the live sources' head state plus
+// every page and event the journal lacks. Cursors move only once the
+// frame is on disk, so the next cut re-journals whatever a failed one
+// missed. Callers hold w.mu.
 func (w *Writer) writeLocked() error {
+	f := frame{Checkpoint: w.head}
+	f.Schema = SchemaVersion
+	f.Sequence++
 	if w.Metrics != nil {
-		w.cp.Metrics = w.Metrics.Snapshot()
+		f.Metrics = w.Metrics.Snapshot()
 	}
 	if w.Events != nil {
-		w.cp.Events = w.Events.Events()
-		w.cp.EventsSeq = w.Events.Total()
-		w.cp.EventsDropped = w.Events.Dropped()
+		f.Events = w.Events.Since(w.head.EventsSeq)
+		f.EventsSeq = w.Events.Total()
+		f.EventsDropped = w.Events.Dropped()
 	}
 	if w.Faults != nil {
 		st := w.Faults.Export()
-		w.cp.Faults = &st
+		f.Faults = &st
 	}
-	w.cp.HasSnapshots = w.Snapshots != nil
+	f.HasSnapshots = w.Snapshots != nil
+	for _, c := range w.crawls {
+		if c.dirty {
+			f.Crawls = append(f.Crawls, c.crawlFrame)
+		}
+	}
 	if err := os.MkdirAll(w.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -266,60 +351,142 @@ func (w *Writer) writeLocked() error {
 			return err
 		}
 	}
-	w.cp.Sequence++
-	data, err := json.MarshalIndent(w.cp, "", "  ")
+	data, err := json.Marshal(&f)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(w.dir, FileName), append(data, '\n')); err != nil {
+	if err := w.appendFrame(append(data, '\n')); err != nil {
 		return err
+	}
+	w.head = f.Checkpoint
+	w.head.Events = nil
+	for _, c := range w.crawls {
+		if c.dirty {
+			c.From, c.Pages, c.dirty = c.Frontier, nil, false
+		}
 	}
 	w.writes++
 	w.Status.CheckpointWrite(w.dir, w.writes, w.stopped)
 	return nil
 }
 
-// Load reads and validates a checkpoint sidecar from dir.
+// appendFrame truncates the journal to its known-good length — cutting
+// away a stale journal, a crash's torn tail or a failed append's
+// partial bytes — and appends one newline-terminated frame.
+func (w *Writer) appendFrame(data []byte) error {
+	f, err := os.OpenFile(filepath.Join(w.dir, FileName), os.O_WRONLY|os.O_CREATE, 0o600)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	err = f.Truncate(w.size)
+	if err == nil {
+		_, err = f.WriteAt(data, w.size)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	w.size += int64(len(data))
+	return nil
+}
+
+// Load reads the journal in dir and folds its complete frames into the
+// checkpoint at the last one: the full page prefix per crawl and the
+// retained events. A trailing line without its newline is a torn
+// append and is ignored; a journal with no complete frame is reported
+// as an error wrapping os.ErrNotExist. Any complete frame of another
+// schema, pages that do not continue the journaled prefix, or retained
+// events other than exactly (EventsDropped, EventsSeq] is an error.
 func Load(dir string) (*Checkpoint, error) {
-	data, err := os.ReadFile(filepath.Join(dir, FileName))
+	path := filepath.Join(dir, FileName)
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+	defer file.Close()
+	cp, err := decode(file)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
-	if cp.Schema > SchemaVersion {
-		return nil, fmt.Errorf("checkpoint: schema v%d is newer than supported v%d", cp.Schema, SchemaVersion)
+	return cp, nil
+}
+
+// decode is Load on the journal's bytes.
+func decode(r io.Reader) (*Checkpoint, error) {
+	cp := &Checkpoint{}
+	var size int64
+	br := bufio.NewReader(r)
+	for n := 1; ; n++ {
+		line, err := br.ReadBytes('\n')
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := cp.fold(line); err != nil {
+			return nil, fmt.Errorf("frame %d: %w", n, err)
+		}
+		size += int64(len(line))
 	}
-	return &cp, nil
+	if size == 0 {
+		return nil, fmt.Errorf("no complete frame: %w", os.ErrNotExist)
+	}
+	if cp.EventsDropped > cp.EventsSeq || uint64(len(cp.Events)) != cp.EventsSeq-cp.EventsDropped {
+		return nil, fmt.Errorf("%d events retained, want seqs (%d, %d]", len(cp.Events), cp.EventsDropped, cp.EventsSeq)
+	}
+	for i, e := range cp.Events {
+		if e.Seq != cp.EventsDropped+1+uint64(i) {
+			return nil, fmt.Errorf("retained event %d has seq %d, want %d", i, e.Seq, cp.EventsDropped+1+uint64(i))
+		}
+	}
+	cp.size = size
+	return cp, nil
+}
+
+// fold applies one journal line to the checkpoint folded so far.
+func (cp *Checkpoint) fold(line []byte) error {
+	var f frame
+	if err := json.Unmarshal(line, &f); err != nil {
+		return err
+	}
+	if f.Schema != SchemaVersion {
+		return fmt.Errorf("schema v%d, want v%d", f.Schema, SchemaVersion)
+	}
+	for i := range f.Crawls {
+		d := &f.Crawls[i]
+		cs := cp.Crawl(d.Condition)
+		if cs == nil {
+			cs = &CrawlState{Condition: d.Condition}
+			cp.Crawls = append(cp.Crawls, cs)
+		}
+		if d.From != len(cs.Pages) || d.From+len(d.Pages) != d.Frontier || d.Frontier > d.Total || (d.Done && d.Frontier != d.Total) {
+			return fmt.Errorf("crawl %q: pages [%d, %d) at frontier %d of %d (done %v) do not continue the %d journaled",
+				d.Condition, d.From, d.From+len(d.Pages), d.Frontier, d.Total, d.Done, len(cs.Pages))
+		}
+		for _, p := range d.Pages {
+			if p == nil {
+				return fmt.Errorf("crawl %q: null page", d.Condition)
+			}
+		}
+		pages := append(cs.Pages, d.Pages...)
+		*cs = d.CrawlState
+		cs.Pages = pages
+	}
+	// Drop what the ring overwrote, so memory stays at the retained log.
+	crawls, events := cp.Crawls, append(cp.Events, f.Events...)
+	k := 0
+	for k < len(events) && events[k].Seq <= f.EventsDropped {
+		k++
+	}
+	*cp = f.Checkpoint
+	cp.Crawls, cp.Events = crawls, events[k:]
+	return nil
 }
 
 // LoadSnapshots reads the snapshot store saved next to a checkpoint.
 func LoadSnapshots(dir string) (*snapshot.Store, error) {
 	return snapshot.Load(filepath.Join(dir, SnapshotDirName))
-}
-
-// atomicWrite writes data to path via a same-directory temp file and
-// rename, so a crash mid-checkpoint leaves the previous sidecar valid.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
 }

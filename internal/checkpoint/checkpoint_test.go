@@ -139,7 +139,7 @@ func TestHookStopAfter(t *testing.T) {
 }
 
 // TestAdoptContinuesSequence: a resumed run's writer inherits the
-// loaded document, so sequence numbers and finished phases continue
+// loaded state, so sequence numbers and finished phases continue
 // instead of restarting.
 func TestAdoptContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
@@ -156,7 +156,7 @@ func TestAdoptContinuesSequence(t *testing.T) {
 
 	w2, _ := testWriter(t, dir)
 	w2.Adopt(cp)
-	wantSeq := cp.Sequence + 1 // Adopt shares the document, so read before writing
+	wantSeq := cp.Sequence + 1
 	if err := w2.FinishPhase("analyze"); err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,9 @@ func TestAdoptContinuesSequence(t *testing.T) {
 	}
 }
 
-// TestAtomicSidecar: the sidecar is replaced via temp-file + rename, so
-// no write ever leaves a torn file and no temp files linger.
+// TestAtomicSidecar: every cut appends one complete frame to the one
+// journal file, so each write leaves a loadable checkpoint and the
+// directory never holds anything but checkpoint.json (no temp files).
 func TestAtomicSidecar(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := testWriter(t, dir)
@@ -256,15 +257,31 @@ func TestSnapshotSidecar(t *testing.T) {
 
 func TestLoadRejectsNewerSchema(t *testing.T) {
 	dir := t.TempDir()
-	data := []byte(fmt.Sprintf(`{"schema": %d, "seq": 1, "metrics": {}}`, SchemaVersion+1))
+	// A complete frame (newline-terminated): without the newline it
+	// would be a torn tail and never reach the schema gate.
+	data := []byte(fmt.Sprintf("{\"schema\": %d, \"seq\": 1, \"metrics\": {}}\n", SchemaVersion+1))
 	if err := os.WriteFile(filepath.Join(dir, FileName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	_, err := Load(dir)
+	if err == nil {
 		t.Fatal("Load accepted a newer-schema checkpoint")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("schema v%d", SchemaVersion+1)) {
+		t.Fatalf("error does not name the schema: %v", err)
 	}
 	if _, err := Load(t.TempDir()); err == nil {
 		t.Fatal("Load invented a checkpoint in an empty directory")
+	}
+
+	// A v1 sidecar was one indented document spread over many lines;
+	// it must fail cleanly, not load as a partial journal.
+	v1 := "{\n  \"schema\": 1,\n  \"seq\": 3,\n  \"crawls\": [\n    {\n      \"condition\": \"control\",\n      \"total\": 600,\n      \"frontier\": 64,\n      \"pages\": []\n    }\n  ],\n  \"metrics\": {},\n  \"events_seq\": 0\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err == nil {
+		t.Fatal("Load accepted a v1 multi-line checkpoint")
 	}
 }
 

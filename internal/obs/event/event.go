@@ -237,6 +237,30 @@ func (s *Sink) Events() []Event {
 	return out
 }
 
+// Since returns a copy of the retained events recorded after seq, in
+// record order (oldest first) — what an append-only checkpoint journal
+// has not written yet. Events after seq that the ring already
+// overwrote are gone and not returned. It costs O(returned events).
+func (s *Sink) Since(seq uint64) []Event {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The oldest retained event sits at s.next, which stays 0 until the
+	// ring wraps and returns to 0 on Restore; count back from the newest.
+	n := len(s.buf)
+	k := 0
+	for k < n && s.buf[(s.next+n-1-k)%n].Seq > seq {
+		k++
+	}
+	out := make([]Event, k)
+	for i := range out {
+		out[i] = s.buf[(s.next+n-k+i)%n]
+	}
+	return out
+}
+
 // CountByKind tallies retained events per kind.
 func (s *Sink) CountByKind() map[Kind]int {
 	out := map[Kind]int{}

@@ -121,6 +121,7 @@ func TestSinkRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = s.Events()
+				_ = s.Since(uint64(i * 40))
 				_ = s.Len()
 				_ = s.CountByKind()
 				var buf bytes.Buffer
@@ -186,5 +187,69 @@ func TestSinkRestore(t *testing.T) {
 	}
 	if small.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", small.Dropped())
+	}
+}
+
+// TestSinceReturnsTheTail pins Sink.Since, the checkpoint journal's
+// event cursor: it returns exactly the retained events after seq,
+// oldest first, across a ring wrap and after a Restore.
+func TestSinceReturnsTheTail(t *testing.T) {
+	seqs := func(evs []Event) []uint64 {
+		out := []uint64{}
+		for _, e := range evs {
+			out = append(out, e.Seq)
+		}
+		return out
+	}
+	want := func(from, to uint64) []uint64 {
+		out := []uint64{}
+		for q := from; q <= to; q++ {
+			out = append(out, q)
+		}
+		return out
+	}
+	check := func(name string, s *Sink, seq uint64, w []uint64) {
+		t.Helper()
+		if got := seqs(s.Since(seq)); fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Fatalf("%s: Since(%d) = %v, want %v", name, seq, got, w)
+		}
+	}
+
+	s := NewSink(4)
+	check("empty", s, 0, want(1, 0))
+	for i := 0; i < 3; i++ {
+		s.Record(Event{Kind: DetectClassify})
+	}
+	check("unwrapped", s, 0, want(1, 3))
+	check("unwrapped", s, 1, want(2, 3))
+	check("unwrapped", s, 3, want(1, 0))
+	for i := 0; i < 7; i++ {
+		s.Record(Event{Kind: DetectClassify})
+	}
+	// Seqs 1..10 recorded into a ring of 4: 7..10 retained.
+	check("wrapped", s, 0, want(7, 10))
+	check("wrapped", s, 6, want(7, 10))
+	check("wrapped", s, 8, want(9, 10))
+	check("wrapped", s, 10, want(1, 0))
+	check("wrapped", s, 99, want(1, 0))
+
+	got := s.Since(8)
+	got[0].Site = "mutated"
+	if s.Events()[2].Site == "mutated" {
+		t.Fatal("Since returned a view into the ring, not a copy")
+	}
+
+	r := NewSink(4)
+	r.Restore(s.Events(), s.Total(), s.Dropped())
+	check("restored", r, 0, want(7, 10))
+	check("restored", r, 9, want(10, 10))
+	r.Record(Event{Kind: DetectClassify})
+	r.Record(Event{Kind: DetectClassify})
+	check("restored then wrapped", r, 0, want(9, 12))
+	check("restored then wrapped", r, 10, want(11, 12))
+
+	var nilSink *Sink
+	if nilSink.Since(0) != nil {
+		t.Fatal("nil sink Since must return nil")
 	}
 }

@@ -66,10 +66,11 @@ type Options struct {
 	// under FaultRate (zero selects the crawler defaults).
 	Retries      int
 	VisitTimeout time.Duration
-	// CheckpointDir enables periodic checkpointing: crawl/study progress
-	// is written atomically to <dir>/checkpoint.json at every commit
-	// boundary, and Resume(dir) continues an interrupted run from it.
-	// Empty disables checkpointing.
+	// CheckpointDir enables periodic checkpointing: at every commit
+	// boundary one frame with the progress since the previous one is
+	// appended to the journal <dir>/checkpoint.json, and Resume(dir)
+	// continues an interrupted run from it. Empty disables
+	// checkpointing.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in committed pages
 	// (<=0 selects 256).
