@@ -32,6 +32,9 @@ vet:
 
 # fuzz-smoke gives each parser fuzzer a short budget — enough to catch
 # regressions in the URL and filter-rule grammars without stalling CI.
+# FuzzEval runs each script the parser accepts through the compiled
+# interpreter and the test-only reference walker, and requires both to
+# stop within the step budget and agree.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
@@ -41,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzMergePartialBundles -fuzztime 10s ./internal/distrib
 	$(GO) test -run XXX -fuzz FuzzParseProfile -fuzztime 10s ./internal/crawler
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run XXX -fuzz FuzzEval -fuzztime 10s ./internal/jsvm
 
 check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 

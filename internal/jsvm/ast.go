@@ -16,9 +16,11 @@ type Expr interface {
 	expr()
 }
 
-// Program is a parsed script.
+// Program is a parsed and compiled script. It holds no run state, so
+// one Program may run on any number of interpreters at once.
 type Program struct {
 	Body []Stmt
+	code []stmtFn
 }
 
 // --- statements ---

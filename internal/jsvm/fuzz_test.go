@@ -1,0 +1,96 @@
+package jsvm_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"canvassing/internal/jsvm"
+	"canvassing/internal/services"
+)
+
+// runner runs a parsed program: (*jsvm.Interp).Run executes its compiled
+// code, jsvm.RunReference walks its AST.
+type runner func(*jsvm.Interp, *jsvm.Program) (jsvm.Value, error)
+
+var (
+	compiled  runner = (*jsvm.Interp).Run
+	reference runner = jsvm.RunReference
+)
+
+// outcome runs prog on a fresh interpreter under a budget of max steps
+// and renders everything a script can leave behind: its value, error
+// text, step count and console output.
+func outcome(t testing.TB, prog *jsvm.Program, run runner, max int) string {
+	t.Helper()
+	done := make(chan string, 1)
+	go func() {
+		in := jsvm.New(jsvm.Options{MaxSteps: max, RandSeed: 7})
+		v, err := run(in, prog)
+		res := fmt.Sprintf("value=%s/%s", v.TypeOf(), v.Str())
+		if err != nil {
+			res = "error=" + err.Error()
+		}
+		done <- fmt.Sprintf("%s steps=%d console=%q", res, in.Steps(), in.ConsoleLog)
+	}()
+	select {
+	case res := <-done:
+		return res
+	case <-time.After(20 * time.Second):
+		t.Fatalf("run did not return within 20s under MaxSteps %d", max)
+		return ""
+	}
+}
+
+// TestStepBudgetsMatchReference runs every step case under every budget
+// from one step up to one past what it needs, on both paths. Wherever
+// the limit strikes, the compiled code must have done exactly the
+// reference's side effects and charged exactly its steps.
+func TestStepBudgetsMatchReference(t *testing.T) {
+	for _, c := range stepCases {
+		prog, err := jsvm.Parse(c.src)
+		if err != nil {
+			continue
+		}
+		in := jsvm.New(jsvm.Options{MaxSteps: c.max})
+		_, _ = in.Run(prog)
+		need := in.Steps()
+		stride := 1 + need/400
+		for max := 1; max <= need+1; max += stride {
+			if got, want := outcome(t, prog, compiled, max), outcome(t, prog, reference, max); got != want {
+				t.Fatalf("%s at MaxSteps %d:\n compiled  %s\n reference %s", c.name, max, got, want)
+			}
+		}
+	}
+}
+
+// FuzzEval checks that every program Parse accepts runs to completion
+// under a 20,000-step budget without a panic, on both paths, and that
+// the compiled code agrees with the reference walker on value, error
+// text, Steps() and console output.
+func FuzzEval(f *testing.F) {
+	params := services.ScriptParams{SiteDomain: "fuzz.example"}
+	for _, c := range stepCases {
+		f.Add(c.src)
+	}
+	for _, v := range services.Registry() {
+		f.Add(v.Source(params))
+	}
+	for _, v := range services.Deferred() {
+		f.Add(v.Source(params))
+	}
+	for _, k := range services.BenignKinds() {
+		f.Add(services.BenignSource(k))
+	}
+	f.Add(`var a = [3, 1, 2]; var s = 0; a.forEach(function (x, i) { s += x * i; }); try { null.x; } catch (e) { console.log(e.message, s); } s`)
+	f.Add(`function f(n) { return n ? f(n - 1) + arguments.length : typeof g; } var g = f(30); for (;;) { g++; }`)
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := jsvm.Parse(src)
+		if err != nil {
+			return
+		}
+		if got, want := outcome(t, prog, compiled, 20_000), outcome(t, prog, reference, 20_000); got != want {
+			t.Fatalf("compiled and reference disagree on %q:\n compiled  %s\n reference %s", src, got, want)
+		}
+	})
+}

@@ -105,11 +105,80 @@ var h = __fpHash('data:image/png;base64,' + 'AAAA'.repeat(64));
 	}
 }
 
+// TestSharedProgramConcurrent runs one compiled Program, with closures,
+// loops, try/catch, recursion and array callbacks, on 8 goroutines at
+// once, each with its own Interp. Compiled code holds no run state, so
+// every run must match a run made alone (make race checks the sharing).
+func TestSharedProgramConcurrent(t *testing.T) {
+	prog, err := Parse(hashSrc + `
+function counter() { var n = 0; return function () { n += 1; return n; }; }
+function fib(n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
+var tick = counter(), log = [];
+for (var i = 0; i < 3; i++) { tick(); }
+var sq = [1, 2, 3, 4].map(function (x) { return x * x + seed; }).filter(function (x) { return x % 2; });
+var sum = sq.reduce(function (a, b) { return a + b; }, 0);
+try { if (seed % 2) throw 'odd'; missing(); } catch (e) { log.push(typeof e === 'string' ? e : e.message); } finally { log.push('done'); }
+[fib(10 + seed % 3), tick(), sum, __fpHash('seed' + seed)].join(':') + '|' + log.join(',');
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runOnce := func(seed int) (string, int, error) {
+		in := New(Options{})
+		in.SetGlobal("seed", Number(float64(seed)))
+		v, err := in.Run(prog)
+		return v.Str(), in.Steps(), err
+	}
+	const workers = 8
+	want := make([]string, workers)
+	for w := range want {
+		v, steps, err := runOnce(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[w] = fmt.Sprintf("%s steps=%d", v, steps)
+	}
+	errs := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				v, steps, err := runOnce(w)
+				if got := fmt.Sprintf("%s steps=%d", v, steps); err != nil || got != want[w] {
+					errs[w] = fmt.Sprintf("round %d: %s (err %v), alone %s", round, got, err, want[w])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, e := range errs {
+		if e != "" {
+			t.Errorf("worker %d: %s", w, e)
+		}
+	}
+}
+
+// TestMethodNamesBuild keeps methodNames and the method builders in
+// step: every listed method must build a callable native.
+func TestMethodNamesBuild(t *testing.T) {
+	in := New(Options{})
+	for table, names := range methodNames {
+		for id, name := range names {
+			if !in.methodAt(table, id).IsCallable() {
+				t.Errorf("table %d: %s builds no native", table, name)
+			}
+		}
+	}
+}
+
 func BenchmarkInterpHash(b *testing.B) {
 	in, fn := hashFunc(b)
 	arg := []Value{String(strings.Repeat("iVBORw0K", 1<<10))}
 	b.ReportAllocs()
-	b.SetBytes(int64(len(arg[0].str)))
+	b.SetBytes(int64(len(arg[0].str())))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.ResetSteps()

@@ -1,5 +1,6 @@
-// Package jsvm implements a small JavaScript-like language: lexer, parser
-// and tree-walking interpreter with host-object bindings.
+// Package jsvm implements a small JavaScript-like language: lexer, parser,
+// a compiler from the syntax tree to Go closures, and the interpreter
+// that runs them with host-object bindings.
 //
 // Fingerprinting scripts in this repository are real source text executed
 // by this VM against DOM/canvas host objects, exactly so that the crawler

@@ -1,0 +1,111 @@
+package jsvm
+
+import (
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// TestToInt32 pins ECMAScript ToInt32 (truncate, reduce modulo 2^32,
+// reinterpret as int32) at the values a platform-defined float-to-int
+// conversion gets wrong or where the wrap is easy to get off by one.
+func TestToInt32(t *testing.T) {
+	for _, c := range []struct {
+		f    float64
+		want int32
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{1.9, 1},
+		{-1.9, -1},
+		{1 << 31, math.MinInt32},
+		{-(1 << 31) - 1, math.MaxInt32},
+		{-(1 << 31) - 0.7, math.MinInt32},
+		{1<<32 + 5, 5},
+		{-(1 << 32) - 5, -5},
+		{1<<32 + 0.5, 0},
+		{9.3e18, -81657856},
+		{1e20, 1661992960},
+		{-1e20, -1661992960},
+		{1e300, 0},
+	} {
+		if got := toInt32(c.f); got != c.want {
+			t.Errorf("toInt32(%v) = %d, want %d", c.f, got, c.want)
+		}
+	}
+	// Every bitwise operator goes through it.
+	for src, want := range map[string]float64{
+		`1e20 | 0`:        1661992960,
+		`9.3e18 | 0`:      -81657856,
+		`~1e20`:           -1661992961,
+		`1e20 & -1`:       1661992960,
+		`1e20 ^ 0`:        1661992960,
+		`1e20 << 0`:       1661992960,
+		`1e20 >> 0`:       1661992960,
+		`1 << 1e20`:       1,
+		`4294967301 >> 0`: 5,
+	} {
+		if got := run(t, src); got.Num() != want {
+			t.Errorf("%s = %v, want %v", src, got.Num(), want)
+		}
+	}
+}
+
+// TestResourceCaps runs the hostile one-liners MaxSteps alone does not
+// stop: each must end in its RuntimeError, under the crawler's 20M-step
+// budget, having allocated a bounded amount on the way.
+func TestResourceCaps(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"index", `var a = []; a[2e7] = 1`, "invalid array length"},
+		{"length", `var a = []; a.length = 2e7`, "invalid array length"},
+		{"push", `var a = []; a.length = 1048576; a.push(1)`, "invalid array length"},
+		{"concat-array", `var a = []; a.length = 1048576; a.concat([1])`, "invalid array length"},
+		{"split", `'x'.repeat(1048576).repeat(2).split('')`, "invalid array length"},
+		{"doubling", `var s = 'abcdefgh'; for (var i = 0; i < 24; i++) s += s; s.length`, "invalid string length"},
+		{"plus", `var s = 'abcdefgh'; for (var i = 0; i < 24; i++) s = s + s; s.length`, "invalid string length"},
+		{"repeat", `var s = 'x'.repeat(1 << 20); s.repeat(1 << 20)`, "invalid string length"},
+		{"concat-string", `var s = 'x'.repeat(1 << 20).repeat(16); s.concat(s)`, "invalid string length"},
+		{"join", `var s = 'x'.repeat(1 << 20).repeat(16); [s, s].join('')`, "invalid string length"},
+		{"replace", `var s = 'x'.repeat(1 << 20).repeat(16); s.replace('x', s)`, "invalid string length"},
+		{"recursion", `var n = 0; function f() { n++; return f(); } f()`, "maximum call stack size exceeded"},
+		{"callback-recursion", `function g() { [1].forEach(g); } g()`, "maximum call stack size exceeded"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			in := New(Options{MaxSteps: 20_000_000})
+			_, err := in.RunSource(c.src)
+			runtime.ReadMemStats(&after)
+			if err == nil || err.Error() != "jsvm: "+c.want {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+			if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 256 {
+				t.Fatalf("allocated %d MB before failing", mb)
+			}
+			if in.depth != 0 {
+				t.Fatalf("call depth %d after the error unwound", in.depth)
+			}
+		})
+	}
+	// The recursion stops exactly at the cap, and the limit is a runtime
+	// error a script can catch.
+	in := New(Options{MaxSteps: 20_000_000})
+	v, err := in.RunSource(`var n = 0; function f() { n++; return f(); } var r; try { f(); } catch (e) { r = n + ' ' + e.message; } r`)
+	if err != nil || v.Str() != "10000 jsvm: maximum call stack size exceeded" {
+		t.Fatalf("caught recursion = %q, %v", v.Str(), err)
+	}
+	// Strings and arrays at the caps themselves are fine.
+	if v := run(t, `var s = 'x'.repeat(1 << 20).repeat(16); s.length`); v.Num() != maxStringLen {
+		t.Fatalf("string at the cap: %v", v.Num())
+	}
+	if v := run(t, `var a = []; a[1048575] = 1; a.length`); v.Num() != maxArrayLen {
+		t.Fatalf("array at the cap: %v", v.Num())
+	}
+	if !strings.Contains(runErr(t, `var a = []; a.length = 1048577`).Error(), "invalid array length") {
+		t.Fatal("array one past the cap must fail")
+	}
+}

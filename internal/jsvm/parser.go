@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Parse turns source text into a Program.
+// Parse turns source text into a Program and compiles it (compile.go).
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -21,6 +21,9 @@ func Parse(src string) (*Program, error) {
 		}
 		prog.Body = append(prog.Body, st)
 	}
+	// Top-level statements run in the global scope: a nil scope at
+	// compile time, a nil frame at run time.
+	prog.code = compileList(prog.Body, nil)
 	return prog, nil
 }
 
@@ -203,30 +206,8 @@ func (p *parser) block() (Stmt, error) {
 	if _, err := p.expect(tPunct, "}"); err != nil {
 		return nil, err
 	}
-	b.Flat = true
-	for _, st := range b.Body {
-		if declares(st) {
-			b.Flat = false
-			break
-		}
-	}
+	b.Flat = len(declaredIn(b.Body)) == 0
 	return b, nil
-}
-
-// declares reports whether executing st can bind a name in the scope it
-// runs in: a var/let/const or function declaration, directly or as the
-// unbraced body of an if or while. Nested blocks, for loops and try
-// clauses open scopes of their own.
-func declares(st Stmt) bool {
-	switch s := st.(type) {
-	case *VarDecl:
-		return true
-	case *IfStmt:
-		return declares(s.Then) || s.Else != nil && declares(s.Else)
-	case *WhileStmt:
-		return declares(s.Body)
-	}
-	return false
 }
 
 func (p *parser) tryStmt() (Stmt, error) {

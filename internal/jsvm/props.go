@@ -2,7 +2,9 @@ package jsvm
 
 import (
 	"math"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // Method tables: one per receiver kind whose methods are natives.
@@ -14,49 +16,93 @@ const (
 	numMethodTables
 )
 
-// method returns the native serving a method of the given table, or
-// undefined. Each native is built on first read and then shared by every
-// later read in this interpreter, so a method read allocates nothing.
-// The tables are per-Interp, never package-global: a script can write
-// properties onto a method object ("".charCodeAt.x = 1), and that must
-// not leak across pages or race between crawler workers.
-func (in *Interp) method(table int, name string) Value {
-	if v, ok := in.methods[table][name]; ok {
-		return v
+// methodNames lists each table's methods; a method's index here is its
+// slot in the table.
+var methodNames = [numMethodTables][]string{
+	stringMethods: {"charCodeAt", "charAt", "indexOf", "lastIndexOf", "includes", "startsWith", "endsWith",
+		"slice", "substring", "toUpperCase", "toLowerCase", "trim", "split", "replace", "repeat", "concat", "toString"},
+	arrayMethods: {"push", "pop", "join", "indexOf", "includes", "slice", "concat", "reverse",
+		"forEach", "map", "filter", "reduce"},
+	numberMethods: {"toFixed", "toString"},
+	objectMethods: {"hasOwnProperty"},
+}
+
+// methodID returns name's slot in a method table, or -1.
+func methodID(table int, name string) int {
+	return slices.Index(methodNames[table], name)
+}
+
+// propKey is a property name with its slot in every method table,
+// resolved when the program is compiled.
+type propKey struct {
+	name string
+	ids  [numMethodTables]int
+}
+
+func newPropKey(name string) propKey {
+	k := propKey{name: name}
+	for t := range k.ids {
+		k.ids[t] = methodID(t, name)
 	}
-	var fn NativeFunc
-	switch table {
-	case stringMethods:
-		fn = stringMethod(name)
-	case arrayMethods:
-		fn = in.arrayMethod(name)
-	case numberMethods:
-		fn = numberMethod(name)
-	case objectMethods:
-		fn = objectMethod(name)
-	}
-	if fn == nil {
+	return k
+}
+
+// methodAt returns the native serving method id of the given table, or
+// undefined for id -1. Each native is built on first read and then
+// shared by every later read in this interpreter, so a method read
+// allocates nothing. The tables are per-Interp, never package-global: a
+// script can write properties onto a method object ("".charCodeAt.x = 1),
+// and that must not leak across pages or race between crawler workers.
+func (in *Interp) methodAt(table, id int) Value {
+	if id < 0 {
 		return Undefined()
 	}
-	if in.methods[table] == nil {
-		in.methods[table] = map[string]Value{}
+	t := in.methods[table]
+	if t == nil {
+		t = make([]Value, len(methodNames[table]))
+		in.methods[table] = t
 	}
-	v := NewNative(fn)
-	in.methods[table][name] = v
-	return v
+	if t[id].kind == KindUndefined {
+		name := methodNames[table][id]
+		var fn NativeFunc
+		switch table {
+		case stringMethods:
+			fn = stringMethod(name)
+		case arrayMethods:
+			fn = in.arrayMethod(name)
+		case numberMethods:
+			fn = numberMethod(name)
+		case objectMethods:
+			fn = objectMethod(name)
+		}
+		t[id] = NewNative(fn)
+	}
+	return t[id]
 }
 
 // getProp implements obj.name for every value kind, including primitive
 // string/array methods and host-object dispatch.
 func (in *Interp) getProp(v Value, name string) (Value, error) {
+	return in.member(v, name, nil)
+}
+
+// member is getProp given name's method-table slots, for a caller that
+// resolved them already (ids may be nil).
+func (in *Interp) member(v Value, name string, ids *[numMethodTables]int) (Value, error) {
+	method := func(table int) Value {
+		if ids != nil {
+			return in.methodAt(table, ids[table])
+		}
+		return in.methodAt(table, methodID(table, name))
+	}
 	switch v.kind {
 	case KindString:
 		if name == "length" {
-			return Number(float64(len(v.str))), nil
+			return Number(float64(v.n)), nil
 		}
-		return in.method(stringMethods, name), nil
+		return method(stringMethods), nil
 	case KindObject:
-		o := v.obj
+		o := v.Object()
 		switch {
 		case o.Host != nil:
 			if pv, ok := o.Host.HostGet(name); ok {
@@ -67,17 +113,17 @@ func (in *Interp) getProp(v Value, name string) (Value, error) {
 			if name == "length" {
 				return Number(float64(len(o.Elems))), nil
 			}
-			return in.method(arrayMethods, name), nil
+			return method(arrayMethods), nil
 		default:
 			if o.Props != nil {
 				if pv, ok := o.Props[name]; ok {
 					return pv, nil
 				}
 			}
-			return in.method(objectMethods, name), nil
+			return method(objectMethods), nil
 		}
 	case KindNumber:
-		return in.method(numberMethods, name), nil
+		return method(numberMethods), nil
 	case KindUndefined, KindNull:
 		return Undefined(), rtErrf("cannot read property %q of %s", name, v.Str())
 	}
@@ -130,15 +176,15 @@ func numberMethod(name string) NativeFunc {
 func (in *Interp) getIndex(v Value, idx Value) (Value, error) {
 	if v.kind == KindString && idx.Kind() == KindNumber {
 		i := int(idx.Num())
-		if i >= 0 && i < len(v.str) {
-			return String(v.str[i : i+1]), nil
+		if s := v.str(); i >= 0 && i < len(s) {
+			return String(s[i : i+1]), nil
 		}
 		return Undefined(), nil
 	}
-	if v.kind == KindObject && v.obj.IsArray && idx.Kind() == KindNumber {
+	if o := v.Object(); o != nil && o.IsArray && idx.Kind() == KindNumber {
 		i := int(idx.Num())
-		if i >= 0 && i < len(v.obj.Elems) {
-			return v.obj.Elems[i], nil
+		if i >= 0 && i < len(o.Elems) {
+			return o.Elems[i], nil
 		}
 		return Undefined(), nil
 	}
@@ -150,7 +196,7 @@ func (in *Interp) setProp(v Value, name string, val Value) error {
 	if v.kind != KindObject {
 		return rtErrf("cannot set property %q on %s", name, v.TypeOf())
 	}
-	o := v.obj
+	o := v.Object()
 	if o.Host != nil {
 		o.Host.HostSet(name, val) // hosts may silently reject, like DOM
 		return nil
@@ -159,6 +205,9 @@ func (in *Interp) setProp(v Value, name string, val Value) error {
 		n := int(val.Num())
 		if n < 0 {
 			n = 0
+		}
+		if n > maxArrayLen {
+			return errArrayLen
 		}
 		for len(o.Elems) < n {
 			o.Elems = append(o.Elems, Undefined())
@@ -175,15 +224,18 @@ func (in *Interp) setProp(v Value, name string, val Value) error {
 
 // setIndex implements obj[i] = val.
 func (in *Interp) setIndex(v Value, idx Value, val Value) error {
-	if v.kind == KindObject && v.obj.IsArray && idx.Kind() == KindNumber {
+	if o := v.Object(); o != nil && o.IsArray && idx.Kind() == KindNumber {
 		i := int(idx.Num())
 		if i < 0 {
 			return rtErrf("negative array index")
 		}
-		for len(v.obj.Elems) <= i {
-			v.obj.Elems = append(v.obj.Elems, Undefined())
+		if i >= maxArrayLen {
+			return errArrayLen
 		}
-		v.obj.Elems[i] = val
+		for len(o.Elems) <= i {
+			o.Elems = append(o.Elems, Undefined())
+		}
+		o.Elems[i] = val
 		return nil
 	}
 	return in.setProp(v, idx.Str(), val)
@@ -288,7 +340,15 @@ func stringMethod(name string) NativeFunc {
 			if len(args) == 0 {
 				return NewArray(String(str)), nil
 			}
-			parts := strings.Split(str, args[0].Str())
+			sep := args[0].Str()
+			n := strings.Count(str, sep) + 1
+			if sep == "" {
+				n = utf8.RuneCountInString(str)
+			}
+			if n > maxArrayLen {
+				return Undefined(), errArrayLen
+			}
+			parts := strings.Split(str, sep)
 			out := make([]Value, len(parts))
 			for i, p := range parts {
 				out[i] = String(p)
@@ -300,7 +360,11 @@ func stringMethod(name string) NativeFunc {
 			if len(args) < 2 {
 				return this, nil
 			}
-			return String(strings.Replace(this.Str(), args[0].Str(), args[1].Str(), 1)), nil
+			str, old, repl := this.Str(), args[0].Str(), args[1].Str()
+			if strings.Contains(str, old) && len(str)-len(old)+len(repl) > maxStringLen {
+				return Undefined(), errStringLen
+			}
+			return String(strings.Replace(str, old, repl, 1)), nil
 		}
 	case "repeat":
 		return func(this Value, args []Value) (Value, error) {
@@ -311,15 +375,22 @@ func stringMethod(name string) NativeFunc {
 			if n < 0 || n > 1<<20 {
 				return Undefined(), rtErrf("invalid repeat count")
 			}
-			return String(strings.Repeat(this.Str(), n)), nil
+			str := this.Str()
+			if len(str)*n > maxStringLen {
+				return Undefined(), errStringLen
+			}
+			return String(strings.Repeat(str, n)), nil
 		}
 	case "concat":
 		return func(this Value, args []Value) (Value, error) {
-			out := this.Str()
+			out := String(this.Str())
 			for _, a := range args {
-				out += a.Str()
+				var err error
+				if out, err = concatStrings(out.str(), a.Str()); err != nil {
+					return Undefined(), err
+				}
 			}
-			return String(out), nil
+			return out, nil
 		}
 	case "toString":
 		return func(this Value, args []Value) (Value, error) {
@@ -354,6 +425,9 @@ func (in *Interp) arrayMethod(name string) NativeFunc {
 			if to == nil {
 				return Undefined(), rtErrf("push on non-array")
 			}
+			if len(to.Elems)+len(args) > maxArrayLen {
+				return Undefined(), errArrayLen
+			}
 			to.Elems = append(to.Elems, args...)
 			return Number(float64(len(to.Elems))), nil
 		}
@@ -375,10 +449,15 @@ func (in *Interp) arrayMethod(name string) NativeFunc {
 			}
 			to := this.Object()
 			parts := make([]string, len(to.Elems))
+			n := len(sep) * (len(parts) - 1)
 			for i, e := range to.Elems {
 				if !e.IsNullish() {
 					parts[i] = e.Str()
+					n += len(parts[i])
 				}
+			}
+			if n > maxStringLen {
+				return Undefined(), errStringLen
 			}
 			return String(strings.Join(parts, sep)), nil
 		}
@@ -426,7 +505,18 @@ func (in *Interp) arrayMethod(name string) NativeFunc {
 	case "concat":
 		return func(this Value, args []Value) (Value, error) {
 			to := this.Object()
-			out := make([]Value, len(to.Elems))
+			n := len(to.Elems)
+			for _, a := range args {
+				if a.IsArray() {
+					n += len(a.Object().Elems)
+				} else {
+					n++
+				}
+			}
+			if n > maxArrayLen {
+				return Undefined(), errArrayLen
+			}
+			out := make([]Value, len(to.Elems), n)
 			copy(out, to.Elems)
 			for _, a := range args {
 				if a.IsArray() {

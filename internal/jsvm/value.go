@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates runtime value kinds.
@@ -42,20 +43,26 @@ type Object struct {
 	Props   map[string]Value
 	Elems   []Value
 	IsArray bool
-	Fn      *FuncLit
-	Env     *Scope
 	Native  NativeFunc
 	Host    HostObject
+	// code and env make a script function: its compiled body and the
+	// frame it closes over.
+	code *funcCode
+	env  *frame
 }
 
-// Value is a script value. The zero Value is undefined. The one-byte
-// fields sit together at the end, which keeps a Value at 40 bytes.
+// Value is a script value. The zero Value is undefined.
+//
+// A Value is four fields in 32 bytes, the most the Go compiler keeps in
+// registers; a larger one goes through memory on every return of a
+// compiled node. So a string's bytes and an object share the pointer
+// word, and a boolean is carried as 1 or 0 in num. Only str and Object
+// read the pointer, and each checks the kind first.
 type Value struct {
-	num  float64
-	str  string
-	obj  *Object
+	num  float64        // KindNumber: the number; KindBool: 1 or 0
+	ptr  unsafe.Pointer // KindString: the bytes; KindObject: the *Object
+	n    int            // KindString: the length
 	kind Kind
-	b    bool
 }
 
 // Undefined returns the undefined value.
@@ -65,33 +72,38 @@ func Undefined() Value { return Value{} }
 func Null() Value { return Value{kind: KindNull} }
 
 // Boolean wraps a Go bool.
-func Boolean(b bool) Value { return Value{kind: KindBool, b: b} }
+func Boolean(b bool) Value {
+	if b {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Number wraps a float64.
 func Number(f float64) Value { return Value{kind: KindNumber, num: f} }
 
 // String wraps a Go string.
-func String(s string) Value { return Value{kind: KindString, str: s} }
+func String(s string) Value {
+	if s == "" {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, ptr: unsafe.Pointer(unsafe.StringData(s)), n: len(s)}
+}
+
+// objectValue wraps a heap object.
+func objectValue(o *Object) Value { return Value{kind: KindObject, ptr: unsafe.Pointer(o)} }
 
 // NewObject returns an empty plain object.
-func NewObject() Value {
-	return Value{kind: KindObject, obj: &Object{Props: map[string]Value{}}}
-}
+func NewObject() Value { return objectValue(&Object{Props: map[string]Value{}}) }
 
 // NewArray returns an array value holding elems.
-func NewArray(elems ...Value) Value {
-	return Value{kind: KindObject, obj: &Object{IsArray: true, Elems: elems}}
-}
+func NewArray(elems ...Value) Value { return objectValue(&Object{IsArray: true, Elems: elems}) }
 
 // NewNative wraps a Go function as a callable value.
-func NewNative(fn NativeFunc) Value {
-	return Value{kind: KindObject, obj: &Object{Native: fn}}
-}
+func NewNative(fn NativeFunc) Value { return objectValue(&Object{Native: fn}) }
 
 // NewHost wraps a HostObject.
-func NewHost(h HostObject) Value {
-	return Value{kind: KindObject, obj: &Object{Host: h}}
-}
+func NewHost(h HostObject) Value { return objectValue(&Object{Host: h}) }
 
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -104,16 +116,20 @@ func (v Value) IsNullish() bool { return v.kind == KindUndefined || v.kind == Ki
 
 // IsCallable reports whether Call can invoke the value.
 func (v Value) IsCallable() bool {
-	return v.kind == KindObject && (v.obj.Fn != nil || v.obj.Native != nil)
+	o := v.Object()
+	return o != nil && (o.code != nil || o.Native != nil)
 }
 
 // IsArray reports whether the value is an array object.
-func (v Value) IsArray() bool { return v.kind == KindObject && v.obj.IsArray }
+func (v Value) IsArray() bool {
+	o := v.Object()
+	return o != nil && o.IsArray
+}
 
 // Host returns the wrapped HostObject, or nil.
 func (v Value) Host() HostObject {
-	if v.kind == KindObject {
-		return v.obj.Host
+	if o := v.Object(); o != nil {
+		return o.Host
 	}
 	return nil
 }
@@ -121,20 +137,28 @@ func (v Value) Host() HostObject {
 // Object returns the underlying heap object, or nil for primitives.
 func (v Value) Object() *Object {
 	if v.kind == KindObject {
-		return v.obj
+		return (*Object)(v.ptr)
 	}
 	return nil
+}
+
+// str returns a string's contents, or "" for any other kind.
+func (v Value) str() string {
+	if v.kind == KindString {
+		return unsafe.String((*byte)(v.ptr), v.n)
+	}
+	return ""
 }
 
 // Bool converts per JS truthiness.
 func (v Value) Bool() bool {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.num != 0
 	case KindNumber:
 		return v.num != 0 && !math.IsNaN(v.num)
 	case KindString:
-		return v.str != ""
+		return v.n != 0
 	case KindObject:
 		return true
 	}
@@ -143,16 +167,18 @@ func (v Value) Bool() bool {
 
 // Num converts per JS ToNumber.
 func (v Value) Num() float64 {
-	switch v.kind {
-	case KindNumber:
+	if v.kind == KindNumber {
 		return v.num
+	}
+	return v.toNumber()
+}
+
+func (v Value) toNumber() float64 {
+	switch v.kind {
 	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return v.num
 	case KindString:
-		s := strings.TrimSpace(v.str)
+		s := strings.TrimSpace(v.str())
 		if s == "" {
 			return 0
 		}
@@ -174,28 +200,29 @@ func (v Value) Str() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.b {
+		if v.num != 0 {
 			return "true"
 		}
 		return "false"
 	case KindNumber:
 		return formatNumber(v.num)
 	case KindString:
-		return v.str
+		return v.str()
 	case KindObject:
+		o := v.Object()
 		switch {
-		case v.obj.IsArray:
-			parts := make([]string, len(v.obj.Elems))
-			for i, e := range v.obj.Elems {
+		case o.IsArray:
+			parts := make([]string, len(o.Elems))
+			for i, e := range o.Elems {
 				if !e.IsNullish() {
 					parts[i] = e.Str()
 				}
 			}
 			return strings.Join(parts, ",")
-		case v.obj.Fn != nil || v.obj.Native != nil:
+		case o.code != nil || o.Native != nil:
 			return "function () { [code] }"
-		case v.obj.Host != nil:
-			if s, ok := v.obj.Host.HostGet("__string__"); ok {
+		case o.Host != nil:
+			if s, ok := o.Host.HostGet("__string__"); ok {
 				return s.Str()
 			}
 			return "[object Object]"
@@ -253,14 +280,12 @@ func StrictEquals(a, b Value) bool {
 	switch a.kind {
 	case KindUndefined, KindNull:
 		return true
-	case KindBool:
-		return a.b == b.b
-	case KindNumber:
+	case KindBool, KindNumber:
 		return a.num == b.num // NaN !== NaN falls out naturally
 	case KindString:
-		return a.str == b.str
+		return a.str() == b.str()
 	case KindObject:
-		return a.obj == b.obj
+		return a.ptr == b.ptr
 	}
 	return false
 }
@@ -292,14 +317,15 @@ func JSONStringify(v Value) string {
 	case KindBool, KindNumber:
 		return v.Str()
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str())
 	case KindObject:
-		if v.IsCallable() || v.obj.Host != nil {
+		o := v.Object()
+		if v.IsCallable() || o.Host != nil {
 			return "null"
 		}
-		if v.obj.IsArray {
-			parts := make([]string, len(v.obj.Elems))
-			for i, e := range v.obj.Elems {
+		if o.IsArray {
+			parts := make([]string, len(o.Elems))
+			for i, e := range o.Elems {
 				s := JSONStringify(e)
 				if s == "undefined" {
 					s = "null"
@@ -308,8 +334,8 @@ func JSONStringify(v Value) string {
 			}
 			return "[" + strings.Join(parts, ",") + "]"
 		}
-		keys := make([]string, 0, len(v.obj.Props))
-		for k := range v.obj.Props {
+		keys := make([]string, 0, len(o.Props))
+		for k := range o.Props {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
@@ -317,7 +343,7 @@ func JSONStringify(v Value) string {
 		sb.WriteByte('{')
 		first := true
 		for _, k := range keys {
-			s := JSONStringify(v.obj.Props[k])
+			s := JSONStringify(o.Props[k])
 			if s == "undefined" {
 				continue
 			}
