@@ -23,7 +23,7 @@ test:
 # the loops really are confined to their workers. internal/jsvm and
 # internal/raster run on every crawl worker at once: one parsed Program
 # is shared between workers, each with its own Interp and method
-# tables, and Rasterize draws its scratch from a shared pool.
+# tables, and each canvas context with its own Rasterizer.
 race:
 	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
 
@@ -34,7 +34,10 @@ vet:
 # regressions in the URL and filter-rule grammars without stalling CI.
 # FuzzEval runs each script the parser accepts through the compiled
 # interpreter and the test-only reference walker, and requires both to
-# stop within the step budget and agree.
+# stop within the step budget and agree. FuzzCanvasOps drives the canvas
+# API a page script reaches with hostile arguments (NaN, ±Inf, ±1e300,
+# huge sizes) and requires every call to return within a deadline,
+# without a panic and with bounded allocation.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
@@ -45,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseProfile -fuzztime 10s ./internal/crawler
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run XXX -fuzz FuzzEval -fuzztime 10s ./internal/jsvm
+	$(GO) test -run XXX -fuzz FuzzCanvasOps -fuzztime 10s ./internal/canvas
 
 check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 

@@ -1,6 +1,7 @@
 package canvas
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -197,11 +198,12 @@ func abs(v float64) float64 {
 	return v
 }
 
+// mod2 reduces v into [0, 2). math.Mod is exact, as repeated
+// subtraction of 2 is wherever it ends; for a hue like 1e300 it never
+// would.
 func mod2(v float64) float64 {
-	for v >= 2 {
-		v -= 2
-	}
-	for v < 0 {
+	v = math.Mod(v, 2)
+	if v < 0 {
 		v += 2
 	}
 	return v

@@ -67,6 +67,13 @@ type Context2D struct {
 	path  []subpath
 	cur   geom.Point // current point (device space)
 	began bool
+
+	// r is the one Rasterizer every draw on this context goes through,
+	// Reset per glyph or shape, and pts is scratch for the device-space
+	// points of one glyph stroke or shadow polygon. Both keep their
+	// buffers, so drawing stops allocating once they have grown.
+	r   raster.Rasterizer
+	pts []geom.Point
 }
 
 func newContext2D(e *Element) *Context2D {
@@ -307,7 +314,7 @@ func (c *Context2D) FillRect(x, y, w, h float64) {
 func (c *Context2D) StrokeRect(x, y, w, h float64) {
 	c.trace("strokeRect", []string{fstr(x), fstr(y), fstr(w), fstr(h)}, "")
 	poly := c.transformedRect(x, y, w, h)
-	r := raster.NewRasterizer()
+	r := c.rasterizer()
 	r.Stroke(poly, true, c.strokeStyleNow())
 	c.rasterize(r, c.state.strokePaint)
 }
@@ -322,7 +329,7 @@ func (c *Context2D) ClearRect(x, y, w, h float64) {
 	for _, p := range poly {
 		bounds = bounds.ExpandToInclude(p)
 	}
-	c.el.img.ClearRect(
+	c.el.bitmap().ClearRect(
 		int(math.Floor(bounds.Min.X)), int(math.Floor(bounds.Min.Y)),
 		int(math.Ceil(bounds.Max.X)), int(math.Ceil(bounds.Max.Y)))
 }
@@ -594,7 +601,7 @@ func (c *Context2D) Fill(rule string) {
 // Stroke strokes the current path, as ctx.stroke().
 func (c *Context2D) Stroke() {
 	c.trace("stroke", nil, "")
-	r := raster.NewRasterizer()
+	r := c.rasterizer()
 	st := c.strokeStyleNow()
 	for _, sp := range c.path {
 		if len(sp.pts) >= 1 {
@@ -655,11 +662,17 @@ func (c *Context2D) fillPolys(polys [][]geom.Point, rule raster.FillRule) {
 	if len(polys) == 0 {
 		return
 	}
-	r := raster.NewRasterizer()
+	r := c.rasterizer()
 	for _, p := range polys {
 		r.AddPolygon(p)
 	}
 	c.rasterizeRule(r, c.state.fillPaint, rule)
+}
+
+// rasterizer returns the context's Rasterizer, emptied for a new draw.
+func (c *Context2D) rasterizer() *raster.Rasterizer {
+	c.r.Reset()
+	return &c.r
 }
 
 func (c *Context2D) rasterize(r *raster.Rasterizer, paint raster.Paint) {
@@ -667,7 +680,7 @@ func (c *Context2D) rasterize(r *raster.Rasterizer, paint raster.Paint) {
 }
 
 func (c *Context2D) rasterizeRule(r *raster.Rasterizer, paint raster.Paint, rule raster.FillRule) {
-	r.Rasterize(c.el.img, paint, raster.Options{
+	r.Rasterize(c.el.bitmap(), paint, raster.Options{
 		Rule:        rule,
 		Op:          c.state.compositeOp,
 		Alpha:       uint8(c.state.globalAlpha*255 + 0.5),
@@ -685,20 +698,20 @@ func (c *Context2D) hasShadow() bool {
 // rendering deterministic and cheap while still being machine- and
 // geometry-dependent.
 func (c *Context2D) paintShadow(polys [][]geom.Point) {
-	r := raster.NewRasterizer()
+	r := c.rasterizer()
 	for _, poly := range polys {
-		moved := make([]geom.Point, len(poly))
-		for i, p := range poly {
-			moved[i] = geom.Pt(p.X+c.state.shadowOX, p.Y+c.state.shadowOY)
+		c.pts = c.pts[:0]
+		for _, p := range poly {
+			c.pts = append(c.pts, geom.Pt(p.X+c.state.shadowOX, p.Y+c.state.shadowOY))
 		}
-		r.AddPolygon(moved)
+		r.AddPolygon(c.pts)
 	}
 	col := c.state.shadowColor
 	if c.state.shadowBlur > 0 {
 		f := 1 / (1 + c.state.shadowBlur/4)
 		col.A = uint8(float64(col.A) * f)
 	}
-	r.Rasterize(c.el.img, raster.Solid{C: col}, raster.Options{
+	r.Rasterize(c.el.bitmap(), raster.Solid{C: col}, raster.Options{
 		Op:          c.state.compositeOp,
 		Alpha:       uint8(c.state.globalAlpha*255 + 0.5),
 		CoverageLUT: c.el.profile.CoverageLUT(),
@@ -771,14 +784,19 @@ type ImageData struct {
 }
 
 // GetImageData copies pixels out of the canvas, as ctx.getImageData.
-// The element's extraction hook (randomization defense) applies.
+// The element's extraction hook (randomization defense) applies. It
+// returns nil, which the script layer raises as an error, when w×h is
+// over the ImageData area limit.
 func (c *Context2D) GetImageData(x, y, w, h int) *ImageData {
 	c.trace("getImageData", []string{fmt.Sprint(x), fmt.Sprint(y), fmt.Sprint(w), fmt.Sprint(h)}, "")
 	if w <= 0 || h <= 0 {
 		return &ImageData{}
 	}
-	src := c.el.img
-	if c.el.extractHook != nil {
+	if !fitsArea(w, h) {
+		return nil
+	}
+	src := c.el.bitmap()
+	if c.el.extractHook != nil && len(src.Pix) > 0 {
 		src = c.el.extractHook(src)
 	}
 	out := &ImageData{W: w, H: h, Pix: make([]uint8, w*h*4)}
@@ -798,17 +816,19 @@ func (c *Context2D) PutImageData(d *ImageData, x, y int) {
 	if d == nil {
 		return
 	}
+	img := c.el.bitmap()
 	for row := 0; row < d.H; row++ {
 		for col := 0; col < d.W; col++ {
 			i := (row*d.W + col) * 4
-			c.el.img.Set(x+col, y+row, raster.RGBA{
+			img.Set(x+col, y+row, raster.RGBA{
 				R: d.Pix[i], G: d.Pix[i+1], B: d.Pix[i+2], A: d.Pix[i+3],
 			})
 		}
 	}
 }
 
-// CreateImageData returns a blank ImageData, as ctx.createImageData.
+// CreateImageData returns a blank ImageData, as ctx.createImageData, or
+// nil when w×h is over the ImageData area limit.
 func (c *Context2D) CreateImageData(w, h int) *ImageData {
 	c.trace("createImageData", []string{fmt.Sprint(w), fmt.Sprint(h)}, "")
 	if w < 0 {
@@ -816,6 +836,9 @@ func (c *Context2D) CreateImageData(w, h int) *ImageData {
 	}
 	if h < 0 {
 		h = 0
+	}
+	if !fitsArea(w, h) {
+		return nil
 	}
 	return &ImageData{W: w, H: h, Pix: make([]uint8, w*h*4)}
 }
@@ -830,13 +853,14 @@ func (c *Context2D) DrawImage(src *Element, dx, dy float64) {
 	origin := c.state.transform.Apply(geom.Pt(dx, dy))
 	ox, oy := int(math.Floor(origin.X+0.5)), int(math.Floor(origin.Y+0.5))
 	alpha := uint8(c.state.globalAlpha*255 + 0.5)
-	for y := 0; y < src.img.H; y++ {
-		for x := 0; x < src.img.W; x++ {
-			px := src.img.At(x, y)
+	from, to := src.bitmap(), c.el.bitmap()
+	for y := 0; y < from.H; y++ {
+		for x := 0; x < from.W; x++ {
+			px := from.At(x, y)
 			if px.A == 0 {
 				continue
 			}
-			c.el.img.BlendPixel(ox+x, oy+y, px, alpha, c.state.compositeOp)
+			to.BlendPixel(ox+x, oy+y, px, alpha, c.state.compositeOp)
 		}
 	}
 }

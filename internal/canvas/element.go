@@ -42,7 +42,7 @@ type ExtractHook func(img *raster.Image) *raster.Image
 // Element is an HTMLCanvasElement.
 type Element struct {
 	width, height int
-	img           *raster.Image
+	img           *raster.Image // nil until first pixel access; see bitmap
 	ctx           *Context2D
 	glctx         *WebGLContext
 	profile       *machine.Profile
@@ -56,6 +56,18 @@ const (
 	defaultH = 150
 )
 
+// Browser-style size limits. A canvas with a side over maxSide or an
+// area over maxArea pixels gets no bitmap, and no ImageData may exceed
+// maxArea pixels. maxArea is Safari's 4096², 64 MB of RGBA.
+const (
+	maxSide = 32767
+	maxArea = 4096 * 4096
+)
+
+// fitsArea reports whether w×h, both non-negative, is at most maxArea,
+// without overflowing on hostile sizes.
+func fitsArea(w, h int) bool { return h == 0 || w <= maxArea/h }
+
 // New returns a canvas of the HTML default size (300×150) rendered on the
 // given machine profile. A nil profile uses the Intel reference machine.
 func New(profile *machine.Profile) *Element {
@@ -65,9 +77,24 @@ func New(profile *machine.Profile) *Element {
 	return &Element{
 		width:   defaultW,
 		height:  defaultH,
-		img:     raster.NewImage(defaultW, defaultH),
 		profile: profile,
 	}
+}
+
+// bitmap returns the canvas pixels, allocating them transparent black
+// on first use, so a script's usual createElement, width=, height=
+// sequence allocates one bitmap rather than three. Every pixel access
+// goes through it. A canvas over the size limits gets a 0×0 image: draws
+// on it are no-ops and reads see transparent black.
+func (e *Element) bitmap() *raster.Image {
+	if e.img == nil {
+		if e.width <= maxSide && e.height <= maxSide && fitsArea(e.width, e.height) {
+			e.img = raster.NewImage(e.width, e.height)
+		} else {
+			e.img = &raster.Image{}
+		}
+	}
+	return e.img
 }
 
 // SetTracer installs t for this element and its context. Passing nil
@@ -121,7 +148,7 @@ func (e *Element) SetHeight(h int) {
 }
 
 func (e *Element) resetBitmap() {
-	e.img = raster.NewImage(e.width, e.height)
+	e.img = nil
 	if e.ctx != nil {
 		e.ctx.resetState()
 	}
@@ -153,24 +180,27 @@ func (e *Element) GetWebGL() *WebGLContext {
 
 // Image exposes the backing pixels (no extraction hook applied). Analysis
 // code uses it; page scripts must go through ToDataURL/GetImageData.
-func (e *Element) Image() *raster.Image { return e.img }
+func (e *Element) Image() *raster.Image { return e.bitmap() }
 
 // ToDataURL encodes the current bitmap as a data: URL. The format string
 // follows toDataURL's first argument ("" means PNG); quality applies to
-// lossy formats with <=0 selecting the 0.92 default.
+// lossy formats with <=0 selecting the 0.92 default. A canvas over the
+// size limits has no pixels and gives "data:,", as the spec says.
 func (e *Element) ToDataURL(format string, quality float64) string {
-	f := imaging.ParseFormat(format)
-	img := e.img
-	if e.extractHook != nil {
-		img = e.extractHook(img)
+	u := "data:,"
+	if img := e.bitmap(); len(img.Pix) > 0 {
+		f := imaging.ParseFormat(format)
+		if e.extractHook != nil {
+			img = e.extractHook(img)
+		}
+		data, err := imaging.EncodeCached(img, f, quality)
+		if err != nil {
+			// Encoding a valid in-memory image cannot fail with stdlib
+			// codecs; keep the API total anyway.
+			data = nil
+		}
+		u = imaging.DataURL(f, data)
 	}
-	data, err := imaging.EncodeCached(img, f, quality)
-	if err != nil {
-		// Encoding a valid in-memory image cannot fail with stdlib
-		// codecs; keep the API total anyway.
-		data = nil
-	}
-	u := imaging.DataURL(f, data)
 	e.trace("toDataURL", []string{format}, u)
 	return u
 }

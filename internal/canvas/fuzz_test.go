@@ -1,0 +1,316 @@
+package canvas
+
+import (
+	"encoding/binary"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"canvassing/internal/machine"
+)
+
+// FuzzCanvasOps decodes its input into a sequence of Element and
+// Context2D calls on two canvases — sizes, transforms, paths, text,
+// dashes, shadows, Get/Put/CreateImageData, drawImage between the two,
+// toDataURL, and the WebGL draw path — with NaN, ±Inf, ±1e300 and huge
+// sizes among the arguments. Page scripts reach every one of these
+// calls with arguments of their choosing, and jsvm's step budget cannot
+// stop a native call, so each call must return within a deadline,
+// without a panic and with bounded allocation.
+func FuzzCanvasOps(f *testing.F) {
+	// The repros of the hostile inputs the canvas and raster layers used
+	// to crash, exhaust memory or hang on.
+	f.Add(fuzzSeed("width", 48, "height", 40, "beginPath", "moveTo", 20.6, 30.6,
+		"lineTo", -8.9, 27.8, "lineTo", 50.2, 13.3, "lineTo", 49.7, 22.5, "lineTo", 27.2, 45.6,
+		"lineTo", 22.3, 6.2, "lineTo", 36.3, -1e300, "lineTo", 0.003, -3.4, "lineTo", 15.3, math.Inf(-1),
+		"lineTo", 35.5, 26.0, "lineTo", 1e300, math.Inf(-1), "fill", 0, "toDataURL", byte(0)))
+	f.Add(fuzzSeed("width", 1e12, "fillRect", 0, 0, 10, 10, "toDataURL", byte(0)))
+	f.Add(fuzzSeed("width", 1e9, "fillText", byte(0), 2, 15, "getImageData", 0, 0, 4, 4))
+	f.Add(fuzzSeed("width", 3e4, "height", 3e4, "fillRect", 0, 0, 10, 10, "toDataURL", byte(1)))
+	f.Add(fuzzSeed("getImageData", 0, 0, 1e5, 1e5, "createImageData", 3e4, 3e4, "putImageData", 0, 0))
+	f.Add(fuzzSeed("setLineDash", byte(2), 1, 1, "lineDashOffset", 1e300,
+		"beginPath", "moveTo", 0, 10, "lineTo", 30, 10, "stroke"))
+	f.Add(fuzzSeed("setLineDash", byte(1), 1e-6, "beginPath", "moveTo", 0, 10, "lineTo", 30, 10, "stroke"))
+	f.Add(fuzzSeed("fillStyle", byte(2), "fillRect", 0, 0, 4, 4, "webglDraw", -1, 3))
+	// A fingerprinting-shaped scene across both canvases.
+	f.Add(fuzzSeed("width", 160, "height", 40, "font", byte(0), "fillStyle", byte(0),
+		"fillRect", 100, 1, 50, 20, "shadow", byte(1), 2, 2, 3, "fillText", byte(0), 2, 15,
+		"rotate", 0.5, "arc", 50, 20, 15, 0, 6.3, 0, "stroke", "swap", "drawImage", 5, 5,
+		"getImageData", 0, 0, 12, 12, "putImageData", 3, 3, "toDataURL", byte(0)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The costliest legitimate call, encoding a 4096² canvas of noise,
+		// takes up to 5 s and 512 MB (webp); the bounds leave room above
+		// that and far below a hang or a 3 GB bitmap.
+		const (
+			deadline = 30 * time.Second
+			maxMB    = 1024
+		)
+		type step struct {
+			op string
+			mb uint64
+		}
+		// Buffered for every start and end message, so the op goroutine
+		// never blocks on a receiver that has given up.
+		steps := make(chan step, 2*maxFuzzOps)
+		go func() {
+			defer close(steps)
+			in := &fuzzInput{b: data}
+			fc := newFuzzCanvas()
+			var before, after runtime.MemStats
+			for n := 0; n < maxFuzzOps && len(in.b) > 0; n++ {
+				op := fuzzOps[int(in.byte())%len(fuzzOps)]
+				steps <- step{op: op.name}
+				runtime.ReadMemStats(&before)
+				op.run(fc, in)
+				runtime.ReadMemStats(&after)
+				steps <- step{op: op.name, mb: (after.TotalAlloc - before.TotalAlloc) >> 20}
+			}
+		}()
+		started := ""
+		for {
+			select {
+			case s, ok := <-steps:
+				if !ok {
+					return
+				}
+				if started == "" {
+					started = s.op
+					continue
+				}
+				if s.mb > maxMB {
+					t.Fatalf("%s allocated %d MB", s.op, s.mb)
+				}
+				started = ""
+			case <-time.After(deadline):
+				t.Fatalf("%s still running after %v", started, deadline)
+			}
+		}
+	})
+}
+
+// maxFuzzOps bounds the calls one input makes.
+const maxFuzzOps = 64
+
+// fuzzSpecial are the argument values the bytes 0xE0–0xEF select: the
+// non-finite and huge values page scripts can pass, and sizes at and
+// around the canvas limits.
+var fuzzSpecial = [16]float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 1e12, 1e9, 1e5,
+	3e4, maxSide, maxSide + 1, 4097, 1e-6, 0.5, -0.5, 1 << 63,
+}
+
+// fuzzInput is the undecoded rest of a fuzz input; reads past its end
+// give zeros.
+type fuzzInput struct{ b []byte }
+
+func (in *fuzzInput) byte() byte {
+	if len(in.b) == 0 {
+		return 0
+	}
+	c := in.b[0]
+	in.b = in.b[1:]
+	return c
+}
+
+// num decodes one argument: a byte below 0xE0 is itself minus 32 (the
+// coordinates small canvases use), 0xE0–0xEF picks a fuzzSpecial value,
+// and 0xF0 and above take the next 8 bytes as float64 bits.
+func (in *fuzzInput) num() float64 {
+	c := in.byte()
+	switch {
+	case c < 0xE0:
+		return float64(c) - 32
+	case c < 0xF0:
+		return fuzzSpecial[c-0xE0]
+	}
+	var bits uint64
+	for i := 0; i < 8; i++ {
+		bits = bits<<8 | uint64(in.byte())
+	}
+	return math.Float64frombits(bits)
+}
+
+// pick returns an entry of table chosen by the next byte.
+func pick(in *fuzzInput, table []string) string { return table[int(in.byte())%len(table)] }
+
+// Tables the string arguments are picked from.
+var (
+	fuzzTexts  = []string{"Cwm fjordbank glyphs vext quiz, \U0001F603", "", "a", "\U0001F603\U0001F642", "\x00�"}
+	fuzzFonts  = []string{"11pt Arial", "1e300px serif", "bold 100px sans-serif", "Infinitypx Arial", "-5px a", "0px a", "NaNpx x"}
+	fuzzColors = []string{"#f60", "rgba(102, 204, 0, 0.7)", "hsl(1e300, 50%, 50%)", "hsl(Infinity, 1%, 1%)", "bogus", "transparent"}
+	fuzzWords  = []string{"start", "end", "center", "top", "middle", "bottom", "round", "square", "bevel", "miter", "butt",
+		"multiply", "xor", "lighter", "copy", "destination-over", "source-over", "evenodd", "nonzero"}
+	fuzzFormats = []string{"", "image/jpeg", "image/webp"}
+)
+
+// fuzzCanvas is the state the decoded calls run against: two canvases,
+// the one calls go to, and the last ImageData made.
+type fuzzCanvas struct {
+	els  [2]*Element
+	cur  int
+	data *ImageData
+}
+
+func newFuzzCanvas() *fuzzCanvas {
+	return &fuzzCanvas{els: [2]*Element{New(machine.Intel()), New(machine.AppleM1())}}
+}
+
+func (fc *fuzzCanvas) el() *Element      { return fc.els[fc.cur] }
+func (fc *fuzzCanvas) ctx() *Context2D   { return fc.el().GetContext("2d") }
+func (fc *fuzzCanvas) other() *Element   { return fc.els[1-fc.cur] }
+func (fc *fuzzCanvas) gl() *WebGLContext { return fc.el().GetWebGL() }
+
+// fuzzOps are the calls an input's op bytes select, modulo their count.
+// Each reads its own arguments.
+var fuzzOps = []struct {
+	name string
+	run  func(fc *fuzzCanvas, in *fuzzInput)
+}{
+	{"width", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().SetWidth(int(in.num())) }},
+	{"height", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().SetHeight(int(in.num())) }},
+	{"swap", func(fc *fuzzCanvas, in *fuzzInput) { fc.cur = 1 - fc.cur }},
+	{"translate", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Translate(in.num(), in.num()) }},
+	{"scale", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Scale(in.num(), in.num()) }},
+	{"rotate", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Rotate(in.num()) }},
+	{"transform", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().Transform(in.num(), in.num(), in.num(), in.num(), in.num(), in.num())
+	}},
+	{"setTransform", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().SetTransform(in.num(), in.num(), in.num(), in.num(), in.num(), in.num())
+	}},
+	{"resetTransform", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().ResetTransform() }},
+	{"save", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Save() }},
+	{"restore", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Restore() }},
+	{"beginPath", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().BeginPath() }},
+	{"closePath", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().ClosePath() }},
+	{"moveTo", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().MoveTo(in.num(), in.num()) }},
+	{"lineTo", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().LineTo(in.num(), in.num()) }},
+	{"quadraticCurveTo", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().QuadraticCurveTo(in.num(), in.num(), in.num(), in.num())
+	}},
+	{"bezierCurveTo", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().BezierCurveTo(in.num(), in.num(), in.num(), in.num(), in.num(), in.num())
+	}},
+	{"arc", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().Arc(in.num(), in.num(), in.num(), in.num(), in.num(), in.num() > 0)
+	}},
+	{"arcTo", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().ArcTo(in.num(), in.num(), in.num(), in.num(), in.num())
+	}},
+	{"ellipse", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().Ellipse(in.num(), in.num(), in.num(), in.num(), in.num(), in.num(), in.num(), in.num() > 0)
+	}},
+	{"rect", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Rect(in.num(), in.num(), in.num(), in.num()) }},
+	{"fill", func(fc *fuzzCanvas, in *fuzzInput) {
+		rule := "nonzero"
+		if in.num() > 0 {
+			rule = "evenodd"
+		}
+		fc.ctx().Fill(rule)
+	}},
+	{"stroke", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Stroke() }},
+	{"clip", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Clip() }},
+	{"isPointInPath", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().IsPointInPath(in.num(), in.num(), pick(in, fuzzWords)) }},
+	{"fillRect", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().FillRect(in.num(), in.num(), in.num(), in.num()) }},
+	{"strokeRect", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().StrokeRect(in.num(), in.num(), in.num(), in.num()) }},
+	{"clearRect", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().ClearRect(in.num(), in.num(), in.num(), in.num()) }},
+	{"font", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetFont(pick(in, fuzzFonts)) }},
+	{"textAlign", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetTextAlign(pick(in, fuzzWords)) }},
+	{"textBaseline", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetTextBaseline(pick(in, fuzzWords)) }},
+	{"fillText", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().FillText(pick(in, fuzzTexts), in.num(), in.num()) }},
+	{"strokeText", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().StrokeText(pick(in, fuzzTexts), in.num(), in.num()) }},
+	{"measureText", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().MeasureText(pick(in, fuzzTexts)) }},
+	{"fillStyle", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetFillStyle(pick(in, fuzzColors)) }},
+	{"strokeStyle", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetStrokeStyle(pick(in, fuzzColors)) }},
+	{"gradient", func(fc *fuzzCanvas, in *fuzzInput) {
+		g := fc.ctx().CreateLinearGradient(in.num(), in.num(), in.num(), in.num())
+		g.AddColorStop(in.num(), pick(in, fuzzColors))
+		g.AddColorStop(in.num(), pick(in, fuzzColors))
+		fc.ctx().SetFillGradient(g.Paint())
+	}},
+	{"radialGradient", func(fc *fuzzCanvas, in *fuzzInput) {
+		g := fc.ctx().CreateRadialGradient(in.num(), in.num(), in.num(), in.num(), in.num(), in.num())
+		g.AddColorStop(in.num(), pick(in, fuzzColors))
+		fc.ctx().SetStrokeGradient(g.Paint())
+	}},
+	{"lineWidth", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetLineWidth(in.num()) }},
+	{"lineCap", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetLineCap(pick(in, fuzzWords)) }},
+	{"lineJoin", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetLineJoin(pick(in, fuzzWords)) }},
+	{"miterLimit", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetMiterLimit(in.num()) }},
+	{"setLineDash", func(fc *fuzzCanvas, in *fuzzInput) {
+		dash := make([]float64, in.byte()%8)
+		for i := range dash {
+			dash[i] = in.num()
+		}
+		fc.ctx().SetLineDash(dash)
+	}},
+	{"lineDashOffset", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetLineDashOffset(in.num()) }},
+	{"globalAlpha", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetGlobalAlpha(in.num()) }},
+	{"composite", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetGlobalCompositeOperation(pick(in, fuzzWords)) }},
+	{"shadow", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.ctx().SetShadow(pick(in, fuzzColors), in.num(), in.num(), in.num())
+	}},
+	{"getImageData", func(fc *fuzzCanvas, in *fuzzInput) {
+		if d := fc.ctx().GetImageData(int(in.num()), int(in.num()), int(in.num()), int(in.num())); d != nil {
+			fc.data = d
+		}
+	}},
+	{"putImageData", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().PutImageData(fc.data, int(in.num()), int(in.num())) }},
+	{"createImageData", func(fc *fuzzCanvas, in *fuzzInput) {
+		if d := fc.ctx().CreateImageData(int(in.num()), int(in.num())); d != nil {
+			fc.data = d
+		}
+	}},
+	{"drawImage", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().DrawImage(fc.other(), in.num(), in.num()) }},
+	{"toDataURL", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().ToDataURL(pick(in, fuzzFormats), in.num()) }},
+	{"webglClear", func(fc *fuzzCanvas, in *fuzzInput) {
+		fc.gl().ClearColor(in.num(), in.num(), in.num(), in.num())
+		fc.gl().Clear(GLColorBufferBit)
+	}},
+	{"webglDraw", func(fc *fuzzCanvas, in *fuzzInput) {
+		gl := fc.gl()
+		gl.BufferData([]float64{in.num(), in.num(), in.num(), in.num(), in.num(), in.num(), in.num(), in.num()})
+		gl.DrawArrays(GLTriangleStrip, int(in.num()), int(in.num()))
+	}},
+}
+
+// fuzzSeed assembles a corpus entry: a string names an op, a byte goes
+// in as is (a table index or a count), and a number is encoded the way
+// num decodes it.
+func fuzzSeed(items ...any) []byte {
+	var b []byte
+	for _, it := range items {
+		switch v := it.(type) {
+		case string:
+			i := 0
+			for i < len(fuzzOps) && fuzzOps[i].name != v {
+				i++
+			}
+			if i == len(fuzzOps) {
+				panic("fuzzSeed: no op " + v)
+			}
+			b = append(b, byte(i))
+		case byte:
+			b = append(b, v)
+		case int:
+			b = appendNum(b, float64(v))
+		case float64:
+			b = appendNum(b, v)
+		}
+	}
+	return b
+}
+
+func appendNum(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && v >= -32 && v < 0xE0-32 {
+		return append(b, byte(v+32))
+	}
+	for i, s := range fuzzSpecial {
+		if math.Float64bits(s) == math.Float64bits(v) {
+			return append(b, 0xE0+byte(i))
+		}
+	}
+	return binary.BigEndian.AppendUint64(append(b, 0xF0), math.Float64bits(v))
+}

@@ -64,8 +64,11 @@ func (c *Context2D) StrokeText(text string, x, y float64) {
 	c.drawText(text, x, y, c.state.strokePaint, true)
 }
 
-// emojiFace is the fill color of the emoji placeholder face.
-var emojiFace = raster.RGBA{R: 255, G: 204, B: 51, A: 255}
+// emojiFace and emojiInk paint the emoji placeholder's face and features.
+var (
+	emojiFace raster.Paint = raster.Solid{C: raster.RGBA{R: 255, G: 204, B: 51, A: 255}}
+	emojiInk  raster.Paint = raster.Solid{C: raster.RGBA{R: 60, G: 40, B: 20, A: 255}}
+)
 
 // drawText lays out text, applies alignment/baseline adjustments and the
 // machine profile's per-glyph subpixel offsets, then paints every glyph
@@ -110,42 +113,40 @@ func (c *Context2D) drawText(text string, x, y float64, paint raster.Paint, outl
 			c.drawEmoji(g, dx, dy, m)
 			continue
 		}
-		r := raster.NewRasterizer()
+		r := c.rasterizer()
 		for _, stroke := range g.Strokes {
-			pts := make([]geom.Point, len(stroke))
-			for i, p := range stroke {
-				pts[i] = m.Apply(geom.Pt(p.X+dx, p.Y+dy))
-			}
-			r.Stroke(pts, false, textWidth)
+			r.Stroke(c.place(stroke, dx, dy, m), false, textWidth)
 		}
 		c.rasterize(r, paint)
 	}
+}
+
+// place maps a glyph stroke, offset by (dx, dy), through m into the
+// context's point scratch; the result is valid until the next call.
+func (c *Context2D) place(stroke []geom.Point, dx, dy float64, m geom.Matrix) []geom.Point {
+	c.pts = c.pts[:0]
+	for _, p := range stroke {
+		c.pts = append(c.pts, m.Apply(geom.Pt(p.X+dx, p.Y+dy)))
+	}
+	return c.pts
 }
 
 // drawEmoji paints the color-emoji placeholder: filled face disc, then
 // stroked features in a dark ink, ignoring the current fill paint the way
 // real color-emoji glyphs ignore CSS color.
 func (c *Context2D) drawEmoji(g font.Glyph, dx, dy float64, m geom.Matrix) {
-	move := func(stroke []geom.Point) []geom.Point {
-		pts := make([]geom.Point, len(stroke))
-		for i, p := range stroke {
-			pts[i] = m.Apply(geom.Pt(p.X+dx, p.Y+dy))
-		}
-		return pts
-	}
 	if len(g.Strokes) == 0 {
 		return
 	}
-	face := raster.NewRasterizer()
-	face.AddPolygon(move(g.Strokes[0]))
-	c.rasterize(face, raster.Solid{C: emojiFace})
+	face := c.rasterizer()
+	face.AddPolygon(c.place(g.Strokes[0], dx, dy, m))
+	c.rasterize(face, emojiFace)
 
-	ink := raster.Solid{C: raster.RGBA{R: 60, G: 40, B: 20, A: 255}}
-	features := raster.NewRasterizer()
+	features := c.rasterizer()
 	for _, s := range g.Strokes[1:] {
-		features.Stroke(move(s), false, raster.StrokeStyle{
+		features.Stroke(c.place(s, dx, dy, m), false, raster.StrokeStyle{
 			Width: 1.2, Cap: raster.CapRound, Join: raster.JoinRound, MiterLimit: 10,
 		})
 	}
-	c.rasterize(features, ink)
+	c.rasterize(features, emojiInk)
 }

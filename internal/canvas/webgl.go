@@ -38,6 +38,7 @@ const (
 // WebGLContext is the "webgl" context of an Element.
 type WebGLContext struct {
 	el         *Element
+	r          raster.Rasterizer // reused for every triangle
 	clearR     float64
 	clearG     float64
 	clearB     float64
@@ -126,7 +127,7 @@ func (g *WebGLContext) Clear(mask int) {
 	if mask&GLColorBufferBit == 0 {
 		return
 	}
-	g.el.img.Clear(raster.RGBA{
+	g.el.bitmap().Clear(raster.RGBA{
 		R: uint8(g.clearR*255 + 0.5),
 		G: uint8(g.clearG*255 + 0.5),
 		B: uint8(g.clearB*255 + 0.5),
@@ -186,27 +187,35 @@ func (g *WebGLContext) DrawArrays(mode, first, count int) {
 	default:
 		return
 	}
-	w, h := float64(g.el.img.W), float64(g.el.img.H)
+	img := g.el.bitmap()
+	w, h := float64(img.W), float64(img.H)
 	paint := raster.NewLinearGradient(0, 0, w, h)
 	paint.AddStop(0, raster.RGBA{R: 255, G: 102, B: 0, A: 255})
 	paint.AddStop(0.5, raster.RGBA{R: 0, G: 102, B: 153, A: 255})
 	paint.AddStop(1, raster.RGBA{R: 102, G: 204, B: 0, A: 255})
 	for _, tri := range tris {
-		r := raster.NewRasterizer()
-		device := make([]geom.Point, 3)
+		g.r.Reset()
+		var device [3]geom.Point
 		for i, v := range tri {
 			// Clip space → device space (y flips, as GL's does).
 			device[i] = geom.Pt((v.X+1)/2*w, (1-(v.Y+1)/2)*h)
 		}
-		r.AddPolygon(device)
-		r.Rasterize(g.el.img, paint, raster.Options{
+		g.r.AddPolygon(device[:])
+		g.r.Rasterize(img, paint, raster.Options{
 			Alpha:       255,
 			CoverageLUT: g.el.profile.CoverageLUT(),
 		})
 	}
 }
 
+// vertices returns the buffered vertices [first, first+count). A
+// negative first draws nothing, as WebGL's INVALID_VALUE does, and one
+// past the buffer is checked before first is scaled by the vertex size,
+// which could overflow.
 func (g *WebGLContext) vertices(first, count int) []geom.Point {
+	if first < 0 || first >= len(g.buffer) {
+		return nil
+	}
 	var out []geom.Point
 	for i := first; i < first+count; i++ {
 		base := i * g.vertexSize

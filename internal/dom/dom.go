@@ -285,6 +285,9 @@ func (h *ctxHost) HostGet(name string) (jsvm.Value, bool) {
 				return jsvm.Undefined(), fmt.Errorf("dom: getImageData needs 4 arguments")
 			}
 			d := h.ctx.GetImageData(int(args[0].Num()), int(args[1].Num()), int(args[2].Num()), int(args[3].Num()))
+			if d == nil {
+				return jsvm.Undefined(), fmt.Errorf("dom: getImageData area too large")
+			}
 			return jsvm.NewHost(&imageDataHost{data: d}), nil
 		}), true
 	case "putImageData":
@@ -303,7 +306,11 @@ func (h *ctxHost) HostGet(name string) (jsvm.Value, bool) {
 			if len(args) > 1 {
 				w, hh = int(args[0].Num()), int(args[1].Num())
 			}
-			return jsvm.NewHost(&imageDataHost{data: h.ctx.CreateImageData(w, hh)}), nil
+			d := h.ctx.CreateImageData(w, hh)
+			if d == nil {
+				return jsvm.Undefined(), fmt.Errorf("dom: createImageData area too large")
+			}
+			return jsvm.NewHost(&imageDataHost{data: d}), nil
 		}), true
 	case "createLinearGradient":
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {

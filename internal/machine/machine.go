@@ -20,6 +20,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"canvassing/internal/stats"
@@ -140,7 +141,15 @@ func (p *Profile) computeCoverageLUT() *[256]uint8 {
 // hash makes that decision stable per (machine, glyph, position).
 func (p *Profile) GlyphOffset(r rune, penX float64) (dx, dy float64) {
 	q := int64(penX * 4) // quantize position to quarter pixels
-	h := stats.HashString(fmt.Sprintf("%d:%d:%d", p.Seed, r, q))
+	// The key is "seed:rune:q" in decimal, built without fmt: it is
+	// hashed once per drawn glyph.
+	var buf [64]byte
+	key := strconv.AppendUint(buf[:0], p.Seed, 10)
+	key = append(key, ':')
+	key = strconv.AppendInt(key, int64(r), 10)
+	key = append(key, ':')
+	key = strconv.AppendInt(key, q, 10)
+	h := stats.HashBytes(key)
 	dx = (float64(h&0xFF)/255 - 0.5) * 2 * p.SubpixelJitter
 	dy = (float64((h>>8)&0xFF)/255 - 0.5) * 2 * p.SubpixelJitter
 	return dx, dy

@@ -1,8 +1,12 @@
 package machine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
+
+	"canvassing/internal/stats"
 )
 
 func TestBuiltinProfilesDiffer(t *testing.T) {
@@ -127,5 +131,47 @@ func TestUserAgentMentionsStack(t *testing.T) {
 	ua := Intel().UserAgent()
 	if ua == "" || ua == AppleM1().UserAgent() {
 		t.Fatal("user agents should identify the stack")
+	}
+}
+
+// TestGlyphOffsetMatchesFormatted pins GlyphOffset's hash key to the
+// fmt.Sprintf("%d:%d:%d", seed, rune, q) key it was defined by, at the
+// inputs where a hand-built decimal key could diverge: seeds with the
+// top bit set, negative, NaN and infinite pen positions, and runes
+// outside the BMP.
+func TestGlyphOffsetMatchesFormatted(t *testing.T) {
+	profiles := []*Profile{Intel(), AppleM1(), {Seed: math.MaxUint64, SubpixelJitter: 0.1}}
+	for i, high := 0, 0; high < 2; i++ {
+		if p := Synthetic(fmt.Sprint("glyph-", i)); p.Seed >= 1<<63 {
+			profiles = append(profiles, p)
+			high++
+		}
+	}
+	formatted := func(p *Profile, r rune, penX float64) (dx, dy float64) {
+		q := int64(penX * 4)
+		h := stats.HashString(fmt.Sprintf("%d:%d:%d", p.Seed, r, q))
+		dx = (float64(h&0xFF)/255 - 0.5) * 2 * p.SubpixelJitter
+		dy = (float64((h>>8)&0xFF)/255 - 0.5) * 2 * p.SubpixelJitter
+		return dx, dy
+	}
+	runes := []rune{0, 'a', 'W', ' ', 'é', 'Ж', '😃', '🙂', 0x1F600, 0x10FFFF, 0xFFFD}
+	pens := []float64{0, 2, 13.37, -0.1, -7.25, -1e6, 1e18, -1e18, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, p := range profiles {
+		for _, r := range runes {
+			for _, x := range pens {
+				gx, gy := p.GlyphOffset(r, x)
+				wx, wy := formatted(p, r, x)
+				if gx != wx || gy != wy {
+					t.Errorf("seed %d rune %U penX %v: got (%v, %v), want (%v, %v)", p.Seed, r, x, gx, gy, wx, wy)
+				}
+			}
+		}
+	}
+}
+
+func TestGlyphOffsetAllocatesNothing(t *testing.T) {
+	p := Synthetic("allocs")
+	if n := testing.AllocsPerRun(100, func() { p.GlyphOffset('😃', -12.5) }); n != 0 {
+		t.Fatalf("GlyphOffset: %v allocs, want 0", n)
 	}
 }

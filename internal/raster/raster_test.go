@@ -552,7 +552,7 @@ func TestSourceOverZeroAlphaProperty(t *testing.T) {
 
 func TestDashSegmentsBasic(t *testing.T) {
 	line := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
-	segs := dashSegments(line, false, []float64{10, 10}, 0)
+	segs, _ := dashSegments(line, false, []float64{10, 10}, 0)
 	if len(segs) != 5 {
 		t.Fatalf("10/10 over 100px should yield 5 dashes, got %d", len(segs))
 	}
@@ -566,18 +566,18 @@ func TestDashSegmentsBasic(t *testing.T) {
 
 func TestDashSegmentsOffset(t *testing.T) {
 	line := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
-	segs := dashSegments(line, false, []float64{10, 10}, 10)
+	segs, _ := dashSegments(line, false, []float64{10, 10}, 10)
 	// Starts in the gap; first dash begins at x=10.
 	if segs[0][0].X != 10 {
 		t.Fatalf("offset start: %v", segs[0][0])
 	}
 	// Negative offsets wrap.
-	segsNeg := dashSegments(line, false, []float64{10, 10}, -10)
+	segsNeg, _ := dashSegments(line, false, []float64{10, 10}, -10)
 	if segsNeg[0][0].X != 10 {
 		t.Fatalf("negative offset: %v", segsNeg[0][0])
 	}
 	// Offsets beyond one pattern period wrap too.
-	segsBig := dashSegments(line, false, []float64{10, 10}, 30)
+	segsBig, _ := dashSegments(line, false, []float64{10, 10}, 30)
 	if segsBig[0][0].X != 10 {
 		t.Fatalf("wrapped offset: %v", segsBig[0][0])
 	}
@@ -586,19 +586,51 @@ func TestDashSegmentsOffset(t *testing.T) {
 func TestDashSegmentsDegenerate(t *testing.T) {
 	line := []geom.Point{{X: 0, Y: 0}, {X: 50, Y: 0}}
 	// All-zero pattern: solid line.
-	segs := dashSegments(line, false, []float64{0, 0}, 0)
+	segs, _ := dashSegments(line, false, []float64{0, 0}, 0)
 	if len(segs) != 1 || len(segs[0]) != 2 {
 		t.Fatalf("zero pattern should stay solid: %v", segs)
 	}
 	// Negative entry: solid line.
-	if got := dashSegments(line, false, []float64{5, -1}, 0); len(got) != 1 {
+	if got, _ := dashSegments(line, false, []float64{5, -1}, 0); len(got) != 1 {
 		t.Fatal("negative pattern should stay solid")
+	}
+}
+
+// TestDashSegmentsHostile pins the two patterns that used to hang or
+// exhaust memory: a huge offset is reduced in one step, and a line that
+// needs more than maxDashSegments dashes is stroked solid instead.
+func TestDashSegmentsHostile(t *testing.T) {
+	line := []geom.Point{{X: 0, Y: 10}, {X: 30, Y: 10}}
+	segs, ok := dashSegments(line, false, []float64{1, 1}, 1e300)
+	if !ok || len(segs) != 15 {
+		t.Fatalf("offset 1e300: %d dashes, ok=%v", len(segs), ok)
+	}
+	if segs, ok := dashSegments(line, false, []float64{1e-6}, 0); ok || segs != nil {
+		t.Fatalf("[1e-6] over 30 px: %d dashes, ok=%v", len(segs), ok)
+	}
+	long := []geom.Point{{X: 0, Y: 10}, {X: 1e300, Y: 10}}
+	if _, ok := dashSegments(long, false, []float64{1, 1}, 0); ok {
+		t.Fatal("a 1e300 px line must give up dashing")
+	}
+	// Past the cap the stroke is exactly the solid one.
+	st := StrokeStyle{Width: 2, Cap: CapButt, Join: JoinMiter, MiterLimit: 10}
+	draw := func(st StrokeStyle) *Image {
+		img := NewImage(40, 20)
+		r := NewRasterizer()
+		r.Stroke(line, false, st)
+		r.Rasterize(img, Solid{RGBA{0, 0, 0, 255}}, Options{Alpha: 0xFF})
+		return img
+	}
+	dashed := st
+	dashed.Dash = []float64{1e-6}
+	if !draw(dashed).Equal(draw(st)) {
+		t.Fatal("a stroke past the dash cap must equal the solid stroke")
 	}
 }
 
 func TestDashSegmentsClosedPolyline(t *testing.T) {
 	square := []geom.Point{{X: 0, Y: 0}, {X: 40, Y: 0}, {X: 40, Y: 40}, {X: 0, Y: 40}}
-	segs := dashSegments(square, true, []float64{20, 20}, 0)
+	segs, _ := dashSegments(square, true, []float64{20, 20}, 0)
 	// Perimeter 160 → 4 dashes of 20.
 	if len(segs) != 4 {
 		t.Fatalf("dash count on closed square: %d", len(segs))

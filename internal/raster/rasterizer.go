@@ -3,7 +3,6 @@ package raster
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"canvassing/internal/geom"
 )
@@ -30,28 +29,28 @@ type edge struct {
 
 // Rasterizer accumulates polygon outlines and renders them with
 // anti-aliased coverage into an Image. A Rasterizer may be reused by
-// calling Reset.
+// calling Reset; a reused one keeps its edge and scan buffers, so
+// drawing with it stops allocating once they have grown to fit. A
+// Rasterizer must not be used from several goroutines at once.
 type Rasterizer struct {
 	edges        []edge // in insertion order
 	minY, maxY   float64
 	haveGeometry bool
+	sc           scan
 }
 
 // scan is the scratch state of one Rasterize call: the coverage of one
 // pixel row, the crossings of one subsample row, edge indices bucketed by
 // the row that first reaches their top (byRow, delimited by rowStart),
 // edges no subsample row has reached yet (pending), and, in insertion
-// order, the edges the current subsample row can cross (active). The
-// canvas builds a fresh Rasterizer per glyph, so scans are pooled rather
-// than owned by a Rasterizer; Rasterize resets every field it reads.
+// order, the edges the current subsample row can cross (active).
+// Rasterize resets every field it reads.
 type scan struct {
 	cov                    []float64
 	crossings              []crossing
 	byRow, pending, active []int32
 	rowStart               []int
 }
-
-var scans = sync.Pool{New: func() any { return new(scan) }}
 
 type crossing struct {
 	x   float64
@@ -142,8 +141,7 @@ func (r *Rasterizer) Rasterize(img *Image, paint Paint, opt Options) {
 	if y0 >= y1 {
 		return // also where an infinite or NaN bottom overflowed y1
 	}
-	sc := scans.Get().(*scan)
-	defer scans.Put(sc)
+	sc := &r.sc
 	if cap(sc.cov) < img.W {
 		sc.cov = make([]float64, img.W)
 	}
@@ -295,7 +293,9 @@ func (sc *scan) bucketEdges(edges []edge, y0, y1 int) {
 
 // accumulateSpan adds weight×overlap coverage for the horizontal span
 // [xa, xb) into cov, handling fractional pixel boundaries, and returns
-// the first and last index it touched (first > last when none).
+// the first and last index it touched (first > last when none). A span
+// with a NaN end, which an edge running from -Inf to +Inf produces,
+// touches nothing: !(xa < xb) holds for it, where xb <= xa does not.
 func accumulateSpan(cov []float64, xa, xb, weight float64) (first, last int) {
 	if xa < 0 {
 		xa = 0
@@ -303,7 +303,7 @@ func accumulateSpan(cov []float64, xa, xb, weight float64) (first, last int) {
 	if xb > float64(len(cov)) {
 		xb = float64(len(cov))
 	}
-	if xb <= xa {
+	if !(xa < xb) {
 		return 0, -1
 	}
 	ix0 := int(math.Floor(xa))

@@ -74,13 +74,17 @@ func (r *Rasterizer) Stroke(pts []geom.Point, closed bool, st StrokeStyle) {
 		return
 	}
 	if len(st.Dash) > 0 {
-		solid := st
-		solid.Dash = nil
-		solid.DashOffset = 0
-		for _, seg := range dashSegments(pts, closed, st.Dash, st.DashOffset) {
-			r.Stroke(seg, false, solid)
+		segs, ok := dashSegments(pts, closed, st.Dash, st.DashOffset)
+		st.Dash = nil
+		st.DashOffset = 0
+		if ok {
+			for _, seg := range segs {
+				r.Stroke(seg, false, st)
+			}
+			return
 		}
-		return
+		// Past maxDashSegments the path is stroked solid, as Skia gives
+		// up dashing past a fixed dash count.
 	}
 	hw := st.Width / 2
 	if len(pts) == 1 {
@@ -260,21 +264,28 @@ func orientCCW(pts []geom.Point) []geom.Point {
 	return pts
 }
 
+// maxDashSegments caps the dashes one stroke may emit. A pattern fine
+// enough, or a path long enough, to need more (setLineDash([1e-6]) on
+// a 30 px line, or any pattern along a 1e300 px line) would otherwise
+// exhaust memory or never finish.
+const maxDashSegments = 10_000
+
 // dashSegments splits a polyline into the "on" sub-polylines of a dash
 // pattern. Odd-length patterns repeat doubled, as the Canvas spec says.
 // A pattern with no positive entries yields the original line (drawing
-// nothing would hide author mistakes; browsers treat it as solid).
-func dashSegments(pts []geom.Point, closed bool, dash []float64, offset float64) [][]geom.Point {
+// nothing would hide author mistakes; browsers treat it as solid). It
+// reports false when the line needs more than maxDashSegments dashes.
+func dashSegments(pts []geom.Point, closed bool, dash []float64, offset float64) ([][]geom.Point, bool) {
 	pattern := make([]float64, 0, len(dash)*2)
 	total := 0.0
 	for _, d := range dash {
 		if d < 0 {
-			return [][]geom.Point{pts}
+			return [][]geom.Point{pts}, true
 		}
 		total += d
 	}
 	if total <= 0 {
-		return [][]geom.Point{pts}
+		return [][]geom.Point{pts}, true
 	}
 	pattern = append(pattern, dash...)
 	if len(pattern)%2 == 1 {
@@ -290,12 +301,14 @@ func dashSegments(pts []geom.Point, closed bool, dash []float64, offset float64)
 	for _, d := range pattern {
 		patLen += d
 	}
-	pos := offset
-	for pos < 0 {
+	// One exact step: repeated subtraction never ends once an ulp of the
+	// offset exceeds patLen (1e300 - 2 == 1e300).
+	pos := math.Mod(offset, patLen)
+	if pos < 0 {
 		pos += patLen
 	}
-	for pos >= patLen {
-		pos -= patLen
+	if pos >= patLen {
+		pos = 0 // a tiny negative remainder rounded up to patLen
 	}
 	idx := 0
 	for pos >= pattern[idx] {
@@ -326,6 +339,9 @@ func dashSegments(pts []geom.Point, closed bool, dash []float64, offset float64)
 			if on {
 				cur = append(cur, p)
 				flush()
+				if len(out) > maxDashSegments {
+					return nil, false
+				}
 			} else {
 				cur = append(cur, p)
 			}
@@ -339,7 +355,7 @@ func dashSegments(pts []geom.Point, closed bool, dash []float64, offset float64)
 		}
 	}
 	flush()
-	return out
+	return out, true
 }
 
 func clampF(v, lo, hi float64) float64 {
