@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fuzz-smoke check bench bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+.PHONY: build test race vet fuzz-smoke check bench bench-smoke bench-check bench-module resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 
 build:
 	$(GO) build ./...
@@ -21,9 +21,10 @@ test:
 # under the race detector. internal/dom rides along because every
 # crawl worker drives its own event loop — the race detector proves
 # the loops really are confined to their workers. internal/jsvm and
-# internal/raster run on every crawl worker at once: one parsed Program
-# is shared between workers, each with its own Interp and method
-# tables, and each canvas context with its own Rasterizer.
+# internal/raster run on every crawl worker at once: each worker has its
+# own Interp and method tables (one Program may run on many Interps, as
+# TestSharedProgramConcurrent checks), and each canvas context its own
+# Rasterizer.
 race:
 	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
 
@@ -37,7 +38,11 @@ vet:
 # stop within the step budget and agree. FuzzCanvasOps drives the canvas
 # API a page script reaches with hostile arguments (NaN, ±Inf, ±1e300,
 # huge sizes) and requires every call to return within a deadline,
-# without a panic and with bounded allocation.
+# without a panic and with bounded allocation. FuzzSnapshotLoad feeds
+# arbitrary snapshots/index.json bytes to snapshot.Load, which `serve
+# -bundle` and resume both read from disk, and requires an error or a
+# store whose every URL resolves to a content-matching blob under
+# blobs/ — never a file outside the store.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
@@ -49,8 +54,9 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run XXX -fuzz FuzzEval -fuzztime 10s ./internal/jsvm
 	$(GO) test -run XXX -fuzz FuzzCanvasOps -fuzztime 10s ./internal/canvas
+	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
 
-check: build test race vet fuzz-smoke bench-smoke bench-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+check: build test race vet fuzz-smoke bench-smoke bench-check bench-module resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 
 # resume-smoke is the shell-level half of the resume oracle (the Go
 # half is TestResumeOracle): run a checkpointed study to completion,
@@ -66,7 +72,7 @@ resume-smoke:
 	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt-ref -checkpoint-every 100 -snapshots -outdir $(SMOKE)/ref >/dev/null
 	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt -checkpoint-every 100 -snapshots -interrupt-after 4 >/dev/null; \
 	  status=$$?; [ $$status -eq 3 ] || { echo "resume-smoke: expected exit 3 from the interrupted run, got $$status"; exit 1; }
-	printf '{"schema":2,"seq":5,"crawls":[{"from":0,"condition":"control","pages":[{"Domain":"torn' >> $(SMOKE)/ckpt/checkpoint.json
+	printf '{"schema":3,"seq":5,"crawls":[{"from":0,"condition":"control","pages":[{"Domain":"torn' >> $(SMOKE)/ckpt/checkpoint.json
 	$(SMOKE)/repro -resume $(SMOKE)/ckpt -exp compare -outdir $(SMOKE)/resumed >/dev/null
 	cmp $(SMOKE)/ref/manifest.json $(SMOKE)/resumed/manifest.json
 	cmp $(SMOKE)/ref/events.jsonl $(SMOKE)/resumed/events.jsonl
@@ -164,6 +170,14 @@ bench:
 # bench-smoke just proves every benchmark still runs (no snapshot).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./... >/dev/null
+
+# bench-module runs the smoke test of the repo benchmark (bench/, the
+# module behind `bash bench/run.sh`). It is its own Go module, built
+# against this one through `replace canvassing => ../`, so `go test
+# ./...` above never compiles it; this target catches a change to the
+# root's exported API that breaks it.
+bench-module:
+	cd bench && $(GO) test ./...
 
 # bench-check is the regression gate: first a self-test (a synthesized
 # 10x slowdown of the committed baseline MUST trip the gate), then a

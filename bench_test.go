@@ -220,26 +220,6 @@ func BenchmarkCrawlWithEvents(b *testing.B) {
 	b.ReportMetric(float64(cfg.Telemetry.Events.Total())/float64(b.N), "events")
 }
 
-// BenchmarkAblationParseCache compares crawling with and without the
-// shared script parse cache.
-func BenchmarkAblationParseCache(b *testing.B) {
-	w := web.Generate(web.Config{Seed: 5, Scale: 0.01, TrancoMax: 1_000_000})
-	sites := append(w.CohortSites(web.Popular), w.CohortSites(web.Tail)...)
-	for _, disabled := range []bool{false, true} {
-		name := "cached"
-		if disabled {
-			name = "uncached"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := crawler.DefaultConfig()
-			cfg.DisableParseCache = disabled
-			for i := 0; i < b.N; i++ {
-				crawler.Crawl(w, sites, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRenderCache compares crawling with and without the
 // content-addressed toDataURL encode cache.
 func BenchmarkAblationRenderCache(b *testing.B) {

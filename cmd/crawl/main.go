@@ -237,7 +237,7 @@ func main() {
 	}
 	if cp != nil {
 		if cs := cp.Crawl(cfg.Condition); cs != nil {
-			cfg.Resume = &crawler.ResumeState{Pages: cs.Pages, ParseSeen: cs.ParseSeen}
+			cfg.Resume = &crawler.ResumeState{Pages: cs.Pages}
 			fmt.Fprintf(os.Stderr, "resume: continuing %q from page %d/%d\n", cfg.Condition, cs.Frontier, cs.Total)
 		}
 	}
@@ -274,14 +274,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "crawled %d pages ok (%d visited), %d extractions, machine=%s adblock=%s\n",
 		st.OK, st.Visited, st.Extractions, res.Machine, *blocker)
 
-	if cli.Metrics {
-		if rate, ok := crawler.CacheHitRate(tel.Metrics); ok {
-			fmt.Fprintf(os.Stderr, "\nparse-cache hit rate: %.1f%%\n", 100*rate)
-		} else {
-			fmt.Fprintf(os.Stderr, "\nparse-cache hit rate: n/a (no lookups)\n")
-		}
-		cli.PrintMetrics(tel, os.Stderr)
-	}
+	cli.PrintMetrics(tel, os.Stderr)
 	if err := cli.WriteTrace(tel); err != nil {
 		log.Fatal(err)
 	}

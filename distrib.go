@@ -125,12 +125,11 @@ func RunWorkUnit(dir string, stopAfter int) (interrupted bool, err error) {
 }
 
 // adoptUnits loads and merges one condition's completed partials and
-// replays them into the study's telemetry — metrics summed (with the
-// parse-cache correction), events re-recorded in page order (which
-// re-stamps the global sequence), exemplar views absorbed, snapshot
-// deltas merged — and returns the recombined crawl result. The replay
-// order equals the serial pipeline's, so the downstream bundle bytes
-// are identical.
+// replays them into the study's telemetry — metrics summed, events
+// re-recorded in page order (which re-stamps the global sequence),
+// exemplar views absorbed, snapshot deltas merged — and returns the
+// recombined crawl result. The replay order equals the serial
+// pipeline's, so the downstream bundle bytes are identical.
 func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec, cond string) (*crawler.Result, error) {
 	var parts []*distrib.Partial
 	for _, u := range units {

@@ -5,8 +5,6 @@
 //
 //   - the completed page prefix per crawl condition (the PageResults
 //     themselves — replayable verbatim);
-//   - the parse-cache accounting cursor (first-seen body hashes in
-//     page order);
 //   - the full metrics-registry snapshot and evidence-event log with
 //     their high-water marks (event seq, dropped count);
 //   - the fault model's cursor (seed + rate + forced plans — PlanFor
@@ -15,13 +13,13 @@
 //
 // Each cut appends one frame: one line holding the small head state
 // (sequence, options, phases, metrics snapshot, fault cursor, event
-// high-water marks, the advanced crawls' frontier and parse cursor)
-// plus only the pages and events committed since the previous frame.
-// A cut therefore costs O(pages since the last cut), not O(study). A
-// frame counts once its terminating newline is written; Load folds the
-// longest prefix of complete frames and ignores a torn trailing line,
-// and the writer truncates the file to its last known-good length
-// before every append, so a crash mid-append loses at most that cut.
+// high-water marks, the advanced crawls' frontier) plus only the pages
+// and events committed since the previous frame. A cut therefore costs
+// O(pages since the last cut), not O(study). A frame counts once its
+// terminating newline is written; Load folds the longest prefix of
+// complete frames and ignores a torn trailing line, and the writer
+// truncates the file to its last known-good length before every
+// append, so a crash mid-append loses at most that cut.
 // Frames are not fsynced: the journal survives a killed process, not a
 // power loss.
 //
@@ -56,7 +54,7 @@ import (
 // change; Load rejects every frame of another schema rather than
 // misreading it. There is no reader for older schemas: a checkpoint
 // only lives between a crash and its resume.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // FileName is the journal file a Writer maintains under its directory.
 const FileName = "checkpoint.json"
@@ -78,8 +76,6 @@ type CrawlState struct {
 	Extension string `json:"extension,omitempty"`
 	// Pages is the committed page prefix, verbatim.
 	Pages []*crawler.PageResult `json:"pages"`
-	// ParseSeen is the parse-cache first-seen cursor at the frontier.
-	ParseSeen []uint64 `json:"parse_seen,omitempty"`
 }
 
 // Checkpoint is the state the journal describes at its last frame.
@@ -278,7 +274,6 @@ func (w *Writer) commit(st crawler.CommitState, machine, extension string) bool 
 	c.Done = st.Final
 	c.Machine = machine
 	c.Extension = extension
-	c.ParseSeen = append([]uint64(nil), st.ParseSeen...)
 	c.dirty = true
 	if err := w.writeLocked(); err != nil {
 		// A failed checkpoint write must not corrupt the crawl; the run

@@ -44,8 +44,7 @@ func deterministicTelemetry(t *testing.T, tel *obs.Telemetry) []byte {
 
 // TestCrawlTelemetryWidthInvariant is the crawl-side determinism
 // oracle: the ordered-commit pipeline must make every deterministic
-// telemetry artifact — counters (parse-cache hits/misses above all),
-// evidence events with their sequence numbers, snapshot-store
+// telemetry artifact — counters, evidence events with their sequence numbers, snapshot-store
 // accounting, and the page results themselves — byte-identical at any
 // worker-pool width. The golden telemetry report and the resume
 // machinery both lean on this invariance.
@@ -182,9 +181,7 @@ func TestConnectAttemptSemantics(t *testing.T) {
 			}
 			// Apply the buffered delta and check the retry counter obeys
 			// retries == attempts-1 in every row of the table.
-			seen := map[uint64]bool{}
-			var order []uint64
-			pd.apply(mx, nil, nil, seen, &order)
+			pd.apply(nil, nil)
 			if got, want := reg.Counter("crawl.retry").Value(), int64(attempts-1); got != want {
 				t.Fatalf("crawl.retry = %d, want attempts-1 = %d", got, want)
 			}
@@ -262,9 +259,8 @@ func TestCommitCadenceAndStop(t *testing.T) {
 // TestCrawlResumePrefixReplay is the crawler-level resume contract: an
 // interrupted crawl continued via Config.Resume must end with the same
 // pages as an uninterrupted run, and the two halves' telemetry must
-// ADD UP to the uninterrupted run's — counters (parse-cache hits and
-// misses above all) and evidence events split exactly at the cut,
-// because the committer applies nothing beyond the frontier.
+// ADD UP to the uninterrupted run's — counters and evidence events
+// split exactly at the cut, because the committer applies nothing beyond the frontier.
 func TestCrawlResumePrefixReplay(t *testing.T) {
 	w := testWeb(t)
 	sites := append(w.CohortSites(web.Popular), w.CohortSites(web.Tail)...)
@@ -294,9 +290,8 @@ func TestCrawlResumePrefixReplay(t *testing.T) {
 			return false
 		}
 		cut = CommitState{
-			Frontier:  st.Frontier,
-			Pages:     append([]*PageResult(nil), st.Pages...),
-			ParseSeen: append([]uint64(nil), st.ParseSeen...),
+			Frontier: st.Frontier,
+			Pages:    append([]*PageResult(nil), st.Pages...),
 		}
 		return true
 	}
@@ -309,7 +304,7 @@ func TestCrawlResumePrefixReplay(t *testing.T) {
 	// Resumed run: fresh telemetry, continue from the cut.
 	tel2 := obs.NewTelemetry()
 	cfg2 := mkCfg(tel2)
-	cfg2.Resume = &ResumeState{Pages: cut.Pages, ParseSeen: cut.ParseSeen}
+	cfg2.Resume = &ResumeState{Pages: cut.Pages}
 	res2 := Crawl(w, sites, cfg2)
 	if res2.Interrupted {
 		t.Fatal("resumed crawl reported Interrupted")

@@ -170,13 +170,9 @@ type Config struct {
 	MaxStepsPerScript int
 	// Seed decorrelates Math.random across crawls.
 	Seed uint64
-	// DisableParseCache forces re-parsing every script body on every
-	// page (ablation benchmark).
-	DisableParseCache bool
 	// Telemetry, when non-nil, receives crawl metrics: visit latency,
-	// queue wait, worker utilization, script outcome counters,
-	// parse-cache effectiveness, and jsvm step usage. Nil runs the
-	// bare, uninstrumented path.
+	// queue wait, worker utilization, script outcome counters, parse
+	// time, and jsvm step usage. Nil runs the bare, uninstrumented path.
 	Telemetry *obs.Telemetry
 	// Condition labels this crawl in the evidence event log ("control",
 	// "abp", "demo", ...) so bundle diffs can align per-condition
@@ -267,11 +263,6 @@ type CommitState struct {
 	// Pages is the committed prefix (aliases the result slice — copy
 	// before retaining past the hook call).
 	Pages []*PageResult
-	// ParseSeen lists the distinct script-body hashes counted as
-	// parse-cache misses so far, in first-seen page order — the
-	// accounting cursor a resumed crawl needs to keep hit/miss totals
-	// identical to an uninterrupted run.
-	ParseSeen []uint64
 	// Final marks the crawl-completion commit.
 	Final bool
 }
@@ -280,8 +271,6 @@ type CommitState struct {
 type ResumeState struct {
 	// Pages is the committed prefix (indices [0, len(Pages))).
 	Pages []*PageResult
-	// ParseSeen is CommitState.ParseSeen from the checkpoint.
-	ParseSeen []uint64
 }
 
 // DefaultConfig returns the paper's crawl configuration: consent
@@ -296,41 +285,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// progCache memoizes parsed programs across page visits. Vendor scripts
-// are byte-identical across thousands of sites, so parsing each body once
-// cuts crawl time severalfold; execution state lives entirely in the
-// per-page interpreter, so sharing the AST is safe.
-type progCache struct {
-	mu    sync.RWMutex
-	progs map[uint64]*jsvm.Program
-}
-
-// get returns the parsed program for body, the body's cache key, and
-// whether the program was already cached. Hit/miss accounting does not
-// happen here — the committer decides it from the key stream in page
-// order, so the counters are scheduling-independent (two workers
-// racing to parse the same body both insert; the accounting still sees
-// exactly one first occurrence). The hit flag is likewise a
-// scheduling-dependent observation: it only annotates exemplar spans,
-// never metrics.
-func (c *progCache) get(body string) (*jsvm.Program, uint64, bool, error) {
-	key := stats.HashString(body)
-	c.mu.RLock()
-	p, ok := c.progs[key]
-	c.mu.RUnlock()
-	if ok {
-		return p, key, true, nil
-	}
-	p, err := jsvm.Parse(body)
-	if err != nil {
-		return nil, key, false, err
-	}
-	c.mu.Lock()
-	c.progs[key] = p
-	c.mu.Unlock()
-	return p, key, false, nil
-}
-
 // crawlMetrics holds the pre-resolved metric handles for one crawl.
 // A nil *crawlMetrics is the uninstrumented path; every use is
 // guarded, so the bare crawl pays nothing.
@@ -339,7 +293,6 @@ type crawlMetrics struct {
 	extractions                *obs.Counter
 	scriptsRun, scriptsBlocked *obs.Counter
 	scriptErrors, consentSkip  *obs.Counter
-	cacheHits, cacheMisses     *obs.Counter
 	visitLatency, queueWait    *obs.Histogram
 	parseTime, vmSteps         *obs.Histogram
 	workerUtil                 *obs.Histogram
@@ -383,8 +336,6 @@ func newCrawlMetrics(reg *obs.Registry) *crawlMetrics {
 		scriptsBlocked: reg.Counter("crawl.scripts.blocked"),
 		scriptErrors:   reg.Counter("crawl.scripts.errors"),
 		consentSkip:    reg.Counter("crawl.scripts.consent_skipped"),
-		cacheHits:      reg.Counter("crawl.parsecache.hits"),
-		cacheMisses:    reg.Counter("crawl.parsecache.misses"),
 		visitLatency:   reg.Histogram("crawl.visit.seconds", obs.LatencyBuckets()),
 		queueWait:      reg.Histogram("crawl.queue.wait.seconds", obs.LatencyBuckets()),
 		parseTime:      reg.Histogram("crawl.parse.seconds", obs.LatencyBuckets()),
@@ -394,26 +345,10 @@ func newCrawlMetrics(reg *obs.Registry) *crawlMetrics {
 	}
 }
 
-// CacheHitRate returns the parse-cache hit rate over the whole
-// registry lifetime and whether any lookups happened. The boolean is
-// what separates "0% hit rate" (every lookup missed — the ablation
-// path) from "no observations" (nothing ever consulted the cache);
-// reports render the latter as n/a, never 0.00. Reading goes through
-// a snapshot so asking never registers the counters as a side effect.
-func CacheHitRate(reg *obs.Registry) (rate float64, ok bool) {
-	snap := reg.Snapshot()
-	hits := snap.Counters["crawl.parsecache.hits"]
-	misses := snap.Counters["crawl.parsecache.misses"]
-	if hits+misses == 0 {
-		return 0, false
-	}
-	return float64(hits) / float64(hits+misses), true
-}
-
 // pageDelta is everything one page visit wants to write to shared
 // telemetry, buffered privately in the visiting worker and applied by
 // the committer in page-index order. The indirection is what makes
-// crawl-side metrics, evidence events, and cache accounting byte-
+// crawl-side metrics, evidence events, and snapshot accounting byte-
 // identical at any worker width — and gives checkpoints an exact cut:
 // at a commit boundary the registry and sink contain page [0, n)'s
 // writes, all of them, and nothing else.
@@ -421,13 +356,6 @@ type pageDelta struct {
 	counts []counterDelta
 	obsv   []histObs
 	events []event.Event
-	// parseKeys are the page's parse-cache lookup keys in lookup
-	// order; the committer turns them into hit/miss counts against a
-	// crawl-global first-seen set.
-	parseKeys []uint64
-	// forcedMisses counts parses under DisableParseCache (every parse
-	// is a miss by definition; no seen-set involved).
-	forcedMisses int64
 	// snapURLs are the URLs fetched through the snapshot store, for
 	// commit-time hit/miss accounting.
 	snapURLs []string
@@ -466,24 +394,12 @@ func (d *pageDelta) record(e event.Event) { d.events = append(d.events, e) }
 
 // apply replays the delta into the shared telemetry. Runs only on the
 // committer goroutine, one page at a time, in page order.
-func (d *pageDelta) apply(mx *crawlMetrics, evs *event.Sink, snaps SnapshotStore, seen map[uint64]bool, seenOrder *[]uint64) {
+func (d *pageDelta) apply(evs *event.Sink, snaps SnapshotStore) {
 	for _, cd := range d.counts {
 		cd.c.Add(cd.n)
 	}
 	for _, ob := range d.obsv {
 		ob.h.Observe(ob.v)
-	}
-	if mx != nil {
-		for _, k := range d.parseKeys {
-			if seen[k] {
-				mx.cacheHits.Inc()
-			} else {
-				seen[k] = true
-				*seenOrder = append(*seenOrder, k)
-				mx.cacheMisses.Inc()
-			}
-		}
-		mx.cacheMisses.Add(d.forcedMisses)
 	}
 	for _, e := range d.events {
 		evs.Record(e)
@@ -511,11 +427,11 @@ type visitDone struct {
 //
 // Workers only compute: each visit buffers its telemetry into a
 // private pageDelta. A single committer goroutine applies results in
-// page-index order — metrics, evidence events, parse-cache and
-// snapshot accounting all land as if the crawl had run serially, at
-// any pool width. Config.OnCommit observes the committed frontier for
-// checkpointing and may stop the crawl; Config.Resume restarts one
-// from a committed prefix.
+// page-index order — metrics, evidence events and snapshot accounting
+// all land as if the crawl had run serially, at any pool width.
+// Config.OnCommit observes the committed frontier for checkpointing
+// and may stop the crawl; Config.Resume restarts one from a committed
+// prefix.
 func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
@@ -571,21 +487,17 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 
 	// Resume: replay the committed prefix verbatim and start the pool
 	// at the frontier. The prefix's metrics/events live in the
-	// checkpoint the caller restored; only the parse-cache seen-set
-	// cursor transfers here.
+	// checkpoint the caller restored.
 	frontier := 0
-	var resumeSeen []uint64
 	if cfg.Resume != nil {
 		frontier = len(cfg.Resume.Pages)
 		if frontier > len(sites) {
 			frontier = len(sites)
 		}
 		copy(res.Pages, cfg.Resume.Pages[:frontier])
-		resumeSeen = cfg.Resume.ParseSeen
 	}
 	st.CrawlProgress(cfg.Condition, frontier, len(sites), false)
 
-	cache := &progCache{progs: map[uint64]*jsvm.Program{}}
 	jobs := make(chan job)
 	results := make(chan visitDone, cfg.Workers)
 	// stop is closed by the committer when OnCommit asks to halt; the
@@ -598,11 +510,6 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 		defer commitWG.Done()
 		pending := map[int]visitDone{}
 		next := frontier
-		seen := make(map[uint64]bool, len(resumeSeen))
-		seenOrder := append([]uint64(nil), resumeSeen...)
-		for _, k := range resumeSeen {
-			seen[k] = true
-		}
 		sinceCommit := 0
 		stopped := false
 		commitState := func(final bool) CommitState {
@@ -611,7 +518,6 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 				Frontier:  next,
 				Total:     len(sites),
 				Pages:     res.Pages[:next],
-				ParseSeen: seenOrder,
 				Final:     final,
 			}
 		}
@@ -627,7 +533,7 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 				}
 				delete(pending, next)
 				res.Pages[next] = nr.pr
-				nr.d.apply(mx, evs, cfg.Snapshots, seen, &seenOrder)
+				nr.d.apply(evs, cfg.Snapshots)
 				// Exemplar offers ride the ordered-commit point too, so
 				// the reservoir sees visits in page order at any width.
 				if cfg.Visits != nil && nr.d.trace != nil {
@@ -669,7 +575,7 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 				if mx != nil {
 					t0 = time.Now()
 				}
-				pr, d := visit(w, sites[j.i], j.i+cfg.PageIndexOffset, cfg, cache, mx, evs)
+				pr, d := visit(w, sites[j.i], j.i+cfg.PageIndexOffset, cfg, mx, evs)
 				if mx != nil {
 					el := time.Since(t0)
 					busy += el
@@ -712,7 +618,7 @@ feed:
 // buffered into the returned pageDelta; the committer applies them in
 // page-index order. idx is the page index within the crawl — the
 // deterministic identity exemplar span trees carry.
-func visit(w *web.Web, site *web.Site, idx int, cfg Config, cache *progCache, mx *crawlMetrics, evs *event.Sink) (*PageResult, *pageDelta) {
+func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, evs *event.Sink) (*PageResult, *pageDelta) {
 	d := &pageDelta{}
 	pr := &PageResult{
 		Domain:        site.Domain,
@@ -930,7 +836,6 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, cache *progCache, mx
 			closeScript()
 			return
 		}
-		var prog *jsvm.Program
 		var parseStart time.Time
 		if mx != nil {
 			parseStart = time.Now()
@@ -940,35 +845,7 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, cache *progCache, mx
 			parseSp = vb.Open(ssp, "parse")
 			parseSp.Cost = int64(len(body))
 		}
-		if cfg.DisableParseCache {
-			prog, err = jsvm.Parse(body)
-			if mx != nil {
-				// Ablation parses bypass the cache: a miss every time.
-				d.forcedMisses++
-			}
-			if parseSp != nil {
-				parseSp.SetLabel("cache", "off")
-			}
-		} else {
-			var key uint64
-			var cached bool
-			prog, key, cached, err = cache.get(body)
-			if mx != nil {
-				if err != nil {
-					// Parse errors are never cached, so every lookup of an
-					// unparseable body misses — keep them out of the
-					// seen-set or repeats would count as hits.
-					d.forcedMisses++
-				} else {
-					d.parseKeys = append(d.parseKeys, key)
-				}
-			}
-			if parseSp != nil {
-				// Which worker parses first races across widths: exemplar
-				// annotation only, excluded from selection.
-				parseSp.SetLabel("cache", map[bool]string{true: "hit", false: "miss"}[cached])
-			}
-		}
+		prog, err := jsvm.Parse(body)
 		if parseSp != nil {
 			vb.Close(parseSp)
 		}

@@ -7,44 +7,6 @@ import (
 	"canvassing/internal/web"
 )
 
-// TestParseCacheHitRate is the parse-cache effectiveness contract:
-// vendor scripts are byte-identical across sites, so a multi-site
-// crawl must mostly hit the cache, and the ablation path must never
-// hit it.
-func TestParseCacheHitRate(t *testing.T) {
-	w := testWeb(t)
-	sites := append(w.CohortSites(web.Popular), w.CohortSites(web.Tail)...)
-
-	cfg := DefaultConfig()
-	cfg.Telemetry = obs.NewTelemetry()
-	Crawl(w, sites, cfg)
-	reg := cfg.Telemetry.Metrics
-	hits := reg.Counter("crawl.parsecache.hits").Value()
-	misses := reg.Counter("crawl.parsecache.misses").Value()
-	if hits+misses == 0 {
-		t.Fatal("no parse-cache lookups recorded")
-	}
-	if rate, ok := CacheHitRate(reg); !ok || rate <= 0.5 {
-		t.Fatalf("hit rate = %.2f ok=%v (hits %d, misses %d), want ok and > 0.5", rate, ok, hits, misses)
-	}
-
-	cfg = DefaultConfig()
-	cfg.Telemetry = obs.NewTelemetry()
-	cfg.DisableParseCache = true
-	Crawl(w, sites, cfg)
-	// The ablation is a true 0% hit rate — lookups happened, all missed
-	// — which must stay distinguishable from "no lookups at all".
-	if rate, ok := CacheHitRate(cfg.Telemetry.Metrics); !ok || rate != 0 {
-		t.Fatalf("ablation hit rate = %.2f ok=%v, want ok and 0", rate, ok)
-	}
-	if parsed := cfg.Telemetry.Metrics.Counter("crawl.parsecache.misses").Value(); parsed == 0 {
-		t.Fatal("ablation crawl must still account every parse as a miss")
-	}
-	if _, ok := CacheHitRate(obs.NewRegistry()); ok {
-		t.Fatal("a registry with no lookups must report ok=false, not a 0%% rate")
-	}
-}
-
 // TestCrawlTelemetry checks the instrumented crawl reports consistent
 // totals: every page lands in a latency bucket, counters match the
 // result, and step usage is visible.

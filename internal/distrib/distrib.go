@@ -15,10 +15,9 @@
 //     (WritePartial) into the unit directory;
 //   - a deterministic merge (MergeCrawl) recombines the partials of
 //     one condition: pages concatenated in range order, events
-//     re-sequenced by page ordinal, counters summed with the
-//     parse-cache first-seen correction, histograms added bucket-wise,
-//     snapshot blobs deduped by content hash, and trace exemplar
-//     reservoirs re-selected from the union.
+//     re-sequenced by page ordinal, counters summed, histograms added
+//     bucket-wise, snapshot blobs deduped by content hash, and trace
+//     exemplar reservoirs re-selected from the union.
 //
 // Partition-invariance is the package's contract, extending the
 // width-invariance the commit-order rules already guarantee: the
@@ -53,8 +52,8 @@ const (
 	// UnitSpecFile describes one work-unit, written into its unit
 	// directory at partition time so process workers are self-contained.
 	UnitSpecFile = "unit.json"
-	// PagesFile carries a unit's page results and parse-cache cursor
-	// next to its partial bundle.
+	// PagesFile carries a unit's page results next to its partial
+	// bundle.
 	PagesFile = "pages.json"
 	// LedgerFile is the coordinator's unit ledger.
 	LedgerFile = "ledger.json"

@@ -11,13 +11,6 @@ import (
 	"canvassing/internal/snapshot"
 )
 
-// Parse-cache counter names the merge corrects (shared with
-// internal/crawler's metric registration).
-const (
-	parseCacheHits   = "crawl.parsecache.hits"
-	parseCacheMisses = "crawl.parsecache.misses"
-)
-
 // MergedCrawl is one condition's recombined crawl: exactly what the
 // single-process crawl of the full frontier would have produced.
 type MergedCrawl struct {
@@ -30,9 +23,8 @@ type MergedCrawl struct {
 	// order; re-recording them into a sink re-stamps Seq, reproducing
 	// the serial event stream.
 	Events []event.Event
-	// Metrics is the summed metrics snapshot with the parse-cache
-	// first-seen correction applied. Gauges are absent — they are
-	// instantaneous values the adopting process owns.
+	// Metrics is the summed metrics snapshot. Gauges are absent — they
+	// are instantaneous values the adopting process owns.
 	Metrics obs.Snapshot
 	// Exemplars holds every unit's reservoir view in page-range order,
 	// ready for Reservoir.Absorb.
@@ -55,12 +47,7 @@ type MergedCrawl struct {
 //     page Start+i);
 //   - events concatenate in range order (unit-local order is already
 //     page order, thanks to the crawler's ordered committer);
-//   - counters sum, then the parse-cache pair is corrected: a body
-//     hash first seen by unit k is a miss there, but in the unified
-//     stream it is a miss only at its globally first-seen page and a
-//     hit everywhere later. merged_misses = Σ forced_k + |∪ ParseSeen|
-//     (first-seen union in range order) and the hit total absorbs the
-//     difference, so hits+misses is conserved;
+//   - counters sum;
 //   - histograms add bucket-wise (layout mismatches are errors);
 //   - exemplar views and snapshot deltas are collected in range order
 //     for the caller to Absorb/Merge, which re-selects and re-accounts
@@ -108,32 +95,12 @@ func MergeCrawl(parts []*Partial) (*MergedCrawl, error) {
 	}
 	m.Machine, m.Extension = ordered[0].Machine, ordered[0].Extension
 
-	// Counters and histograms: sum through a scratch registry (which
-	// validates histogram bucket layouts), then correct the parse-cache
-	// pair from the per-unit first-seen cursors.
+	// Counters and histograms sum through a scratch registry, which
+	// validates histogram bucket layouts.
 	scratch := obs.NewRegistry()
-	var sumHits, sumMisses int64
-	seen := map[uint64]bool{}
-	union := 0
-	var forced int64
 	for _, p := range ordered {
 		if err := scratch.Merge(p.Metrics); err != nil {
 			return nil, fmt.Errorf("distrib: unit %s: %w", p.Spec.ID, err)
-		}
-		hits := p.Metrics.Counters[parseCacheHits]
-		misses := p.Metrics.Counters[parseCacheMisses]
-		if misses < int64(len(p.ParseSeen)) {
-			return nil, fmt.Errorf("distrib: unit %s counts %d parse misses but its cursor holds %d first-seen hashes",
-				p.Spec.ID, misses, len(p.ParseSeen))
-		}
-		sumHits += hits
-		sumMisses += misses
-		forced += misses - int64(len(p.ParseSeen))
-		for _, k := range p.ParseSeen {
-			if !seen[k] {
-				seen[k] = true
-				union++
-			}
 		}
 		m.Pages = append(m.Pages, p.Pages...)
 		m.Events = append(m.Events, p.Events...)
@@ -143,10 +110,5 @@ func MergeCrawl(parts []*Partial) (*MergedCrawl, error) {
 		}
 	}
 	m.Metrics = scratch.Snapshot()
-	if sumHits+sumMisses > 0 {
-		mergedMisses := forced + int64(union)
-		m.Metrics.Counters[parseCacheMisses] = mergedMisses
-		m.Metrics.Counters[parseCacheHits] = sumHits + sumMisses - mergedMisses
-	}
 	return m, nil
 }

@@ -14,22 +14,17 @@ import (
 	"canvassing/internal/obs/event"
 )
 
-// mkPartial builds one synthetic completed unit: `forced` parse misses
-// that re-occur inside the unit (cache-invisible to other units) plus
-// one first-seen miss per hash in `seen`.
-func mkPartial(cond string, k, start, end, total int, hits, forced int64, seen []uint64) *Partial {
+// mkPartial builds one synthetic completed unit that executed
+// `scripts` scripts; a unit that executed none has no such counter.
+func mkPartial(cond string, k, start, end, total int, scripts int64) *Partial {
 	spec := UnitSpec{
 		Schema: SchemaVersion, ID: fmt.Sprintf("%s-%02d", cond, k),
 		Condition: cond, Start: start, End: end, Total: total,
 		Study: testStudy(),
 	}
 	reg := obs.NewRegistry()
-	misses := forced + int64(len(seen))
-	if hits > 0 {
-		reg.Counter(parseCacheHits).Add(hits)
-	}
-	if misses > 0 {
-		reg.Counter(parseCacheMisses).Add(misses)
+	if scripts > 0 {
+		reg.Counter("crawl.scripts.executed").Add(scripts)
 	}
 	reg.Counter("crawl.pages").Add(int64(end - start))
 	h := reg.Histogram("crawl.scripts.per_page", []float64{1, 4, 16})
@@ -47,18 +42,17 @@ func mkPartial(cond string, k, start, end, total int, hits, forced int64, seen [
 	}
 	return &Partial{
 		Spec: spec, Metrics: reg.Snapshot(), Events: events, Pages: pages,
-		ParseSeen: seen, Machine: "intel-chrome", Extension: "",
+		Machine: "intel-chrome", Extension: "",
 	}
 }
 
 func TestMergeCrawlRecombines(t *testing.T) {
-	// Three units of a 10-page frontier. Hash 100 is first seen by unit
-	// 0 and again by units 1 and 2 — in the unified stream those two
-	// are hits, not misses; hash 200 is unit 1's own discovery.
+	// Three units of a 10-page frontier; the last executed no scripts,
+	// so its snapshot lacks that counter.
 	parts := []*Partial{
-		mkPartial("control", 0, 0, 4, 10, 3, 1, []uint64{100}),
-		mkPartial("control", 1, 4, 7, 10, 2, 0, []uint64{100, 200}),
-		mkPartial("control", 2, 7, 10, 10, 0, 2, []uint64{100}),
+		mkPartial("control", 0, 0, 4, 10, 5),
+		mkPartial("control", 1, 4, 7, 10, 2),
+		mkPartial("control", 2, 7, 10, 10, 0),
 	}
 	// Merge must not depend on input order: feed it scrambled.
 	m, err := MergeCrawl([]*Partial{parts[2], parts[0], parts[1]})
@@ -76,14 +70,8 @@ func TestMergeCrawlRecombines(t *testing.T) {
 			t.Fatalf("page %d is %s, want %s — range order lost", i, p.Domain, want)
 		}
 	}
-	// Per-unit: hits 3+2+0=5, misses 2+2+3=7. Unified stream: misses =
-	// forced(1+0+2) + distinct first-seen{100,200} = 5; hits absorb the
-	// difference: 5+7-5 = 7. Totals conserved.
-	if got := m.Metrics.Counters[parseCacheMisses]; got != 5 {
-		t.Fatalf("merged misses = %d, want 5", got)
-	}
-	if got := m.Metrics.Counters[parseCacheHits]; got != 7 {
-		t.Fatalf("merged hits = %d, want 7", got)
+	if got := m.Metrics.Counters["crawl.scripts.executed"]; got != 7 {
+		t.Fatalf("merged crawl.scripts.executed = %d, want 5+2+0 = 7", got)
 	}
 	if got := m.Metrics.Counters["crawl.pages"]; got != 10 {
 		t.Fatalf("merged crawl.pages = %d, want 10", got)
@@ -104,8 +92,8 @@ func TestMergeCrawlRecombines(t *testing.T) {
 func TestMergeCrawlRefusesBadTilings(t *testing.T) {
 	base := func() []*Partial {
 		return []*Partial{
-			mkPartial("control", 0, 0, 5, 10, 0, 0, nil),
-			mkPartial("control", 1, 5, 10, 10, 0, 0, nil),
+			mkPartial("control", 0, 0, 5, 10, 0),
+			mkPartial("control", 1, 5, 10, 10, 0),
 		}
 	}
 	cases := map[string]func() []*Partial{
@@ -155,11 +143,6 @@ func TestMergeCrawlRefusesBadTilings(t *testing.T) {
 			p[1].Pages = p[1].Pages[:3]
 			return p
 		},
-		"cursor longer than misses": func() []*Partial {
-			p := base()
-			p[1].ParseSeen = []uint64{1, 2, 3}
-			return p
-		},
 		"histogram layout mismatch": func() []*Partial {
 			p := base()
 			reg := obs.NewRegistry()
@@ -183,7 +166,7 @@ func TestMergeCrawlRefusesBadTilings(t *testing.T) {
 // must refuse it via the bundle layer's ErrCheckpointed guard.
 func TestLoadPartialRefusesCheckpointedUnit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "unit")
-	p := mkPartial("control", 0, 0, 5, 5, 0, 0, nil)
+	p := mkPartial("control", 0, 0, 5, 5, 0)
 	if err := WriteUnitSpec(dir, p.Spec); err != nil {
 		t.Fatal(err)
 	}

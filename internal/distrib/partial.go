@@ -16,9 +16,9 @@ import (
 )
 
 // Partial is one work-unit's completed output: a partial bundle
-// (manifest, metrics snapshot, events) plus the crawl payload the
-// merge needs (pages, parse-cache cursor) and the optional sidecars
-// (exemplar reservoir view, snapshot-store delta).
+// (manifest, metrics snapshot, events) plus the unit's page results
+// and the optional sidecars (exemplar reservoir view, snapshot-store
+// delta).
 type Partial struct {
 	Dir      string
 	Spec     UnitSpec
@@ -32,10 +32,6 @@ type Partial struct {
 	// Pages are the unit's page results, Pages[i] being global page
 	// Spec.Start+i of the condition's frontier.
 	Pages []*crawler.PageResult
-	// ParseSeen is the unit's parse-cache first-seen cursor (script-body
-	// hashes in first-seen page order), from which the merge reconstructs
-	// the single-process hit/miss totals.
-	ParseSeen []uint64
 	// Machine and Extension identify the profile the unit crawled on.
 	Machine   string
 	Extension string
@@ -53,7 +49,6 @@ type unitPages struct {
 	Unit      string                `json:"unit"`
 	Machine   string                `json:"machine"`
 	Extension string                `json:"extension,omitempty"`
-	ParseSeen []uint64              `json:"parse_seen,omitempty"`
 	Pages     []*crawler.PageResult `json:"pages"`
 }
 
@@ -114,7 +109,6 @@ func WritePartial(dir string, p *Partial) error {
 		Unit:      p.Spec.ID,
 		Machine:   p.Machine,
 		Extension: p.Extension,
-		ParseSeen: p.ParseSeen,
 		Pages:     p.Pages,
 	}
 	pdata, err := json.MarshalIndent(pg, "", "  ")
@@ -174,7 +168,7 @@ func LoadPartial(dir string) (*Partial, error) {
 			return nil, fmt.Errorf("distrib: unit %s page %d is missing", spec.ID, i)
 		}
 	}
-	p.Pages, p.ParseSeen = pg.Pages, pg.ParseSeen
+	p.Pages = pg.Pages
 	p.Machine, p.Extension = pg.Machine, pg.Extension
 	if spec.Study.TraceVisits {
 		ex, err := tracez.ReadExemplars(filepath.Join(dir, tracez.ExemplarsFile))

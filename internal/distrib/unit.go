@@ -116,7 +116,7 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 			}
 		}
 		if cs := cp.Crawl(spec.Condition); cs != nil {
-			rs = &crawler.ResumeState{Pages: cs.Pages, ParseSeen: cs.ParseSeen}
+			rs = &crawler.ResumeState{Pages: cs.Pages}
 		}
 		ckpt.Adopt(cp)
 	case errors.Is(lerr, os.ErrNotExist):
@@ -138,17 +138,7 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 	if cfg.Extension != nil {
 		ext = cfg.Extension.Name()
 	}
-	hook := ckpt.Hook(cfg.Profile.Name, ext)
-	// The crawl hands its parse-cache cursor only to OnCommit; capture
-	// the last committed cursor so the partial can carry it to the merge.
-	var finalSeen []uint64
-	cfg.OnCommit = func(st crawler.CommitState) bool {
-		stop := hook(st)
-		if !stop {
-			finalSeen = append(finalSeen[:0], st.ParseSeen...)
-		}
-		return stop
-	}
+	cfg.OnCommit = ckpt.Hook(cfg.Profile.Name, ext)
 
 	res := crawler.Crawl(env.Web, env.Sites[spec.Start:spec.End], cfg)
 	if res.Interrupted {
@@ -162,7 +152,6 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 		Metrics:   tel.Metrics.Snapshot(),
 		Events:    tel.Events.Events(),
 		Pages:     res.Pages,
-		ParseSeen: finalSeen,
 		Machine:   res.Machine,
 		Extension: res.Extension,
 	}

@@ -9,8 +9,8 @@ import (
 // expression node. Each closure charges the step its node costs, then
 // does exactly the work and side effects of that node, in source order;
 // operators are picked and identifiers resolved here, once, instead of on
-// every evaluation. Compiled code holds no run state: the crawler shares
-// one *Program between workers, so everything a run changes lives in the
+// every evaluation. Compiled code holds no run state: one *Program may
+// run on many Interps at once, so everything a run changes lives in the
 // Interp and in its frames.
 
 // stmtFn runs a compiled statement in frame f and yields its completion

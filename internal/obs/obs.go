@@ -8,9 +8,9 @@
 // limitations hinge on knowing what the crawler actually did
 // (timeouts, blocked scripts, failed visits). Everything here exists
 // so the reproduction pipeline is never blind in the same way: the
-// crawler reports visit latency, queue wait, parse-cache
-// effectiveness, and jsvm step budgets; the study wraps every phase
-// in spans so a run ends with a phase-timing table.
+// crawler reports visit latency, queue wait, parse time, and jsvm
+// step budgets; the study wraps every phase in spans so a run ends
+// with a phase-timing table.
 //
 // All types are safe for concurrent use. A nil *Telemetry disables
 // instrumentation at the call sites that accept one; the registry and

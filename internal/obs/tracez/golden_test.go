@@ -53,7 +53,7 @@ func goldenVisit(cond string, i int, faulted bool) *VisitTrace {
 		Labels: map[string]string{"url": fmt.Sprintf("https://cdn%d.example/fp.js", i%3)},
 		Children: []*Span{
 			{Name: "fetch", Off: connect.Wall, Wall: w(8), Cost: int64(2048 + 100*i)},
-			{Name: "parse", Off: connect.Wall + w(8), Wall: w(7), Cost: int64(2048 + 100*i), Labels: map[string]string{"cache": "miss"}},
+			{Name: "parse", Off: connect.Wall + w(8), Wall: w(7), Cost: int64(2048 + 100*i)},
 			exec,
 		}}
 	root := &Span{Name: "visit", Wall: script.End() + w(2), Children: []*Span{connect, script}}

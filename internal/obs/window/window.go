@@ -261,8 +261,6 @@ func ratios(d map[string]int64) map[string]float64 {
 	frac("crawl.retry_ratio", d["crawl.retry"], visits)
 	frac("crawl.timeout_ratio", d["crawl.timeout"], visits)
 	frac("crawl.degraded_ratio", d["crawl.visits.degraded"], visits)
-	frac("crawl.parsecache.hit_ratio", d["crawl.parsecache.hits"],
-		d["crawl.parsecache.hits"]+d["crawl.parsecache.misses"])
 	frac("analysis.cache.hit_ratio", d["analysis.cache.hits"],
 		d["analysis.cache.hits"]+d["analysis.cache.misses"])
 	if len(out) == 0 {

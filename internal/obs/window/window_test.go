@@ -18,8 +18,8 @@ func TestREDRatesAndRatios(t *testing.T) {
 	r.Counter("crawl.retry").Add(25)
 	r.Counter("crawl.timeout").Add(5)
 	r.Counter("crawl.visits.degraded").Add(4)
-	r.Counter("crawl.parsecache.hits").Add(30)
-	r.Counter("crawl.parsecache.misses").Add(10)
+	r.Counter("analysis.cache.hits").Add(30)
+	r.Counter("analysis.cache.misses").Add(10)
 	v.SampleAt(t0.Add(10 * time.Second))
 
 	red := v.RED()
@@ -41,14 +41,21 @@ func TestREDRatesAndRatios(t *testing.T) {
 	if got := red.Ratios["crawl.degraded_ratio"]; got != 0.04 {
 		t.Fatalf("degraded ratio = %v, want 0.04", got)
 	}
-	if got := red.Ratios["crawl.parsecache.hit_ratio"]; got != 0.75 {
-		t.Fatalf("parse-cache hit ratio = %v, want 0.75", got)
-	}
-	if _, ok := red.Ratios["analysis.cache.hit_ratio"]; ok {
-		t.Fatal("analysis cache ratio reported with no lookups in the window")
+	if got := red.Ratios["analysis.cache.hit_ratio"]; got != 0.75 {
+		t.Fatalf("analysis cache hit ratio = %v, want 0.75", got)
 	}
 	if got := v.VisitRate(); got != 10 {
 		t.Fatalf("VisitRate = %v, want 10/s", got)
+	}
+
+	// A ratio whose denominator did not move in the window is absent.
+	idle := obs.NewRegistry()
+	iv := New(idle, 10*time.Second)
+	iv.SampleAt(t0)
+	idle.Counter("crawl.visits.ok").Add(5)
+	iv.SampleAt(t0.Add(10 * time.Second))
+	if _, ok := iv.RED().Ratios["analysis.cache.hit_ratio"]; ok {
+		t.Fatal("analysis cache ratio reported with no lookups in the window")
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"canvassing/internal/netsim"
@@ -195,6 +196,11 @@ type State struct {
 func (s *Store) Export() State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.exportLocked()
+}
+
+// exportLocked is Export for callers holding s.mu.
+func (s *Store) exportLocked() State {
 	st := State{Schema: SchemaVersion, URLs: make(map[string]string, len(s.byURL)), Hits: s.hits}
 	for u, h := range s.byURL {
 		st.URLs[u] = fmt.Sprintf("%016x", h)
@@ -230,11 +236,16 @@ func (s *Store) Save(dir string) error {
 	if err := os.MkdirAll(filepath.Join(dir, blobDir), 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	// The blobs and the index are copied under one read lock. Crawl
+	// workers keep calling Fetch while a checkpoint saves, and an index
+	// exported after the blobs were written could name a body this save
+	// never wrote.
 	s.mu.RLock()
 	blobs := make(map[uint64]string, len(s.blobs))
 	for h, b := range s.blobs {
 		blobs[h] = b
 	}
+	st := s.exportLocked()
 	s.mu.RUnlock()
 	hashes := make([]uint64, 0, len(blobs))
 	for h := range blobs {
@@ -250,7 +261,7 @@ func (s *Store) Save(dir string) error {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(s.Export(), "", "  ")
+	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
@@ -272,9 +283,9 @@ func Load(dir string) (*Store, error) {
 	}
 	s := New()
 	for u, hex := range st.URLs {
-		var h uint64
-		if _, err := fmt.Sscanf(hex, "%016x", &h); err != nil {
-			return nil, fmt.Errorf("snapshot: index hash %q: %w", hex, err)
+		h, err := parseHash(hex)
+		if err != nil {
+			return nil, err
 		}
 		s.byURL[u] = h
 		if _, ok := s.blobs[h]; ok {
@@ -291,6 +302,18 @@ func Load(dir string) (*Store, error) {
 	}
 	s.restoreAccounting(st)
 	return s, nil
+}
+
+// parseHash reads an index hash. Only the exact form Export writes, 16
+// lowercase hex digits, is accepted: the blob path is built from it, so
+// anything else (a "../" suffix above all) must not reach the file
+// system.
+func parseHash(hex string) (uint64, error) {
+	h, err := strconv.ParseUint(hex, 16, 64)
+	if err != nil || fmt.Sprintf("%016x", h) != hex {
+		return 0, fmt.Errorf("snapshot: index hash %q is not 16 lowercase hex digits", hex)
+	}
+	return h, nil
 }
 
 // atomicWrite writes data to path via a same-directory temp file and

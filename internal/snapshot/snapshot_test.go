@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"canvassing/internal/netsim"
+	"canvassing/internal/stats"
 )
 
 func mustURL(t *testing.T, raw string) netsim.URL {
@@ -199,5 +202,122 @@ func TestLoadRejectsNewerSchema(t *testing.T) {
 	}
 	if _, err := Load(dir); err == nil {
 		t.Fatal("Load accepted an index from a newer schema")
+	}
+}
+
+// TestSaveDuringFetchLoads: crawl workers keep calling Fetch while a
+// checkpoint saves the store, and every saved directory must load —
+// its index may name only bodies that the same save wrote. The workers
+// pause between fetches so that they are still adding URLs while the
+// saves write their blobs.
+func TestSaveDuringFetchLoads(t *testing.T) {
+	const workers, perWorker = 4, 50
+	urls := make([][]netsim.URL, workers)
+	for g := range urls {
+		for i := 0; i < perWorker; i++ {
+			urls[g] = append(urls[g], mustURL(t, fmt.Sprintf("https://w%d.example/s%d.js", g, i)))
+		}
+	}
+	s := New()
+	var wg sync.WaitGroup
+	for g := range urls {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, u := range urls[g] {
+				body := fmt.Sprintf("var w%d = %d;", g, i)
+				s.Fetch(u, func() (string, error) { return body, nil })
+				time.Sleep(100 * time.Microsecond)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	defer func() { <-done }()
+
+	root := t.TempDir()
+	for k := 0; ; k++ {
+		dir := filepath.Join(root, fmt.Sprint(k))
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err != nil {
+			t.Errorf("save %d: %v", k, err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
+// storeFixture saves a two-body store under root/store and puts a file
+// outside it, root/secret.js, that no index may make Load read. It
+// returns the store directory and the two bodies' and the secret's
+// hashes as Export writes them.
+func storeFixture(t testing.TB, root string) (dir string, bodies []string, secret string) {
+	t.Helper()
+	s := New()
+	for i, body := range []string{"var a = 1;", "var b = 2;"} {
+		u, err := netsim.ParseURL(fmt.Sprintf("https://s%d.example/x.js", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Fetch(u, func() (string, error) { return body, nil }); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, fmt.Sprintf("%016x", stats.HashString(body)))
+	}
+	dir = filepath.Join(root, "store")
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "secret.js"), []byte("secret"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, bodies, fmt.Sprintf("%016x", stats.HashString("secret"))
+}
+
+// oneURLIndex is an index.json naming hash for https://s0.example/x.js.
+func oneURLIndex(hash string) []byte {
+	return []byte(fmt.Sprintf(`{"schema": %d, "urls": {"https://s0.example/x.js": %q}}`, SchemaVersion, hash))
+}
+
+// TestLoadRejectsMalformedHashes: an index hash is exactly 16 lowercase
+// hex digits. Where one exists, the file a laxer parser would open is
+// there, so accepting the hash would load a body.
+func TestLoadRejectsMalformedHashes(t *testing.T) {
+	cases := []struct {
+		name  string
+		hash  func(body, secret string) string
+		plant bool // write a blob under the raw hash's file name
+	}{
+		{name: "path traversal", hash: func(_, secret string) string { return secret + "/../../../secret" }},
+		{name: "short", hash: func(string, string) string { return "1" }},
+		{name: "uppercase", hash: func(body, _ string) string { return strings.ToUpper(body) }, plant: true},
+		{name: "trailing bytes", hash: func(body, _ string) string { return body + "x" }, plant: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, bodies, secret := storeFixture(t, t.TempDir())
+			hash := tc.hash(bodies[0], secret)
+			if tc.plant {
+				if err := os.WriteFile(filepath.Join(dir, blobDir, hash+".js"), []byte("var a = 1;"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, indexFile), oneURLIndex(hash), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Load(dir)
+			if err == nil {
+				body, _ := s.Fetch(mustURL(t, "https://s0.example/x.js"), func() (string, error) { return "", nil })
+				t.Fatalf("Load accepted index hash %q (serves %q)", hash, body)
+			}
+			if !strings.Contains(err.Error(), "index hash") {
+				t.Fatalf("error does not name the bad index hash: %v", err)
+			}
+		})
 	}
 }

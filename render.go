@@ -5,17 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"canvassing/internal/crawler"
 	"canvassing/internal/obs"
 	"canvassing/internal/report"
 	"canvassing/internal/web"
 )
-
-// crawlerCacheHitRate reads the study-wide parse-cache hit rate; ok is
-// false when nothing ever consulted the cache.
-func crawlerCacheHitRate(s *Study) (rate float64, ok bool) {
-	return crawler.CacheHitRate(s.tel.Metrics)
-}
 
 // RenderAll runs every experiment the study's crawls support and renders
 // them as one text report. Experiments needing missing crawls (Table 2,
@@ -107,13 +100,6 @@ func (s *Study) TelemetryReport() string {
 	}
 	sb.WriteString(s.PhaseTimings())
 	sb.WriteByte('\n')
-	// "n/a" (no lookups ever) is a different fact from "0.0%" (every
-	// lookup missed — the DisableParseCache ablation).
-	if rate, ok := crawlerCacheHitRate(s); ok {
-		fmt.Fprintf(&sb, "parse-cache hit rate: %.1f%%\n\n", 100*rate)
-	} else {
-		sb.WriteString("parse-cache hit rate: n/a (no lookups)\n\n")
-	}
 	sb.WriteString(s.checkpointSection())
 	sb.WriteString(s.analysisSection())
 	if active := s.tel.Tracer.Active(); len(active) > 0 {

@@ -127,7 +127,7 @@ func crawlCursor(cp *checkpoint.Checkpoint, cond string) (done bool, rs *crawler
 	if cs.Done {
 		return true, nil
 	}
-	return false, &crawler.ResumeState{Pages: cs.Pages, ParseSeen: cs.ParseSeen}
+	return false, &crawler.ResumeState{Pages: cs.Pages}
 }
 
 // restoreResult rebuilds a completed crawl's Result from its

@@ -36,12 +36,12 @@ func normalizeVolatile(s string) string {
 }
 
 // TestTelemetryReportGolden pins the shape of Study.TelemetryReport():
-// the crawl summary lines, phase-timing table rows, parse-cache line,
-// and the full metric name set with their deterministic counter values.
-// The crawler's ordered-commit pipeline makes parse-cache hit/miss
-// counts identical at any pool width (TestCrawlTelemetryWidthInvariant
-// pins that); Workers stays 1 here only to keep the fixture's history
-// stable. Run with -update after an intentional format change.
+// the crawl summary lines, phase-timing table rows, and the full metric
+// name set with their deterministic counter values. The crawler's
+// ordered-commit pipeline makes those counters identical at any pool
+// width (TestCrawlTelemetryWidthInvariant pins that); Workers stays 1
+// here only to keep the fixture's history stable. Run with -update
+// after an intentional format change.
 func TestTelemetryReportGolden(t *testing.T) {
 	s := New(Options{Seed: 11, Scale: 0.02, Workers: 1})
 	s.RunControl()
@@ -71,7 +71,7 @@ func TestTelemetryReportGolden(t *testing.T) {
 	// cache line are the parallel-analysis additions: the table pins
 	// per-condition page/canvas/shard counts and the cache counters,
 	// all deterministic at any worker width.
-	for _, substr := range []string{"Control crawl", "Phase timings", "parse-cache hit rate",
+	for _, substr := range []string{"Control crawl", "Phase timings",
 		"Analysis pipeline", "memo cache", "analysis.cache.hits", "analyze.control",
 		"Metrics", "crawl.visits.ok"} {
 		if !strings.Contains(got, substr) {
