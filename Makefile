@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fuzz-smoke check bench bench-smoke bench-check bench-module resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+.PHONY: build test race vet fmt-check fuzz-smoke check bench bench-smoke bench-check bench-module paper-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails when gofmt would rewrite any Go file in the tree,
+# bench/ included. go vet does not catch formatting drift such as
+# misaligned struct fields; this does.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
+	@echo "fmt-check: gofmt -l . is clean"
+
 # fuzz-smoke gives each parser fuzzer a short budget — enough to catch
 # regressions in the URL and filter-rule grammars without stalling CI.
 # FuzzEval runs each script the parser accepts through the compiled
@@ -42,7 +49,10 @@ vet:
 # arbitrary snapshots/index.json bytes to snapshot.Load, which `serve
 # -bundle` and resume both read from disk, and requires an error or a
 # store whose every URL resolves to a content-matching blob under
-# blobs/ — never a file outside the store.
+# blobs/ — never a file outside the store. FuzzDecodeDataURL feeds
+# arbitrary data URLs — `POST /v1/classify` accepts them from clients —
+# through ParseDataURL, PNGSize and DecodeWebPSim, and requires an
+# error or dimensions that match the pixel bytes.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
@@ -55,8 +65,28 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEval -fuzztime 10s ./internal/jsvm
 	$(GO) test -run XXX -fuzz FuzzCanvasOps -fuzztime 10s ./internal/canvas
 	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
+	$(GO) test -run XXX -fuzz FuzzDecodeDataURL -fuzztime 10s ./internal/imaging
 
-check: build test race vet fuzz-smoke bench-smoke bench-check bench-module resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-module paper-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
+
+# paper-check reruns the three committed paper reports with the
+# commands EXPERIMENTS.md "Provenance" gives and requires each to be
+# byte-identical to the committed file. It takes about a minute and a
+# half on a 2-vCPU host; the paper-scale run is the long pole, at about
+# a minute and 1 GB of memory.
+PCHECK := .paper-check
+paper-check:
+	rm -rf $(PCHECK)
+	mkdir -p $(PCHECK)
+	$(GO) build -o $(PCHECK)/repro ./cmd/repro
+	$(PCHECK)/repro -seed 1 -exp ex1 -out $(PCHECK)/ex1_report.txt >/dev/null
+	cmp ex1_report.txt $(PCHECK)/ex1_report.txt
+	$(PCHECK)/repro -seed 1 -scale 1.0 -workers 12 -exp ex2 -out $(PCHECK)/ex2_report.txt >/dev/null
+	cmp ex2_report.txt $(PCHECK)/ex2_report.txt
+	$(PCHECK)/repro -seed 1 -scale 1.0 -workers 12 -exp all -out $(PCHECK)/fullscale_report.txt >/dev/null
+	cmp fullscale_report.txt $(PCHECK)/fullscale_report.txt
+	rm -rf $(PCHECK)
+	@echo "paper-check: ex1, ex2 and the paper-scale report are byte-identical to the committed files"
 
 # resume-smoke is the shell-level half of the resume oracle (the Go
 # half is TestResumeOracle): run a checkpointed study to completion,

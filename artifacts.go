@@ -39,7 +39,7 @@ func (s *Study) WriteBundle(dir string) error {
 		}
 	}
 	if s.visits != nil {
-		if err := tracez.WriteExemplars(filepath.Join(dir, tracez.ExemplarsFile), s.visits, s.tel.Tracer.Records()); err != nil {
+		if err := tracez.WriteExemplars(filepath.Join(dir, tracez.ExemplarsFile), s.visits); err != nil {
 			return err
 		}
 	}

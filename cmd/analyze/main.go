@@ -2,7 +2,7 @@
 // detection and clustering analyses over it: prevalence, filter yield,
 // and the Figure 1 canvas-popularity distribution.
 //
-// Observability: the shared -metrics/-trace/-pprof/-status/-outdir
+// Observability: the shared -metrics/-pprof/-status/-outdir
 // flags apply; -outdir writes a run bundle carrying one detect.classify
 // event per extraction and the cluster membership assignments.
 package main
@@ -117,16 +117,13 @@ func main() {
 	fmt.Println(t2.String())
 
 	tel.Status.MarkDone()
-	cli.PrintMetrics(tel, os.Stderr)
-	if err := cli.WriteTrace(tel); err != nil {
-		log.Fatal(err)
-	}
+	ops.PrintMetrics(cli, tel, os.Stderr)
 	if cli.OutDir != "" {
 		m := bundle.Manifest{Notes: "cmd/analyze"}
 		if err := bundle.Write(cli.OutDir, m, tel); err != nil {
 			log.Fatal(err)
 		}
-		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits, tel.Tracer.Records()); err != nil {
+		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)

@@ -2,7 +2,7 @@
 // vendor-attribution results: Table 1 (per-vendor reach), Table 3
 // (attribution methods) and the FingerprintJS tier breakdown.
 //
-// Observability: the shared -metrics/-trace/-pprof/-status/-outdir
+// Observability: the shared -metrics/-pprof/-status/-outdir
 // flags apply; -outdir writes a run bundle whose attrib.evidence events
 // name the mechanism (demo-hash, known-customer-hash, url-pattern,
 // url-regexp) behind every attribution in the tables.
@@ -41,9 +41,6 @@ func main() {
 	fmt.Println(s.Table3().Render())
 	if cli.Metrics {
 		fmt.Println(s.TelemetryReport())
-	}
-	if err := cli.WriteTrace(s.Telemetry()); err != nil {
-		log.Fatal(err)
 	}
 	if cli.OutDir != "" {
 		if err := s.WriteBundle(cli.OutDir); err != nil {

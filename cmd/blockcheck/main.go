@@ -2,7 +2,7 @@
 // of test canvases), Table 2 (the ad-blocker re-crawls), the serving-mode
 // evasion breakdown, and the A.6 rule-context demonstration.
 //
-// Observability: the shared -metrics/-trace/-pprof/-status/-outdir
+// Observability: the shared -metrics/-pprof/-status/-outdir
 // flags apply; -outdir writes a run bundle whose blocklist.match events
 // name the list and rule behind every blocked script of the re-crawls.
 package main
@@ -53,9 +53,6 @@ func main() {
 	fmt.Println(s.RuleContext().Render())
 	if cli.Metrics {
 		fmt.Println(s.TelemetryReport())
-	}
-	if err := cli.WriteTrace(s.Telemetry()); err != nil {
-		log.Fatal(err)
 	}
 	if cli.OutDir != "" {
 		if err := s.WriteBundle(cli.OutDir); err != nil {

@@ -2,11 +2,12 @@
 // writes one JSON object per visited page to stdout or a file — the
 // equivalent of the paper's Tracker Radar Collector output.
 //
-// Observability: -metrics prints the metrics snapshot to stderr, -trace
-// writes the span trace as JSON lines, -status serves the live ops
-// plane (/statusz, /healthz, /readyz, /metrics.prom, /red) during the
-// crawl, -pprof serves the same plus net/http/pprof, and -outdir
-// writes a run bundle for later comparison with cmd/runsdiff.
+// Observability: -metrics prints the phase-timing table and metrics
+// snapshot to stderr, -status serves the live ops plane (/statusz,
+// /healthz, /readyz, /metrics.prom, /red) during the crawl, -pprof
+// serves the same plus net/http/pprof, and -outdir writes a run bundle
+// (its trace.jsonl is the span trace) for later comparison with
+// cmd/runsdiff.
 //
 // Distributed runs: -distrib-unit <dir> turns the binary into a worker
 // process for cmd/coordinator — it reads the work-unit spec the
@@ -274,10 +275,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "crawled %d pages ok (%d visited), %d extractions, machine=%s adblock=%s\n",
 		st.OK, st.Visited, st.Extractions, res.Machine, *blocker)
 
-	cli.PrintMetrics(tel, os.Stderr)
-	if err := cli.WriteTrace(tel); err != nil {
-		log.Fatal(err)
-	}
+	ops.PrintMetrics(cli, tel, os.Stderr)
 	if cli.OutDir != "" {
 		m := bundle.Manifest{
 			Seed:    *seed,
@@ -288,7 +286,7 @@ func main() {
 		if err := bundle.Write(cli.OutDir, m, tel); err != nil {
 			log.Fatal(err)
 		}
-		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits, tel.Tracer.Records()); err != nil {
+		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)

@@ -7,11 +7,11 @@
 // default 0.1 finishes in well under a minute.
 //
 // Observability: -metrics appends the phase-timing table and metrics
-// snapshot, -trace writes the span trace as JSON lines, -status serves
-// the live ops plane (/statusz, /healthz, /readyz, /metrics.prom,
-// /red) during the run, -pprof serves the same plus net/http/pprof,
-// and -outdir writes a run bundle (manifest, metrics, trace, evidence
-// events, rendered reports) for later comparison with cmd/runsdiff.
+// snapshot, -status serves the live ops plane (/statusz, /healthz,
+// /readyz, /metrics.prom, /red) during the run, -pprof serves the same
+// plus net/http/pprof, and -outdir writes a run bundle (manifest,
+// metrics, the trace.jsonl span trace, evidence events, rendered
+// reports) for later comparison with cmd/runsdiff.
 package main
 
 import (
@@ -184,12 +184,9 @@ func report(s *canvassing.Study, exp, out, dumpDir string, cli *obs.CLI) {
 	}
 }
 
-// finishTelemetry writes the span-trace export and the run bundle if
+// finishTelemetry writes the run bundle (span trace included) if
 // requested.
 func finishTelemetry(s *canvassing.Study, cli *obs.CLI) {
-	if err := cli.WriteTrace(s.Telemetry()); err != nil {
-		log.Fatal(err)
-	}
 	if cli.OutDir != "" {
 		if err := s.WriteBundle(cli.OutDir); err != nil {
 			log.Fatal(err)

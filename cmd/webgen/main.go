@@ -3,9 +3,10 @@
 // deployments and hosted script counts. Use it to inspect what the
 // crawler will visit before running a study.
 //
-// Observability: the shared -metrics/-trace/-pprof/-status/-tracez
-// flags apply; webgen performs no visits, so its /tracez reservoir is
-// empty and only the webgen phase span appears in the trace export.
+// Observability: the shared -metrics/-pprof/-status/-tracez flags
+// apply; webgen performs no visits, so its /tracez reservoir is empty
+// and the webgen phase span is the only row of the -metrics phase
+// table and of /spans.
 package main
 
 import (
@@ -132,8 +133,5 @@ func main() {
 	}
 
 	tel.Status.MarkDone()
-	cli.PrintMetrics(tel, os.Stderr)
-	if err := cli.WriteTrace(tel); err != nil {
-		log.Fatal(err)
-	}
+	ops.PrintMetrics(cli, tel, os.Stderr)
 }

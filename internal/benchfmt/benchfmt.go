@@ -145,9 +145,9 @@ func (o CompareOpts) withDefaults() CompareOpts {
 
 // Delta is one benchmark's old-vs-new comparison.
 type Delta struct {
-	Key    string
-	OldNs  float64
-	NewNs  float64
+	Key   string
+	OldNs float64
+	NewNs float64
 	// Pct is the ns/op change in percent (positive = slower).
 	Pct float64
 	// Gated reports the delta was eligible for the gate (baseline at or

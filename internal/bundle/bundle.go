@@ -24,11 +24,11 @@ import (
 // wire schema (which travels in Manifest.EventSchema).
 const SchemaVersion = 1
 
-// Well-known file names inside a bundle directory.
+// Well-known file names inside a bundle directory. The span trace is
+// obs.TraceFile.
 const (
 	ManifestFile = "manifest.json"
 	MetricsFile  = "metrics.json"
-	TraceFile    = "trace.jsonl"
 	EventsFile   = "events.jsonl"
 	// MetricsDeterministicFile is the seed-reproducible projection of
 	// MetricsFile (see DeterministicMetrics). It exists so shell-level
@@ -86,7 +86,7 @@ func Write(dir string, m Manifest, tel *obs.Telemetry) error {
 	if err := os.WriteFile(filepath.Join(dir, MetricsDeterministicFile), det, 0o644); err != nil {
 		return fmt.Errorf("bundle: %w", err)
 	}
-	if err := writeWith(filepath.Join(dir, TraceFile), tel.Tracer.WriteJSONL); err != nil {
+	if err := writeWith(filepath.Join(dir, obs.TraceFile), tel.Tracer.WriteJSONL); err != nil {
 		return err
 	}
 	return writeWith(filepath.Join(dir, EventsFile), tel.Events.WriteJSONL)

@@ -40,7 +40,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err := Write(dir, m, tel); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{ManifestFile, MetricsFile, TraceFile, EventsFile} {
+	for _, name := range []string{ManifestFile, MetricsFile, obs.TraceFile, EventsFile} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("bundle file %s missing: %v", name, err)
 		}

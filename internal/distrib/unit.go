@@ -159,7 +159,7 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 		return false, resumed, err
 	}
 	if visits != nil {
-		if err := tracez.WriteExemplars(filepath.Join(dir, tracez.ExemplarsFile), visits, nil); err != nil {
+		if err := tracez.WriteExemplars(filepath.Join(dir, tracez.ExemplarsFile), visits); err != nil {
 			return false, resumed, fmt.Errorf("distrib: unit %s: %w", spec.ID, err)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"canvassing/internal/geom"
 	"canvassing/internal/stats"
@@ -126,33 +125,33 @@ type Glyph struct {
 	Emoji   bool
 }
 
-// parsedGlyph is the decoded, cached form of a glyphData entry.
+// parsedGlyph is the decoded form of a glyphData entry.
 type parsedGlyph struct {
 	adv     float64
 	strokes [][]geom.Point // grid units, y-up
 }
 
+// glyphs is glyphData parsed once at package init, and notdef the one
+// box glyph every rune the font lacks shares. Both are read-only after
+// init, so lookups take no lock, allocate nothing, and never grow.
 var (
-	glyphCacheMu sync.RWMutex
-	glyphCache   = make(map[rune]*parsedGlyph)
+	glyphs = parseGlyphTable()
+	notdef = parseGlyphSource(notdefGlyph)
 )
 
+func parseGlyphTable() map[rune]*parsedGlyph {
+	m := make(map[rune]*parsedGlyph, len(glyphData))
+	for r, src := range glyphData {
+		m[r] = parseGlyphSource(src)
+	}
+	return m
+}
+
 func lookupGlyph(r rune) *parsedGlyph {
-	glyphCacheMu.RLock()
-	g, ok := glyphCache[r]
-	glyphCacheMu.RUnlock()
-	if ok {
+	if g, ok := glyphs[r]; ok {
 		return g
 	}
-	src, ok := glyphData[r]
-	if !ok {
-		src = notdefGlyph
-	}
-	g = parseGlyphSource(src)
-	glyphCacheMu.Lock()
-	glyphCache[r] = g
-	glyphCacheMu.Unlock()
-	return g
+	return notdef
 }
 
 func parseGlyphSource(src string) *parsedGlyph {

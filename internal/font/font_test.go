@@ -286,6 +286,38 @@ func TestGlyphDataParses(t *testing.T) {
 	}
 }
 
+// TestMeasureUncoveredRunesAllocFree: runes the font lacks share one
+// notdef glyph, so measuring text made of runes never seen before
+// allocates nothing — no per-rune table grows for the life of the
+// process.
+func TestMeasureUncoveredRunesAllocFree(t *testing.T) {
+	const runs = 100
+	texts := make([]string, runs+1) // AllocsPerRun adds one warm-up call
+	next := rune(0x4E00)            // CJK ideographs
+	for i := range texts {
+		rs := []rune{next, next + 1, next + 2}
+		for _, r := range rs {
+			if _, ok := glyphData[r]; ok {
+				t.Fatalf("font covers %q; the test needs uncovered runes", r)
+			}
+		}
+		texts[i] = string(rs)
+		next += 3
+	}
+	f := DefaultFont()
+	want := 3 * Measure("\uFFFF", f)
+	call := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if w := Measure(texts[call], f); w != want {
+			t.Fatalf("Measure(%q) = %v, want three notdef advances %v", texts[call], w, want)
+		}
+		call++
+	})
+	if allocs != 0 {
+		t.Fatalf("Measure over fresh uncovered runes allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 // Property: Measure is additive over concatenation.
 func TestMeasureAdditiveProperty(t *testing.T) {
 	f := func(a, b string) bool {

@@ -108,12 +108,15 @@ func DecodeWebPSim(data []byte) (*raster.Image, error) {
 	if len(data) < hdr || string(data[0:4]) != "RIFF" || string(data[8:16]) != "WEBPVP8S" {
 		return nil, errors.New("imaging: not a simulated webp stream")
 	}
-	w := int(binary.LittleEndian.Uint32(data[16:]))
-	h := int(binary.LittleEndian.Uint32(data[20:]))
-	if w < 0 || h < 0 || w*h*4 != len(data)-hdr {
+	w := binary.LittleEndian.Uint32(data[16:])
+	h := binary.LittleEndian.Uint32(data[20:])
+	// The product of two uint32s fits a uint64, so a stream declaring
+	// 2^31 × 2^31 cannot wrap around to match an empty body.
+	n := uint64(len(data) - hdr)
+	if n%4 != 0 || uint64(w)*uint64(h) != n/4 {
 		return nil, errors.New("imaging: corrupt simulated webp stream")
 	}
-	img := raster.NewImage(w, h)
+	img := raster.NewImage(int(w), int(h))
 	copy(img.Pix, data[hdr:])
 	return img, nil
 }

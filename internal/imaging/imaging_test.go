@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"bytes"
+	"encoding/binary"
 	"image/png"
 	"strings"
 	"testing"
@@ -131,18 +132,32 @@ func TestWebPSimQualityAffectsLoss(t *testing.T) {
 	}
 }
 
+// webpHeader is a simulated-webp stream header declaring w × h with no
+// pixel bytes after it.
+func webpHeader(w, h uint32) []byte {
+	b := []byte("RIFF\x11\x00\x00\x00WEBPVP8S")
+	b = binary.LittleEndian.AppendUint32(b, w)
+	b = binary.LittleEndian.AppendUint32(b, h)
+	return append(b, 2)
+}
+
 func TestDecodeWebPSimRejectsGarbage(t *testing.T) {
-	if _, err := DecodeWebPSim([]byte("not webp at all")); err == nil {
-		t.Fatal("should reject")
-	}
-	if _, err := DecodeWebPSim(nil); err == nil {
-		t.Fatal("should reject empty")
-	}
-	// Valid header but truncated payload.
-	img := testImage()
-	data, _ := Encode(img, WebP, 0.9)
-	if _, err := DecodeWebPSim(data[:30]); err == nil {
-		t.Fatal("should reject truncated")
+	valid, _ := Encode(testImage(), WebP, 0.9)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"not webp", []byte("not webp at all")},
+		{"empty", nil},
+		{"truncated", valid[:30]},
+		// 2^31 · 2^31 · 4 wraps to 0 in 64-bit int arithmetic, which
+		// once matched the empty body.
+		{"dimensions overflow", webpHeader(1<<31, 1<<31)},
+		{"partial pixel", append(webpHeader(1, 1), 1, 2, 3)},
+	} {
+		if img, err := DecodeWebPSim(tc.data); err == nil {
+			t.Errorf("%s: decoded %dx%d with %d pixel bytes, want an error", tc.name, img.W, img.H, len(img.Pix))
+		}
 	}
 }
 

@@ -2,22 +2,17 @@ package obs
 
 import (
 	"flag"
-	"fmt"
-	"io"
-	"os"
 	"time"
 )
 
 // CLI is the shared observability flag set every binary wires the same
-// way: -metrics (print the snapshot / phase table), -trace (span JSONL
-// export), -pprof / -status (live ops-plane endpoint), -window (RED
-// window width), and -outdir (run-bundle directory). PR 1 duplicated
-// this wiring per command; BindCLI is the single place it lives now.
+// way: -metrics (print the snapshot / phase table), -pprof / -status
+// (live ops-plane endpoint), -window (RED window width), and -outdir
+// (run-bundle directory, whose trace.jsonl is the span export).
+// BindCLI is the single place this wiring lives.
 type CLI struct {
 	// Metrics requests the rendered metrics/phase report after the run.
 	Metrics bool
-	// Trace is the span-trace JSONL output path ("" = off).
-	Trace string
 	// Pprof is the live ops-plane address WITH profiling endpoints
 	// ("" = off).
 	Pprof string
@@ -46,7 +41,6 @@ type CLI struct {
 func BindCLI(fs *flag.FlagSet) *CLI {
 	c := &CLI{}
 	fs.BoolVar(&c.Metrics, "metrics", false, "print the metrics snapshot and phase timings after the run")
-	fs.StringVar(&c.Trace, "trace", "", "write the span trace as JSON lines to this path")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve the live ops plane plus /debug/pprof on this address during the run")
 	fs.StringVar(&c.Status, "status", "", "serve the live ops plane (/statusz, /healthz, /readyz, /metrics.prom, /red, ...) on this address during the run")
 	fs.DurationVar(&c.Window, "window", 0, "sliding window for the live RED metric views (default 1m)")
@@ -89,33 +83,4 @@ func BindFaultCLI(fs *flag.FlagSet) *FaultCLI {
 	fs.IntVar(&c.Retries, "retries", 0, "visit retry budget under -faults (0 = default 3)")
 	fs.DurationVar(&c.VisitTimeout, "visit-timeout", 0, "virtual per-attempt visit deadline under -faults (0 = default 5s)")
 	return c
-}
-
-// WriteTrace writes the span-trace export when -trace was given.
-func (c *CLI) WriteTrace(tel *Telemetry) error {
-	if c.Trace == "" {
-		return nil
-	}
-	f, err := os.Create(c.Trace)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tel.Tracer.WriteJSONL(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "telemetry: wrote span trace to %s\n", c.Trace)
-	return nil
-}
-
-// PrintMetrics renders the phase-timing listing and metrics snapshot
-// to w when -metrics was given.
-func (c *CLI) PrintMetrics(tel *Telemetry, w io.Writer) {
-	if !c.Metrics {
-		return
-	}
-	fmt.Fprintln(w, "\nPhase timings")
-	fmt.Fprint(w, tel.Tracer.RenderPhases())
-	fmt.Fprintln(w)
-	fmt.Fprint(w, tel.Metrics.RenderText())
 }

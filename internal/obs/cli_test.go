@@ -13,7 +13,7 @@ func TestBindCLIDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Metrics || c.Trace != "" || c.Pprof != "" || c.Status != "" ||
+	if c.Metrics || c.Pprof != "" || c.Status != "" ||
 		c.Window != 0 || c.OutDir != "" || c.AnalysisWorkers != 0 {
 		t.Fatalf("defaults not zero: %+v", c)
 	}
@@ -28,7 +28,6 @@ func TestBindCLIParses(t *testing.T) {
 	c := BindCLI(fs)
 	err := fs.Parse([]string{
 		"-metrics",
-		"-trace", "spans.jsonl",
 		"-status", "127.0.0.1:9000",
 		"-window", "30s",
 		"-outdir", "bundle",
@@ -37,7 +36,7 @@ func TestBindCLIParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Metrics || c.Trace != "spans.jsonl" || c.Status != "127.0.0.1:9000" ||
+	if !c.Metrics || c.Status != "127.0.0.1:9000" ||
 		c.Window != 30*time.Second || c.OutDir != "bundle" || c.AnalysisWorkers != 4 {
 		t.Fatalf("parsed = %+v", c)
 	}

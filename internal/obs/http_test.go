@@ -1,4 +1,7 @@
-package obs
+// These tests sit in an external test package so they can drive the
+// obs endpoints — registry, spans, events, probes, the phase ledger —
+// through the one mux that serves them, ops.NewMux (ops imports obs).
+package obs_test
 
 import (
 	"encoding/json"
@@ -6,13 +9,16 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"canvassing/internal/obs"
+	"canvassing/internal/obs/ops"
 )
 
 func TestMuxEndpoints(t *testing.T) {
-	tel := NewTelemetry()
+	tel := obs.NewTelemetry()
 	tel.Metrics.Counter("crawl.visits").Add(7)
 	tel.Tracer.Start("crawl").End()
-	mux := NewMux(tel, true)
+	mux := ops.NewMux(tel, true, nil, nil)
 
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -21,7 +27,7 @@ func TestMuxEndpoints(t *testing.T) {
 	}
 
 	rec := get("/metrics")
-	var snap Snapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("/metrics not JSON: %v", err)
 	}
@@ -43,7 +49,7 @@ func TestMuxEndpoints(t *testing.T) {
 }
 
 func TestMuxWithoutPprof(t *testing.T) {
-	mux := NewMux(NewTelemetry(), false)
+	mux := ops.NewMux(obs.NewTelemetry(), false, nil, nil)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
 	if rec.Code != 404 {
@@ -54,9 +60,9 @@ func TestMuxWithoutPprof(t *testing.T) {
 // TestIndexPage: "/" lists every registered endpoint (extras included)
 // as text for probes and HTML for browsers; unknown paths still 404.
 func TestIndexPage(t *testing.T) {
-	extra := Route{Pattern: "/extra", Desc: "an extra route",
+	extra := ops.Route{Pattern: "/extra", Desc: "an extra route",
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {})}
-	mux := NewMux(NewTelemetry(), true, extra)
+	mux := ops.NewMux(obs.NewTelemetry(), true, nil, nil, extra)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
@@ -90,8 +96,8 @@ func TestIndexPage(t *testing.T) {
 
 // TestReadyzFollowsStatus: the probe mirrors the status tracker.
 func TestReadyzFollowsStatus(t *testing.T) {
-	tel := NewTelemetry()
-	mux := NewMux(tel, false)
+	tel := obs.NewTelemetry()
+	mux := ops.NewMux(tel, false, nil, nil)
 	probe := func() int {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
@@ -103,5 +109,39 @@ func TestReadyzFollowsStatus(t *testing.T) {
 	tel.Status.MarkRunning()
 	if probe() != 200 {
 		t.Fatal("running must be 200")
+	}
+}
+
+// TestPhaseLedgerViaTracer: the /statusz phase ledger is built from the
+// tracer's spans at request time — root spans only, running while
+// open, runs and seconds from finished spans, re-entrant phases merged.
+func TestPhaseLedgerViaTracer(t *testing.T) {
+	tel := obs.NewTelemetry()
+	root := tel.Tracer.Start("crawl")
+	child := root.StartChild("visit")
+
+	phases := ops.BuildStatusz(tel, nil).Phases
+	if len(phases) != 1 || phases[0].Name != "crawl" || phases[0].State != "running" {
+		t.Fatalf("phases mid-span = %+v", phases)
+	}
+
+	child.End()
+	if phases := ops.BuildStatusz(tel, nil).Phases; len(phases) != 1 || phases[0].State != "running" {
+		t.Fatalf("finished child of an open phase leaked into the ledger: %+v", phases)
+	}
+	root.End()
+	phases = ops.BuildStatusz(tel, nil).Phases
+	if len(phases) != 1 {
+		t.Fatalf("child span leaked into the ledger: %+v", phases)
+	}
+	p := phases[0]
+	if p.State != "done" || p.Runs != 1 || p.Seconds < 0 {
+		t.Fatalf("phase after end = %+v", p)
+	}
+
+	// Re-entrant phase: a second root span with the same name.
+	tel.Tracer.Start("crawl").End()
+	if phases := ops.BuildStatusz(tel, nil).Phases; phases[0].Runs != 2 {
+		t.Fatalf("re-entrant runs = %d, want 2", phases[0].Runs)
 	}
 }

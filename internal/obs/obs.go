@@ -1,8 +1,8 @@
 // Package obs is the crawl telemetry layer: a dependency-free,
 // concurrency-safe metrics registry (atomic counters, gauges, and
 // fixed-bucket latency histograms), lightweight hierarchical span
-// tracing with JSON-lines export, and snapshot/render APIs for
-// terminal tables, JSON dumps, and live HTTP inspection.
+// recording with JSON-lines export, the live run-status tracker, and
+// snapshot/render APIs for terminal tables and JSON dumps.
 //
 // The paper's crawler ran for weeks over 40k sites; its §3.2
 // limitations hinge on knowing what the crawler actually did
@@ -11,6 +11,10 @@
 // crawler reports visit latency, queue wait, parse time, and jsvm
 // step budgets; the study wraps every phase in spans so a run ends
 // with a phase-timing table.
+//
+// obs only records. Reading spans back — the phase-timing table, the
+// critical-path report — is internal/obs/tracez's job, and the HTTP
+// surface is assembled and served by internal/obs/ops.
 //
 // All types are safe for concurrent use. A nil *Telemetry disables
 // instrumentation at the call sites that accept one; the registry and
@@ -36,11 +40,7 @@ type Telemetry struct {
 	Status *Status
 }
 
-// NewTelemetry returns an empty telemetry bundle. The tracer's root
-// spans feed the status tracker's phase ledger automatically.
+// NewTelemetry returns an empty telemetry bundle.
 func NewTelemetry() *Telemetry {
-	st := NewStatus()
-	tr := NewTracer()
-	tr.Observer = st
-	return &Telemetry{Metrics: NewRegistry(), Tracer: tr, Events: event.NewSink(0), Status: st}
+	return &Telemetry{Metrics: NewRegistry(), Tracer: NewTracer(), Events: event.NewSink(0), Status: NewStatus()}
 }

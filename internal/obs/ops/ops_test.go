@@ -135,7 +135,8 @@ func TestStatuszJSONWithETA(t *testing.T) {
 	if !found {
 		t.Fatalf("open span missing from ActiveSpans: %+v", st.ActiveSpans)
 	}
-	// Phase ledger fed by the span observer: the open root span appears.
+	// The phase ledger is built from the tracer: the open root span
+	// appears as running.
 	running := false
 	for _, p := range st.Phases {
 		if p.Name == "crawl" && p.State == "running" {
@@ -222,6 +223,14 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeBindError: an address that cannot be bound fails
+// synchronously, before anything starts.
+func TestServeBindError(t *testing.T) {
+	if _, err := Serve("256.256.256.256:99999", obs.NewTelemetry(), false, time.Second, nil); err == nil {
+		t.Fatal("expected bind error")
+	}
+}
+
 // TestStartRespectsFlags covers ops.Start: no flags → nil plane
 // (whose methods are no-ops); -status → plane without pprof; -pprof
 // wins over -status and adds /debug/pprof.
@@ -258,5 +267,35 @@ func TestStartRespectsFlags(t *testing.T) {
 	}
 	if code, _ := get(t, pp.URL()+"/statusz"); code != 200 {
 		t.Fatal("-pprof must still serve the ops plane")
+	}
+}
+
+// TestServeShutdownStopsServeLoop: once Shutdown returns, the serve
+// loop of a ":0" plane has exited and nothing answers on its port.
+func TestServeShutdownStopsServeLoop(t *testing.T) {
+	plane, err := Serve("127.0.0.1:0", obs.NewTelemetry(), false, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := get(t, plane.URL()+"/healthz"); code != 200 {
+		t.Fatalf("healthz = %d", code)
+	}
+	select {
+	case <-plane.served:
+		t.Fatal("serve loop exited before Shutdown")
+	default:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := plane.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-plane.served:
+	default:
+		t.Fatal("serve loop still running after Shutdown returned")
+	}
+	if _, err := http.Get(plane.URL() + "/healthz"); err == nil {
+		t.Fatal("server still answering after Shutdown")
 	}
 }

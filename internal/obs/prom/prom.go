@@ -26,8 +26,8 @@ import (
 
 // family is one named metric of one type, ready to render.
 type family struct {
-	name string // sanitized
-	typ  string // "counter" | "gauge" | "histogram"
+	name   string // sanitized
+	typ    string // "counter" | "gauge" | "histogram"
 	render func(w io.Writer, name string) error
 }
 

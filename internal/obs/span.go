@@ -2,10 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,35 +34,19 @@ type Span struct {
 	ended  atomic.Bool
 }
 
-// SpanObserver receives span lifecycle notifications — the hook that
-// feeds the live phase ledger (obs.Status) without the tracer knowing
-// about it. root is true for spans started directly from the tracer
-// (pipeline phases). Callbacks run outside the tracer's lock but may
-// be invoked concurrently; implementations synchronize themselves.
-type SpanObserver interface {
-	SpanStarted(name string, root bool)
-	SpanEnded(name string, root bool, d time.Duration)
-}
-
-// Tracer collects spans. It is safe for concurrent use. Finished
-// spans accumulate in memory: a study's pipeline phases number in the
-// tens (per-visit span trees live in internal/obs/tracez's bounded
-// reservoir, never here), but a long-running service that opens phase
-// spans forever should either bound the buffer with SetRetention or
-// periodically Drain it.
+// Tracer collects spans. It is safe for concurrent use. It only
+// records: every reader — the phase-timing table, the /statusz ledger,
+// /tracez and tracescope — builds its view from Records and Active.
+// Finished spans accumulate in memory; a study's pipeline phases number
+// in the tens (per-visit span trees live in internal/obs/tracez's
+// bounded reservoir, never here), and no long-running process opens
+// phase spans.
 type Tracer struct {
-	// Observer, when non-nil, is notified as spans start and end. Set
-	// it before the first span starts (NewTelemetry does); it must not
-	// be mutated afterwards.
-	Observer SpanObserver
-
-	mu      sync.Mutex
-	nextID  int64
-	done    []SpanRecord
-	limit   int    // max retained finished spans; 0 = unbounded
-	dropped uint64 // finished spans discarded by the retention bound
-	active  map[int64]*Span
-	now     func() time.Time // test seam
+	mu     sync.Mutex
+	nextID int64
+	done   []SpanRecord
+	active map[int64]*Span
+	now    func() time.Time // test seam
 }
 
 // NewTracer returns an empty tracer.
@@ -91,9 +73,6 @@ func (t *Tracer) start(parent int64, name string, labels []string) *Span {
 	sp.start = t.now()
 	t.active[sp.id] = sp
 	t.mu.Unlock()
-	if t.Observer != nil {
-		t.Observer.SpanStarted(name, parent == 0)
-	}
 	return sp
 }
 
@@ -138,16 +117,8 @@ func (sp *Span) End() time.Duration {
 		Start:    sp.start,
 		Duration: d,
 	})
-	if t.limit > 0 && len(t.done) > t.limit {
-		over := len(t.done) - t.limit
-		t.dropped += uint64(over)
-		t.done = append(t.done[:0], t.done[over:]...)
-	}
 	delete(t.active, sp.id)
 	t.mu.Unlock()
-	if t.Observer != nil {
-		t.Observer.SpanEnded(sp.name, sp.parent == 0, d)
-	}
 	return d
 }
 
@@ -183,46 +154,12 @@ func (t *Tracer) Records() []SpanRecord {
 	return out
 }
 
-// SetRetention bounds the finished-span buffer to the most recent n
-// records; older records are discarded oldest-first as new spans end
-// and counted in DroppedSpans. n <= 0 restores unbounded retention.
-// An already-oversized buffer is trimmed immediately.
-func (t *Tracer) SetRetention(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 {
-		t.limit = 0
-		return
-	}
-	t.limit = n
-	if over := len(t.done) - n; over > 0 {
-		t.dropped += uint64(over)
-		t.done = append(t.done[:0], t.done[over:]...)
-	}
-}
-
-// DroppedSpans reports how many finished spans the retention bound has
-// discarded since the tracer was created.
-func (t *Tracer) DroppedSpans() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Drain returns all finished spans in end order and removes them from
-// the tracer, so a long-running process can ship spans elsewhere
-// (export, aggregation) without the buffer growing forever. In-flight
-// spans are untouched and will land in the next Drain.
-func (t *Tracer) Drain() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.done
-	t.done = nil
-	return out
-}
+// TraceFile is the file a run bundle holds the WriteJSONL export in,
+// and the one tracescope reads phase spans from.
+const TraceFile = "trace.jsonl"
 
 // WriteJSONL writes one JSON object per finished span, in end order —
-// the trace export format (-trace flag).
+// the TraceFile format.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, r := range t.Records() {
@@ -231,93 +168,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Phase is one aggregated root-span name in a phase summary.
-type Phase struct {
-	Name  string
-	Count int
-	Total time.Duration
-	// Children aggregates nested spans by name, depth-first.
-	Children []Phase
-}
-
-// PhaseSummary aggregates finished spans by name into a forest ordered
-// by first start time: each root phase with its total wall time, call
-// count, and aggregated children. This is what the phase-timing table
-// renders.
-func (t *Tracer) PhaseSummary() []Phase {
-	recs := t.Records()
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start.Before(recs[j].Start) })
-	children := map[int64][]SpanRecord{}
-	for _, r := range recs {
-		children[r.ParentID] = append(children[r.ParentID], r)
-	}
-	idName := map[int64]string{}
-	for _, r := range recs {
-		idName[r.ID] = r.Name
-	}
-	var build func(parentIDs []int64) []Phase
-	build = func(parentIDs []int64) []Phase {
-		// Aggregate all children of the given parents by span name,
-		// keeping first-start order.
-		var order []string
-		agg := map[string]*Phase{}
-		ids := map[string][]int64{}
-		for _, pid := range parentIDs {
-			for _, r := range children[pid] {
-				p := agg[r.Name]
-				if p == nil {
-					p = &Phase{Name: r.Name}
-					agg[r.Name] = p
-					order = append(order, r.Name)
-				}
-				p.Count++
-				p.Total += r.Duration
-				ids[r.Name] = append(ids[r.Name], r.ID)
-			}
-		}
-		out := make([]Phase, 0, len(order))
-		for _, name := range order {
-			p := agg[name]
-			p.Children = build(ids[name])
-			out = append(out, *p)
-		}
-		return out
-	}
-	return build([]int64{0})
-}
-
-// TotalWall sums root-phase durations — the pipeline's instrumented
-// wall time (phases that ran concurrently count separately).
-func (t *Tracer) TotalWall() time.Duration {
-	var total time.Duration
-	for _, r := range t.Records() {
-		if r.ParentID == 0 {
-			total += r.Duration
-		}
-	}
-	return total
-}
-
-// RenderPhases formats the phase summary as an indented two-column
-// listing with per-phase share of total root wall time.
-func (t *Tracer) RenderPhases() string {
-	phases := t.PhaseSummary()
-	total := t.TotalWall()
-	var sb strings.Builder
-	var walk func(ps []Phase, depth int)
-	walk = func(ps []Phase, depth int) {
-		for _, p := range ps {
-			name := strings.Repeat("  ", depth) + p.Name
-			share := ""
-			if depth == 0 && total > 0 {
-				share = fmt.Sprintf("  %5.1f%%", 100*float64(p.Total)/float64(total))
-			}
-			fmt.Fprintf(&sb, "%-28s %12s%s\n", name, p.Total.Round(time.Microsecond), share)
-			walk(p.Children, depth+1)
-		}
-	}
-	walk(phases, 0)
-	return sb.String()
 }

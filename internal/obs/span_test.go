@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -48,17 +49,15 @@ func TestSpanHierarchyAndSummary(t *testing.T) {
 	if byName["crawl"].Labels["cohort"] != "popular" {
 		t.Fatal("labels lost")
 	}
-
-	phases := tr.PhaseSummary()
-	if len(phases) != 2 || phases[0].Name != "run" || phases[1].Name != "report" {
-		t.Fatalf("root phases wrong: %+v", phases)
+	if byName["detect"].ParentID != byName["run"].ID {
+		t.Fatal("detect must nest under run")
 	}
-	kids := phases[0].Children
-	if len(kids) != 2 || kids[0].Name != "crawl" || kids[1].Name != "detect" {
-		t.Fatalf("children wrong: %+v", kids)
+	// Records come in end order; durations follow the clock.
+	if recs[0].Name != "crawl" || recs[3].Name != "report" {
+		t.Fatalf("records not in end order: %+v", recs)
 	}
-	if phases[0].Total <= 0 {
-		t.Fatal("phase duration must be positive")
+	if byName["run"].Duration <= byName["crawl"].Duration {
+		t.Fatal("a parent must outlast its child")
 	}
 }
 
@@ -73,18 +72,6 @@ func TestSpanDoubleEnd(t *testing.T) {
 	}
 	if len(tr.Records()) != 1 {
 		t.Fatal("double End must not duplicate records")
-	}
-}
-
-func TestPhaseSummaryAggregatesRepeats(t *testing.T) {
-	tr := NewTracer()
-	tr.now = fakeClock(time.Millisecond)
-	for i := 0; i < 3; i++ {
-		tr.Start("crawl").End()
-	}
-	phases := tr.PhaseSummary()
-	if len(phases) != 1 || phases[0].Count != 3 {
-		t.Fatalf("repeat phases must aggregate: %+v", phases)
 	}
 }
 
@@ -143,17 +130,57 @@ func TestActiveTracksUnendedSpans(t *testing.T) {
 	}
 }
 
-func TestRenderPhases(t *testing.T) {
+// TestTracerConcurrentChurn drives root and child spans from many
+// goroutines at once — the shape of a crawl with per-worker phase spans
+// — and checks every span lands in Records exactly once, with its
+// parent link intact, and none stays Active. Run under -race this also
+// pins the tracer's locking.
+func TestTracerConcurrentChurn(t *testing.T) {
 	tr := NewTracer()
-	tr.now = fakeClock(time.Millisecond)
-	run := tr.Start("crawl.control")
-	run.StartChild("visit").End()
-	run.End()
-	text := tr.RenderPhases()
-	if !strings.Contains(text, "crawl.control") || !strings.Contains(text, "visit") {
-		t.Fatalf("phases missing from render:\n%s", text)
+	const workers = 8
+	const perWorker = 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				root := tr.Start(fmt.Sprintf("w%d", w))
+				c1 := root.StartChild("child-a")
+				c2 := root.StartChild("child-b")
+				_ = tr.Active()
+				c2.End()
+				c1.End()
+				root.End()
+			}
+		}(w)
 	}
-	if !strings.Contains(text, "%") {
-		t.Fatalf("root share missing:\n%s", text)
+	wg.Wait()
+
+	if n := len(tr.Active()); n != 0 {
+		t.Fatalf("active after churn = %d, want 0", n)
+	}
+	recs := tr.Records()
+	if want := workers * perWorker * 3; len(recs) != want {
+		t.Fatalf("records = %d, want %d", len(recs), want)
+	}
+	ids := map[int64]bool{}
+	roots := 0
+	for _, r := range recs {
+		if ids[r.ID] {
+			t.Fatalf("span %d recorded twice", r.ID)
+		}
+		ids[r.ID] = true
+		if r.ParentID == 0 {
+			roots++
+		}
+	}
+	for _, r := range recs {
+		if r.ParentID != 0 && !ids[r.ParentID] {
+			t.Fatalf("span %d has unknown parent %d", r.ID, r.ParentID)
+		}
+	}
+	if roots != workers*perWorker {
+		t.Fatalf("roots = %d, want %d", roots, workers*perWorker)
 	}
 }

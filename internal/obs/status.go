@@ -24,28 +24,13 @@ const (
 	StateFailed RunState = "failed"
 )
 
-// PhaseStatus is one entry of the live phase ledger. Entries are keyed
-// by root-span name in first-start order, so the ledger mirrors the
-// phase-timing table while the run is still in flight.
-type PhaseStatus struct {
-	Name string `json:"name"`
-	// State is "running" while any span of this phase is open, "done"
-	// once every one has ended.
-	State string `json:"state"`
-	// Runs counts completed spans of this phase (analyze.* phases run
-	// once per condition; re-entrant phases count each entry).
-	Runs int `json:"runs"`
-	// Seconds is the accumulated wall time of completed runs.
-	Seconds float64 `json:"seconds"`
-}
-
 // CrawlStatus is one condition's committed-frontier progress, updated
 // by the crawler's ordered committer as pages commit.
 type CrawlStatus struct {
 	Condition string `json:"condition"`
 	// Frontier counts committed leading pages; Total is the site count.
-	Frontier int `json:"frontier"`
-	Total    int `json:"total"`
+	Frontier int  `json:"frontier"`
+	Total    int  `json:"total"`
 	Done     bool `json:"done"`
 }
 
@@ -68,22 +53,23 @@ type CheckpointStatus struct {
 }
 
 // StatusSnapshot is a point-in-time copy of the whole tracker —
-// the /statusz payload's deterministic half (the ops handler adds
-// windowed rates, ETA, and active spans on top).
+// the /statusz payload's deterministic half (the ops handler adds the
+// phase ledger, windowed rates, ETA, and active spans on top).
 type StatusSnapshot struct {
 	State         RunState          `json:"state"`
 	StartedAt     time.Time         `json:"started_at"`
 	UptimeSeconds float64           `json:"uptime_seconds"`
-	Phases        []PhaseStatus     `json:"phases,omitempty"`
 	Crawls        []CrawlStatus     `json:"crawls,omitempty"`
 	Analyses      []AnalysisStatus  `json:"analyses,omitempty"`
 	Checkpoint    *CheckpointStatus `json:"checkpoint,omitempty"`
 }
 
 // Status is the live run-progress tracker behind /healthz, /readyz,
-// and /statusz. It is fed from three places: the tracer's root spans
-// (phase ledger), the crawler's ordered-commit point (per-condition
-// frontier), and the analysis executor (per-condition run stats).
+// and /statusz. It is fed by the pipeline (lifecycle state), the
+// crawler's ordered-commit point (per-condition frontier), the analysis
+// executor (per-condition run stats) and the checkpoint writer. The
+// /statusz phase ledger is not kept here: the ops plane builds it from
+// the tracer's spans at request time.
 //
 // Status lives entirely OUTSIDE the metrics registry: nothing here is
 // snapshotted into bundles or checkpoints, so enabling the ops plane
@@ -94,9 +80,6 @@ type Status struct {
 	mu        sync.Mutex
 	state     RunState
 	startedAt time.Time
-	phases    []PhaseStatus
-	phaseIdx  map[string]int
-	open      map[string]int // phase name → currently open span count
 	crawls    []CrawlStatus
 	crawlIdx  map[string]int
 	analyses  []AnalysisStatus
@@ -109,8 +92,6 @@ func NewStatus() *Status {
 	return &Status{
 		state:     StateInit,
 		startedAt: time.Now(),
-		phaseIdx:  map[string]int{},
-		open:      map[string]int{},
 		crawlIdx:  map[string]int{},
 		now:       time.Now,
 	}
@@ -149,46 +130,6 @@ func (s *Status) State() RunState {
 func (s *Status) Ready() bool {
 	st := s.State()
 	return st == StateRunning || st == StateDone
-}
-
-// SpanStarted implements SpanObserver: each root span opens (or
-// re-opens) a phase-ledger entry.
-func (s *Status) SpanStarted(name string, root bool) {
-	if s == nil || !root {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.phaseIdx[name]
-	if !ok {
-		i = len(s.phases)
-		s.phaseIdx[name] = i
-		s.phases = append(s.phases, PhaseStatus{Name: name})
-	}
-	s.open[name]++
-	s.phases[i].State = "running"
-}
-
-// SpanEnded implements SpanObserver: the last open span of a phase
-// marks its ledger entry done.
-func (s *Status) SpanEnded(name string, root bool, d time.Duration) {
-	if s == nil || !root {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.phaseIdx[name]
-	if !ok {
-		return
-	}
-	if s.open[name] > 0 {
-		s.open[name]--
-	}
-	s.phases[i].Runs++
-	s.phases[i].Seconds += d.Seconds()
-	if s.open[name] == 0 {
-		s.phases[i].State = "done"
-	}
 }
 
 // CrawlProgress records one condition's committed frontier. The
@@ -260,7 +201,6 @@ func (s *Status) Snapshot() StatusSnapshot {
 		State:         s.state,
 		StartedAt:     s.startedAt,
 		UptimeSeconds: s.now().Sub(s.startedAt).Seconds(),
-		Phases:        append([]PhaseStatus(nil), s.phases...),
 		Crawls:        append([]CrawlStatus(nil), s.crawls...),
 		Analyses:      append([]AnalysisStatus(nil), s.analyses...),
 	}

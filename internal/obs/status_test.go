@@ -31,8 +31,6 @@ func TestStatusNilSafe(t *testing.T) {
 	s.MarkRunning()
 	s.MarkDone()
 	s.MarkFailed()
-	s.SpanStarted("x", true)
-	s.SpanEnded("x", true, time.Second)
 	s.CrawlProgress("control", 1, 2, false)
 	s.RecordAnalysis("control", 1, 2, 3, 4)
 	s.CheckpointWrite("dir", 1, false)
@@ -44,37 +42,6 @@ func TestStatusNilSafe(t *testing.T) {
 	}
 	if snap := s.Snapshot(); snap.State != StateInit {
 		t.Fatalf("nil snapshot = %+v", snap)
-	}
-}
-
-// TestPhaseLedgerViaTracer: root spans feed the ledger through the
-// SpanObserver hook NewTelemetry installs; child spans do not.
-func TestPhaseLedgerViaTracer(t *testing.T) {
-	tel := NewTelemetry()
-	root := tel.Tracer.Start("crawl")
-	child := root.StartChild("visit")
-
-	snap := tel.Status.Snapshot()
-	if len(snap.Phases) != 1 || snap.Phases[0].Name != "crawl" || snap.Phases[0].State != "running" {
-		t.Fatalf("phases mid-span = %+v", snap.Phases)
-	}
-
-	child.End()
-	root.End()
-	snap = tel.Status.Snapshot()
-	if len(snap.Phases) != 1 {
-		t.Fatalf("child span leaked into the ledger: %+v", snap.Phases)
-	}
-	p := snap.Phases[0]
-	if p.State != "done" || p.Runs != 1 || p.Seconds < 0 {
-		t.Fatalf("phase after end = %+v", p)
-	}
-
-	// Re-entrant phase: a second root span with the same name.
-	tel.Tracer.Start("crawl").End()
-	snap = tel.Status.Snapshot()
-	if snap.Phases[0].Runs != 2 {
-		t.Fatalf("re-entrant runs = %d, want 2", snap.Phases[0].Runs)
 	}
 }
 

@@ -42,8 +42,10 @@ type PathStep struct {
 
 // Report is the critical-path analysis of one span forest.
 type Report struct {
-	Roots     int           `json:"roots"`
-	TotalWall time.Duration `json:"total_wall_ns"`
+	Roots int `json:"roots"`
+	// Wall sums the roots' wall times (roots that overlapped count
+	// separately).
+	Wall time.Duration `json:"total_wall_ns"`
 	// CriticalWall is the wall time of the longest root — the chain
 	// the CriticalPath walks.
 	CriticalWall time.Duration `json:"critical_wall_ns"`
@@ -194,7 +196,7 @@ func Analyze(forest []*Span) Report {
 	}
 	var longest *Span
 	for _, root := range forest {
-		rep.TotalWall += root.Wall
+		rep.Wall += root.Wall
 		if longest == nil || root.Wall > longest.Wall {
 			longest = root
 		}

@@ -38,7 +38,7 @@ func TestAnalyzeSelfTime(t *testing.T) {
 		),
 	)
 	rep := Analyze([]*Span{root})
-	if rep.Roots != 1 || rep.TotalWall != 100*ms || rep.CriticalWall != 100*ms {
+	if rep.Roots != 1 || rep.Wall != 100*ms || rep.CriticalWall != 100*ms {
 		t.Fatalf("totals wrong: %+v", rep)
 	}
 	if got := phaseByName(rep, "visit").Self; got != 10*ms {
@@ -117,7 +117,7 @@ func TestCriticalPathDescent(t *testing.T) {
 
 func TestAnalyzeEmptyForest(t *testing.T) {
 	rep := Analyze(nil)
-	if rep.Roots != 0 || rep.TotalWall != 0 || len(rep.CriticalPath) != 0 {
+	if rep.Roots != 0 || rep.Wall != 0 || len(rep.CriticalPath) != 0 {
 		t.Fatalf("empty forest report = %+v", rep)
 	}
 }

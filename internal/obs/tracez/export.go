@@ -17,9 +17,6 @@ import (
 // (runsdiff and the determinism oracle never read it).
 const ExemplarsFile = "trace_exemplars.jsonl"
 
-// TraceFile is the phase-span export the -trace flag writes.
-const TraceFile = "trace.jsonl"
-
 // header is the first line of trace_exemplars.jsonl.
 type header struct {
 	Schema     int           `json:"tracez_schema"`
@@ -44,26 +41,17 @@ type exemplarLine struct {
 	Exemplar *VisitTrace `json:"exemplar"`
 }
 
-// reportLine is the trailer row carrying the phase-level
-// critical-path report.
-type reportLine struct {
-	CriticalPath *Report `json:"critical_path"`
-}
-
 // Export is a decoded trace_exemplars.jsonl.
 type Export struct {
 	Schema     int             `json:"tracez_schema"`
 	Conditions []CondExemplars `json:"conditions"`
-	// Report is the phase-level critical-path report computed at
-	// write time (nil in files written before a report existed).
-	Report *Report `json:"critical_path,omitempty"`
 }
 
-// WriteExemplars writes the reservoir and the phase-level
-// critical-path report (from the tracer's finished spans) as
-// trace_exemplars.jsonl at path. A nil reservoir writes nothing and
-// returns nil.
-func WriteExemplars(path string, r *Reservoir, phases []obs.SpanRecord) error {
+// WriteExemplars writes the reservoir as trace_exemplars.jsonl at
+// path. A nil reservoir writes nothing and returns nil. The phase-level
+// critical path is not repeated here: readers compute it from the run
+// dir's trace.jsonl (LoadRunDir, then Analyze).
+func WriteExemplars(path string, r *Reservoir) error {
 	if r == nil {
 		return nil
 	}
@@ -98,16 +86,13 @@ func WriteExemplars(path string, r *Reservoir, phases []obs.SpanRecord) error {
 			}
 		}
 	}
-	rep := Analyze(BuildForest(phases))
-	if err := enc.Encode(reportLine{CriticalPath: &rep}); err != nil {
-		return err
-	}
 	return w.Flush()
 }
 
 // ReadExemplars decodes a trace_exemplars.jsonl written by
 // WriteExemplars, rebuilding per-condition exemplar groups in file
-// order.
+// order. Lines that are not exemplars — such as the critical_path
+// trailer older sidecars end with — are skipped.
 func ReadExemplars(path string) (*Export, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -137,25 +122,20 @@ func ReadExemplars(path string) (*Export, error) {
 		ex.Conditions = append(ex.Conditions, *ce) // placeholder; rewritten below
 	}
 	for sc.Scan() {
-		line := sc.Bytes()
 		var el exemplarLine
-		if err := json.Unmarshal(line, &el); err == nil && el.Exemplar != nil {
-			ce := byCond[el.Exemplar.Condition]
-			if ce == nil {
-				ce = &CondExemplars{Condition: el.Exemplar.Condition, Kind: el.Exemplar.Kind}
-				byCond[el.Exemplar.Condition] = ce
-				ex.Conditions = append(ex.Conditions, *ce)
-			}
-			if el.Picked == "head" {
-				ce.Head = append(ce.Head, el.Exemplar)
-			} else {
-				ce.Slow = append(ce.Slow, el.Exemplar)
-			}
+		if err := json.Unmarshal(sc.Bytes(), &el); err != nil || el.Exemplar == nil {
 			continue
 		}
-		var rl reportLine
-		if err := json.Unmarshal(line, &rl); err == nil && rl.CriticalPath != nil {
-			ex.Report = rl.CriticalPath
+		ce := byCond[el.Exemplar.Condition]
+		if ce == nil {
+			ce = &CondExemplars{Condition: el.Exemplar.Condition, Kind: el.Exemplar.Kind}
+			byCond[el.Exemplar.Condition] = ce
+			ex.Conditions = append(ex.Conditions, *ce)
+		}
+		if el.Picked == "head" {
+			ce.Head = append(ce.Head, el.Exemplar)
+		} else {
+			ce.Slow = append(ce.Slow, el.Exemplar)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -183,7 +163,7 @@ type RunDir struct {
 // LoadRunDir reads dir's trace.jsonl (required) and
 // trace_exemplars.jsonl (optional).
 func LoadRunDir(dir string) (*RunDir, error) {
-	recs, err := readSpanRecords(filepath.Join(dir, TraceFile))
+	recs, err := readSpanRecords(filepath.Join(dir, obs.TraceFile))
 	if err != nil {
 		return nil, err
 	}

@@ -5,25 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"canvassing/internal/obs"
 )
 
-// testPhaseRecords builds a small deterministic phase-span set the way
-// the main tracer would.
-func testPhaseRecords() []obs.SpanRecord {
-	base := time.Unix(2000, 0)
-	return []obs.SpanRecord{
-		{ID: 1, Name: "crawl.control", Start: base, Duration: 400 * ms},
-		{ID: 2, ParentID: 1, Name: "webgen", Start: base, Duration: 100 * ms},
-		{ID: 3, Name: "analyze", Start: base.Add(400 * ms), Duration: 200 * ms},
-	}
-}
-
 // TestExportRoundTrip: write → read preserves the stream summaries,
-// the retained trees (structure and labels included), the picked
-// classification, and the phase-level critical-path report.
+// the retained trees (structure and labels included), and the picked
+// classification.
 func TestExportRoundTrip(t *testing.T) {
 	r := NewReservoir(3, 4, 4)
 	for i := 0; i < 50; i++ {
@@ -37,7 +25,7 @@ func TestExportRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, ExemplarsFile)
-	if err := WriteExemplars(path, r, testPhaseRecords()); err != nil {
+	if err := WriteExemplars(path, r); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := ReadExemplars(path)
@@ -72,12 +60,21 @@ func TestExportRoundTrip(t *testing.T) {
 	if len(ctl.Slow[0].Root.Children) != 1 || ctl.Slow[0].Root.Children[0].Labels["fault"] != "outage" {
 		t.Fatalf("tree lost in round trip: %+v", ctl.Slow[0].Root)
 	}
-	// The trailer report reflects the phase forest.
-	if ex.Report == nil || ex.Report.Roots != 2 {
-		t.Fatalf("report = %+v", ex.Report)
+
+	// A sidecar from before the phase report moved to trace.jsonl ends
+	// with a critical_path trailer; it still loads, trailer skipped.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ex.Report.CriticalWall != 400*ms {
-		t.Fatalf("critical wall = %v", ex.Report.CriticalWall)
+	if _, err := f.WriteString(`{"critical_path":{"roots":2,"total_wall_ns":600000000}}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if old, err := ReadExemplars(path); err != nil || len(old.Conditions) != len(ex.Conditions) {
+		t.Fatalf("sidecar with trailer: %v, %+v", err, old)
 	}
 
 	// Selection-relevant views over the decoded export.
@@ -97,7 +94,7 @@ func domainOf(i int) string {
 // calls WriteExemplars when -tracez is off — no file, no error.
 func TestWriteExemplarsNilReservoir(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ExemplarsFile)
-	if err := WriteExemplars(path, nil, nil); err != nil {
+	if err := WriteExemplars(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -128,7 +125,7 @@ func TestLoadRunDir(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, TraceFile), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, obs.TraceFile), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := LoadRunDir(dir)
@@ -141,7 +138,7 @@ func TestLoadRunDir(t *testing.T) {
 
 	r := NewReservoir(1, 2, 2)
 	r.Offer(mkVisit("control", "x.com", 0, 5))
-	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), r, nil); err != nil {
+	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), r); err != nil {
 		t.Fatal(err)
 	}
 	rd, err = LoadRunDir(dir)

@@ -100,7 +100,7 @@ func writeFixture(t *testing.T, dir, variant string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(filepath.Join(dir, TraceFile))
+	f, err := os.Create(filepath.Join(dir, obs.TraceFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func writeFixture(t *testing.T, dir, variant string) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), goldenReservoir(variant), goldenPhases(variant)); err != nil {
+	if err := WriteExemplars(filepath.Join(dir, ExemplarsFile), goldenReservoir(variant)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -45,7 +45,7 @@ func writeTracezHTML(w http.ResponseWriter, p Payload) {
 	fmt.Fprint(w, "<!DOCTYPE html><html><head><title>canvassing /tracez</title></head><body>")
 	fmt.Fprint(w, "<h1>trace analytics</h1>")
 	fmt.Fprintf(w, "<p>%d phase roots · total wall %s · critical root %s</p>",
-		p.CriticalPath.Roots, fmtDur(p.CriticalPath.TotalWall), fmtDur(p.CriticalPath.CriticalWall))
+		p.CriticalPath.Roots, fmtDur(p.CriticalPath.Wall), fmtDur(p.CriticalPath.CriticalWall))
 	if len(p.CriticalPath.CriticalPath) > 0 {
 		fmt.Fprint(w, "<h2>critical path</h2><ol>")
 		for _, st := range p.CriticalPath.CriticalPath {

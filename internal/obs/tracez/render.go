@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"canvassing/internal/obs"
 	"canvassing/internal/report"
 )
 
@@ -66,6 +67,50 @@ func dominant(vt *VisitTrace) string {
 	return best.Name
 }
 
+// PhaseTimings renders the phase-timing table of a tracer's finished
+// spans: one row per span name at each depth of BuildForest's forest,
+// children indented under their parents, with each root phase's share
+// of the summed root wall time and a total row. Spans of one name under
+// same-named parents merge into one row (analyze.* runs once per
+// condition), in first-start order. Phases that did not run are simply
+// absent.
+func PhaseTimings(recs []obs.SpanRecord) string {
+	forest := BuildForest(recs)
+	var total time.Duration
+	for _, root := range forest {
+		total += root.Wall
+	}
+	t := report.NewTable("Phase timings", "phase", "wall", "share")
+	var walk func(spans []*Span, depth int)
+	walk = func(spans []*Span, depth int) {
+		var order []string
+		byName := map[string][]*Span{}
+		for _, sp := range spans {
+			if _, ok := byName[sp.Name]; !ok {
+				order = append(order, sp.Name)
+			}
+			byName[sp.Name] = append(byName[sp.Name], sp)
+		}
+		for _, name := range order {
+			var wall time.Duration
+			var children []*Span
+			for _, sp := range byName[name] {
+				wall += sp.Wall
+				children = append(children, sp.Children...)
+			}
+			share := ""
+			if depth == 0 && total > 0 {
+				share = fmtShare(wall, total)
+			}
+			t.AddRow(strings.Repeat("  ", depth)+name, fmtDur(wall), share)
+			walk(children, depth+1)
+		}
+	}
+	walk(forest, 0)
+	t.AddRow("total", fmtDur(total), "100.0%")
+	return t.String()
+}
+
 func phaseTable(title string, rep Report) string {
 	tbl := report.NewTable(title, "phase", "count", "wall", "self", "share", "child-par")
 	for _, p := range rep.Phases {
@@ -73,7 +118,7 @@ func phaseTable(title string, rep Report) string {
 		if p.ChildUnion > 0 {
 			par = fmt.Sprintf("%.2f", p.Parallelism())
 		}
-		tbl.AddRow(p.Name, p.Count, fmtDur(p.Wall), fmtDur(p.Self), fmtShare(p.Wall, rep.TotalWall), par)
+		tbl.AddRow(p.Name, p.Count, fmtDur(p.Wall), fmtDur(p.Self), fmtShare(p.Wall, rep.Wall), par)
 	}
 	return tbl.String()
 }
@@ -98,7 +143,7 @@ func RenderReport(rd *RunDir, top int) string {
 	fmt.Fprintf(&sb, "Trace analytics — %s\n\n", rd.Dir)
 	rep := Analyze(rd.Phases)
 	fmt.Fprintf(&sb, "Roots: %d   Total wall: %s   Critical root wall: %s\n",
-		rep.Roots, fmtDur(rep.TotalWall), fmtDur(rep.CriticalWall))
+		rep.Roots, fmtDur(rep.Wall), fmtDur(rep.CriticalWall))
 	fmt.Fprintf(&sb, "Critical path: %s\n\n", pathLine(rep))
 	sb.WriteString(phaseTable("Phase attribution (phase spans)", rep))
 
@@ -170,8 +215,8 @@ func shares(rep Report) map[string]phaseDelta {
 	out := map[string]phaseDelta{}
 	for _, p := range rep.Phases {
 		sh := 0.0
-		if rep.TotalWall > 0 {
-			sh = 100 * float64(p.Wall) / float64(rep.TotalWall)
+		if rep.Wall > 0 {
+			sh = 100 * float64(p.Wall) / float64(rep.Wall)
 		}
 		out[p.Name] = phaseDelta{name: p.Name, wallA: p.Wall, shareA: sh}
 	}

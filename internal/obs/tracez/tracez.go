@@ -4,7 +4,10 @@
 // critical-path analyzer over span forests.
 //
 // The main obs.Tracer records pipeline *phases* — tens of spans per
-// study. Per-visit trees would be millions at paper scale, so they
+// study — and this package is what reads them back: BuildForest turns
+// the records into the forest that PhaseTimings (the phase-timing
+// table), Analyze (/tracez, tracescope) and WriteFolded all walk.
+// Per-visit trees would be millions at paper scale, so they
 // never enter the tracer or the metrics registry: the Reservoir keeps
 // only the slowest-N trees per condition plus a seeded head sample,
 // and everything it retains lives outside the run bundle (the exemplar

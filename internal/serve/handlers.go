@@ -12,7 +12,7 @@ import (
 	"canvassing/internal/blocklist"
 	"canvassing/internal/detect"
 	"canvassing/internal/netsim"
-	"canvassing/internal/obs"
+	"canvassing/internal/obs/ops"
 )
 
 // maxClassifyBody bounds POST /v1/classify payloads. Real canvas data
@@ -170,8 +170,8 @@ type StatsResponse struct {
 
 // Routes returns the verdict API endpoints, ready to append to the ops
 // plane's route set.
-func (s *Service) Routes() []obs.Route {
-	return []obs.Route{
+func (s *Service) Routes() []ops.Route {
+	return []ops.Route{
 		{Pattern: "POST /v1/classify", Desc: "canvas hash or data-URL → verdict + heuristic breakdown (JSON body)",
 			Handler: s.instrument(s.handleClassify)},
 		{Pattern: "POST /v1/classify/batch", Desc: "bulk hash lookup: {\"hashes\": [...]} → verdicts in order",

@@ -31,7 +31,6 @@ import (
 	"canvassing/internal/detect"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/ops"
-	"canvassing/internal/obs/window"
 	"canvassing/internal/snapshot"
 )
 
@@ -66,9 +65,9 @@ type Service struct {
 	// Snapshots is the content-addressed body store (nil when the
 	// bundle shipped without one).
 	Snapshots *snapshot.Store
-	// Tel is the service's own telemetry (request counters, serving
-	// spans) — deliberately separate from the bundle's recorded
-	// metrics, which stay frozen on disk.
+	// Tel is the service's own telemetry (request counters and the
+	// latency histogram) — deliberately separate from the bundle's
+	// recorded metrics, which stay frozen on disk.
 	Tel *obs.Telemetry
 
 	batch  *Batcher
@@ -173,16 +172,9 @@ func (s *Service) SeededVerdicts() int { return s.seeded }
 // Batcher exposes the lookup batcher (tests observe its counters).
 func (s *Service) Batcher() *Batcher { return s.batch }
 
-// Start serves the API plus the full ops plane (/metrics.prom, /red,
+// Start serves the API on the full ops plane (/metrics.prom, /red,
 // /statusz, /tracez, and the obs debug endpoints) on addr (":0" picks
 // a port). win is the RED sliding window (0 = 1 minute).
 func (s *Service) Start(addr string, withPprof bool, win time.Duration) (*ops.Plane, error) {
-	view := window.New(s.Tel.Metrics, win)
-	mux := obs.NewMux(s.Tel, withPprof, append(ops.Routes(s.Tel, view, nil), s.Routes()...)...)
-	srv, err := obs.StartServer(addr, mux)
-	if err != nil {
-		return nil, err
-	}
-	view.Start(0)
-	return &ops.Plane{Server: srv, View: view}, nil
+	return ops.Serve(addr, s.Tel, withPprof, win, nil, s.Routes()...)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -106,13 +107,10 @@ func TestStatuszLiveIntegration(t *testing.T) {
 	// the production default — the visit rate (and thus the ETA) must
 	// be available within this short crawl.
 	view := window.New(s.Telemetry().Metrics, 10*time.Second)
-	srv, err := obs.StartServer("127.0.0.1:0", ops.NewMux(s.Telemetry(), false, view, s.Visits()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := &ops.Plane{Server: srv, View: view}
+	srv := httptest.NewServer(ops.NewMux(s.Telemetry(), false, view, s.Visits()))
+	defer srv.Close()
 	view.Start(2 * time.Millisecond)
-	defer plane.Close()
+	defer view.Stop()
 
 	done := make(chan struct{})
 	go func() {
@@ -124,7 +122,7 @@ func TestStatuszLiveIntegration(t *testing.T) {
 
 	getStatus := func() ops.Statusz {
 		t.Helper()
-		res, err := http.Get(plane.URL() + "/statusz")
+		res, err := http.Get(srv.URL + "/statusz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +168,7 @@ poll:
 
 	// The exposition endpoint must serve valid text while the crawl is
 	// mutating the registry underneath it.
-	res, err := http.Get(plane.URL() + "/metrics.prom")
+	res, err := http.Get(srv.URL + "/metrics.prom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +192,7 @@ poll:
 	if len(st.Phases) == 0 {
 		t.Fatal("phase ledger empty after the run")
 	}
-	probe, err := http.Get(plane.URL() + "/readyz")
+	probe, err := http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

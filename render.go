@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"canvassing/internal/obs"
+	"canvassing/internal/obs/tracez"
 	"canvassing/internal/report"
 	"canvassing/internal/web"
 )
@@ -71,22 +71,7 @@ func (s *Study) RenderAll() string {
 // re-crawls), children indented, with each root phase's share of total
 // instrumented wall time. Phases that did not run are simply absent.
 func (s *Study) PhaseTimings() string {
-	t := report.NewTable("Phase timings", "phase", "wall", "share")
-	total := s.tel.Tracer.TotalWall()
-	var walk func(ps []obs.Phase, depth int)
-	walk = func(ps []obs.Phase, depth int) {
-		for _, p := range ps {
-			share := ""
-			if depth == 0 && total > 0 {
-				share = fmt.Sprintf("%.1f%%", 100*float64(p.Total)/float64(total))
-			}
-			t.AddRow(strings.Repeat("  ", depth)+p.Name, p.Total.Round(time.Microsecond).String(), share)
-			walk(p.Children, depth+1)
-		}
-	}
-	walk(s.tel.Tracer.PhaseSummary(), 0)
-	t.AddRow("total", total.Round(time.Microsecond).String(), "100.0%")
-	return t.String()
+	return tracez.PhaseTimings(s.tel.Tracer.Records())
 }
 
 // TelemetryReport renders the crawl summary, phase-timing table, and

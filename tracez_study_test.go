@@ -108,8 +108,17 @@ func TestTracezBundleInvariance(t *testing.T) {
 			t.Errorf("condition %q missing from sidecar (have %v)", want, conds)
 		}
 	}
-	if ex.Report == nil || len(ex.Report.CriticalPath) == 0 {
-		t.Error("sidecar trailer missing the phase critical-path report")
+	// The phase critical path comes from the run dir's trace.jsonl, as
+	// tracescope reads it.
+	rd, err := tracez.LoadRunDir(obsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Export == nil || len(rd.Export.Conditions) != len(ex.Conditions) {
+		t.Errorf("run dir did not load the sidecar: %+v", rd.Export)
+	}
+	if rep := tracez.Analyze(rd.Phases); len(rep.CriticalPath) == 0 {
+		t.Error("run dir yields no phase critical path")
 	}
 }
 
