@@ -24,9 +24,12 @@ test:
 # internal/raster run on every crawl worker at once: each worker has its
 # own Interp and method tables (one Program may run on many Interps, as
 # TestSharedProgramConcurrent checks), and each canvas context its own
-# Rasterizer.
+# Rasterizer. internal/canvas is here for its display-list memo, the one
+# canvas structure every crawl worker of a study shares
+# (TestMemoConcurrent: 8 goroutines extract overlapping drawings through
+# one memo).
 race:
-	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
+	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
 
 vet:
 	$(GO) vet ./...
@@ -45,7 +48,10 @@ fmt-check:
 # stop within the step budget and agree. FuzzCanvasOps drives the canvas
 # API a page script reaches with hostile arguments (NaN, ±Inf, ±1e300,
 # huge sizes) and requires every call to return within a deadline,
-# without a panic and with bounded allocation. FuzzSnapshotLoad feeds
+# without a panic and with bounded allocation. It is differential: each
+# input also runs on eager canvases, on display-list canvases without a
+# memo, and on ones sharing a memo, cold and warm, and all four must
+# trace, read and end with the same bytes. FuzzSnapshotLoad feeds
 # arbitrary snapshots/index.json bytes to snapshot.Load, which `serve
 # -bundle` and resume both read from disk, and requires an error or a
 # store whose every URL resolves to a content-matching blob under
@@ -71,9 +77,9 @@ check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-mo
 
 # paper-check reruns the three committed paper reports with the
 # commands EXPERIMENTS.md "Provenance" gives and requires each to be
-# byte-identical to the committed file. It takes about a minute and a
-# half on a 2-vCPU host; the paper-scale run is the long pole, at about
-# a minute and 1 GB of memory.
+# byte-identical to the committed file. It takes about 45 s on a 2-vCPU
+# host; the paper-scale run is the long pole, at 25-27 s and about
+# 600 MB of memory.
 PCHECK := .paper-check
 paper-check:
 	rm -rf $(PCHECK)

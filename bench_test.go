@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"canvassing/internal/blocklist"
+	"canvassing/internal/canvas"
 	"canvassing/internal/crawler"
 	"canvassing/internal/detect"
-	"canvassing/internal/imaging"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/tracez"
 	"canvassing/internal/stats"
@@ -220,21 +220,20 @@ func BenchmarkCrawlWithEvents(b *testing.B) {
 	b.ReportMetric(float64(cfg.Telemetry.Events.Total())/float64(b.N), "events")
 }
 
-// BenchmarkAblationRenderCache compares crawling with and without the
-// content-addressed toDataURL encode cache.
-func BenchmarkAblationRenderCache(b *testing.B) {
+// BenchmarkAblationDisplayList compares a crawl with its own
+// display-list memo, which serves a repeated drawing's data URL without
+// rasterising or encoding it again, against the same crawl without one.
+func BenchmarkAblationDisplayList(b *testing.B) {
 	w := web.Generate(web.Config{Seed: 5, Scale: 0.01, TrancoMax: 1_000_000})
 	sites := append(w.CohortSites(web.Popular), w.CohortSites(web.Tail)...)
-	cfg := crawler.DefaultConfig()
-	for _, enabled := range []bool{true, false} {
-		name := "cached"
-		if !enabled {
-			name = "uncached"
-		}
+	for _, name := range []string{"memo", "nomemo"} {
 		b.Run(name, func(b *testing.B) {
-			prev := imaging.SetEncodeCacheEnabled(enabled)
-			defer imaging.SetEncodeCacheEnabled(prev)
+			cfg := crawler.DefaultConfig()
 			for i := 0; i < b.N; i++ {
+				cfg.Memo = nil
+				if name == "memo" {
+					cfg.Memo = canvas.NewMemo()
+				}
 				crawler.Crawl(w, sites, cfg)
 			}
 		})

@@ -172,10 +172,37 @@ func TestOptionsHeuristic(t *testing.T) {
 	}
 }
 
+// TestCaseInsensitivity pins case-insensitive matching of patterns,
+// URLs, page hosts and $domain= options, through every entry point:
+// Rule.Matches, List.Match and List.ShouldBlock.
 func TestCaseInsensitivity(t *testing.T) {
-	r := mustRule(t, "||Tracker.NET^$script")
-	if !r.Matches(scriptReq("https://TRACKER.net/T.JS")) {
-		t.Fatal("matching should be case-insensitive")
+	for _, tc := range []struct {
+		rule, url, host string
+		want            bool
+	}{
+		{"||Tracker.NET^$script", "https://TRACKER.net/T.JS", "", true},
+		{"||tracker.net^", "HTTPS://Sub.Tracker.Net/x.js", "", true},
+		{"/FP/*/Collect^|", "https://cdn.example.com/fp/v2/COLLECT?", "", true},
+		{"|HTTPS://CDN.example.COM/fp.js|", "https://cdn.EXAMPLE.com/FP.JS", "", true},
+		{"/Banner.", "https://x.com/img/banner.gif", "", true},
+		{"/banner/", "https://x.com/BANNERS/a.js", "", false},
+		{"||ads.com^$domain=News.COM", "https://ads.com/a.js", "WWW.news.com", true},
+		{"||ads.com^$domain=news.com", "https://ads.com/a.js", "Other.COM", false},
+		{"||ads.com^$domain=~Blog.News.com", "https://ads.com/a.js", "BLOG.news.COM", false},
+		{"||ads.com^$domain=~blog.news.com", "https://ADS.com/a.js", "Shop.News.Com", true},
+		{"||münchen.de^", "https://MÜNCHEN.de/fp.js", "", true},
+	} {
+		req := Request{URL: tc.url, Type: TypeScript, PageHost: tc.host, ThirdParty: true}
+		l := ParseList("case", tc.rule)
+		got := [3]bool{mustRule(t, tc.rule).Matches(req), l.Match(req) != nil, l.ShouldBlock(req)}
+		if got != [3]bool{tc.want, tc.want, tc.want} {
+			t.Errorf("%q on %q from %q: Matches, Match, ShouldBlock = %v, want all %v", tc.rule, tc.url, tc.host, got, tc.want)
+		}
+	}
+	// A mixed-case exception overrides a block rule.
+	l := ParseList("case", "||Tracker.net^\n@@||TRACKER.NET/Allowed/")
+	if l.ShouldBlock(scriptReq("https://tracker.net/allowed/a.js")) || !l.ShouldBlock(scriptReq("https://TRACKER.net/other.js")) {
+		t.Fatal("a mixed-case exception rule must apply case-insensitively")
 	}
 }
 

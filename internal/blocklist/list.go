@@ -42,9 +42,11 @@ func (l *List) BlockRules() []*Rule { return l.block }
 // the raw "is this URL covered by the list" primitive the Table 4
 // analysis uses (no exception processing, matching adblockparser's
 // should_block on a single list with one rule set).
-func (l *List) Match(req Request) *Rule {
+func (l *List) Match(req Request) *Rule { return l.match(lowerRequest(req)) }
+
+func (l *List) match(req Request) *Rule {
 	for _, r := range l.block {
-		if r.Matches(req) {
+		if r.matches(req) {
 			return r
 		}
 	}
@@ -54,11 +56,12 @@ func (l *List) Match(req Request) *Rule {
 // ShouldBlock applies full ABP semantics: blocked if some block rule
 // matches and no exception rule does.
 func (l *List) ShouldBlock(req Request) bool {
-	if l.Match(req) == nil {
+	req = lowerRequest(req)
+	if l.match(req) == nil {
 		return false
 	}
 	for _, r := range l.exceptions {
-		if r.Matches(req) {
+		if r.matches(req) {
 			return false
 		}
 	}

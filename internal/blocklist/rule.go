@@ -48,7 +48,7 @@ type Rule struct {
 	Raw string
 	// Exception marks "@@" rules.
 	Exception bool
-	// pattern pieces (split on "*"), with anchoring flags.
+	// pattern pieces (lower-cased, split on "*"), with anchoring flags.
 	parts       []string
 	anchorStart bool // "|" prefix: match at start of URL
 	anchorEnd   bool // "|" suffix: match at end of URL
@@ -104,7 +104,9 @@ func ParseRule(line string) (*Rule, bool) {
 	if body == "" {
 		return nil, false
 	}
-	r.parts = strings.Split(body, "*")
+	// Matching is case-insensitive ($match-case is ignored), so the
+	// pattern is lowered once here and the request once per match.
+	r.parts = strings.Split(strings.ToLower(body), "*")
 	return r, true
 }
 
@@ -210,7 +212,17 @@ func (r *Rule) applyOptions(opts string) bool {
 func (r *Rule) DocumentOnly() bool { return r.hasDocOnly }
 
 // Matches reports whether the rule applies to req.
-func (r *Rule) Matches(req Request) bool {
+func (r *Rule) Matches(req Request) bool { return r.matches(lowerRequest(req)) }
+
+// lowerRequest lower-cases the request fields rules match against.
+func lowerRequest(req Request) Request {
+	req.URL = strings.ToLower(req.URL)
+	req.PageHost = strings.ToLower(req.PageHost)
+	return req
+}
+
+// matches is Matches on a request lowerRequest has already lowered.
+func (r *Rule) matches(req Request) bool {
 	// Option gating first (cheap).
 	if r.typeMask != nil && !r.typeMask[req.Type] {
 		return false
@@ -227,11 +239,10 @@ func (r *Rule) Matches(req Request) bool {
 	if len(r.domainsNot) > 0 && hostMatchesAny(req.PageHost, r.domainsNot) {
 		return false
 	}
-	return r.matchPattern(strings.ToLower(req.URL))
+	return r.matchPattern(req.URL)
 }
 
 func hostMatchesAny(host string, domains []string) bool {
-	host = strings.ToLower(host)
 	for _, d := range domains {
 		if host == d || strings.HasSuffix(host, "."+d) {
 			return true
@@ -248,7 +259,6 @@ func (r *Rule) matchPattern(url string) bool {
 	}
 	pos := 0
 	for i, part := range r.parts {
-		part = strings.ToLower(part)
 		if part == "" {
 			continue
 		}
@@ -266,7 +276,7 @@ func (r *Rule) matchPattern(url string) bool {
 		if last == "" {
 			return true
 		}
-		return matchesEnd(url, strings.ToLower(last))
+		return matchesEnd(url, last)
 	}
 	return true
 }
@@ -364,7 +374,7 @@ func matchDomainAnchored(url string, parts []string, anchorEnd bool) bool {
 			break
 		}
 	}
-	first := strings.ToLower(parts[0])
+	first := parts[0]
 	// Candidate start offsets: 0 or just after a '.' within the host.
 	for start := 0; start <= hostEnd; start++ {
 		if start != 0 && rest[start-1] != '.' {
@@ -377,7 +387,6 @@ func matchDomainAnchored(url string, parts []string, anchorEnd bool) bool {
 		pos := start + len(first)
 		ok := true
 		for _, part := range parts[1:] {
-			part = strings.ToLower(part)
 			if part == "" {
 				continue
 			}
@@ -391,7 +400,7 @@ func matchDomainAnchored(url string, parts []string, anchorEnd bool) bool {
 		if ok {
 			if anchorEnd {
 				last := lastNonEmpty(parts)
-				return matchesEnd(rest, strings.ToLower(last))
+				return matchesEnd(rest, last)
 			}
 			return true
 		}

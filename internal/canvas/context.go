@@ -74,6 +74,10 @@ type Context2D struct {
 	// buffers, so drawing stops allocating once they have grown.
 	r   raster.Rasterizer
 	pts []geom.Point
+
+	// grads are the gradients the element's display list created, in
+	// order; the list refers to them by index.
+	grads []*Gradient
 }
 
 func newContext2D(e *Element) *Context2D {
@@ -85,6 +89,7 @@ func (c *Context2D) resetState() {
 	c.stack = nil
 	c.path = nil
 	c.began = false
+	c.grads = nil
 }
 
 func (c *Context2D) trace(member string, args []string, ret string) {
@@ -103,6 +108,7 @@ func (c *Context2D) Canvas() *Element { return c.el }
 // Save pushes the current drawing state, as ctx.save().
 func (c *Context2D) Save() {
 	c.trace("save", nil, "")
+	c.rec(opSave, "")
 	c.stack = append(c.stack, c.state)
 }
 
@@ -110,6 +116,7 @@ func (c *Context2D) Save() {
 // is a no-op, matching the spec.
 func (c *Context2D) Restore() {
 	c.trace("restore", nil, "")
+	c.rec(opRestore, "")
 	if n := len(c.stack); n > 0 {
 		c.state = c.stack[n-1]
 		c.stack = c.stack[:n-1]
@@ -121,36 +128,42 @@ func (c *Context2D) Restore() {
 // Translate applies ctx.translate(x, y).
 func (c *Context2D) Translate(x, y float64) {
 	c.trace("translate", []string{fstr(x), fstr(y)}, "")
+	c.rec(opTranslate, "", x, y)
 	c.state.transform = c.state.transform.Translate(x, y)
 }
 
 // Scale applies ctx.scale(sx, sy).
 func (c *Context2D) Scale(sx, sy float64) {
 	c.trace("scale", []string{fstr(sx), fstr(sy)}, "")
+	c.rec(opScale, "", sx, sy)
 	c.state.transform = c.state.transform.Scale(sx, sy)
 }
 
 // Rotate applies ctx.rotate(theta).
 func (c *Context2D) Rotate(theta float64) {
 	c.trace("rotate", []string{fstr(theta)}, "")
+	c.rec(opRotate, "", theta)
 	c.state.transform = c.state.transform.Rotate(theta)
 }
 
 // Transform applies ctx.transform(a, b, c, d, e, f).
 func (c *Context2D) Transform(a, b, cc, d, e, f float64) {
 	c.trace("transform", []string{fstr(a), fstr(b), fstr(cc), fstr(d), fstr(e), fstr(f)}, "")
+	c.rec(opTransform, "", a, b, cc, d, e, f)
 	c.state.transform = c.state.transform.Mul(geom.Matrix{A: a, B: b, C: cc, D: d, E: e, F: f})
 }
 
 // SetTransform applies ctx.setTransform(a, b, c, d, e, f).
 func (c *Context2D) SetTransform(a, b, cc, d, e, f float64) {
 	c.trace("setTransform", []string{fstr(a), fstr(b), fstr(cc), fstr(d), fstr(e), fstr(f)}, "")
+	c.rec(opSetTransform, "", a, b, cc, d, e, f)
 	c.state.transform = geom.Matrix{A: a, B: b, C: cc, D: d, E: e, F: f}
 }
 
 // ResetTransform applies ctx.resetTransform().
 func (c *Context2D) ResetTransform() {
 	c.trace("resetTransform", nil, "")
+	c.rec(opResetTransform, "")
 	c.state.transform = geom.Identity()
 }
 
@@ -160,6 +173,7 @@ func (c *Context2D) ResetTransform() {
 // colors are ignored, as in browsers.
 func (c *Context2D) SetFillStyle(style string) {
 	c.trace("fillStyle=", []string{style}, "")
+	c.rec(opFillStyle, style)
 	if col, ok := ParseColor(style); ok {
 		c.state.fillPaint = raster.Solid{C: col}
 		c.state.fillStyleStr = style
@@ -170,6 +184,7 @@ func (c *Context2D) SetFillStyle(style string) {
 func (c *Context2D) SetFillGradient(g raster.Paint) {
 	c.trace("fillStyle=", []string{"[object CanvasGradient]"}, "")
 	if g != nil {
+		c.recGradient(opFillGradient, g)
 		c.state.fillPaint = g
 		c.state.fillStyleStr = "[object CanvasGradient]"
 	}
@@ -184,6 +199,7 @@ func (c *Context2D) FillStyle() string {
 // SetStrokeStyle assigns ctx.strokeStyle from a CSS color string.
 func (c *Context2D) SetStrokeStyle(style string) {
 	c.trace("strokeStyle=", []string{style}, "")
+	c.rec(opStrokeStyle, style)
 	if col, ok := ParseColor(style); ok {
 		c.state.strokePaint = raster.Solid{C: col}
 		c.state.strokeStyle = style
@@ -194,6 +210,7 @@ func (c *Context2D) SetStrokeStyle(style string) {
 func (c *Context2D) SetStrokeGradient(g raster.Paint) {
 	c.trace("strokeStyle=", []string{"[object CanvasGradient]"}, "")
 	if g != nil {
+		c.recGradient(opStrokeGradient, g)
 		c.state.strokePaint = g
 		c.state.strokeStyle = "[object CanvasGradient]"
 	}
@@ -203,6 +220,7 @@ func (c *Context2D) SetStrokeGradient(g raster.Paint) {
 // are ignored per spec.
 func (c *Context2D) SetLineWidth(w float64) {
 	c.trace("lineWidth=", []string{fstr(w)}, "")
+	c.rec(opLineWidth, "", w)
 	if w > 0 && !math.IsInf(w, 0) && !math.IsNaN(w) {
 		c.state.lineWidth = w
 	}
@@ -211,6 +229,7 @@ func (c *Context2D) SetLineWidth(w float64) {
 // SetLineCap assigns ctx.lineCap.
 func (c *Context2D) SetLineCap(s string) {
 	c.trace("lineCap=", []string{s}, "")
+	c.rec(opLineCap, s)
 	if v, ok := raster.ParseLineCap(s); ok {
 		c.state.lineCap = v
 	}
@@ -219,6 +238,7 @@ func (c *Context2D) SetLineCap(s string) {
 // SetLineJoin assigns ctx.lineJoin.
 func (c *Context2D) SetLineJoin(s string) {
 	c.trace("lineJoin=", []string{s}, "")
+	c.rec(opLineJoin, s)
 	if v, ok := raster.ParseLineJoin(s); ok {
 		c.state.lineJoin = v
 	}
@@ -227,6 +247,7 @@ func (c *Context2D) SetLineJoin(s string) {
 // SetMiterLimit assigns ctx.miterLimit.
 func (c *Context2D) SetMiterLimit(v float64) {
 	c.trace("miterLimit=", []string{fstr(v)}, "")
+	c.rec(opMiterLimit, "", v)
 	if v > 0 {
 		c.state.miterLimit = v
 	}
@@ -240,6 +261,7 @@ func (c *Context2D) SetLineDash(segments []float64) {
 		args[i] = fstr(s)
 	}
 	c.trace("setLineDash", args, "")
+	c.rec(opLineDash, "", segments...)
 	for _, s := range segments {
 		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return
@@ -257,6 +279,7 @@ func (c *Context2D) GetLineDash() []float64 {
 // SetLineDashOffset assigns ctx.lineDashOffset.
 func (c *Context2D) SetLineDashOffset(v float64) {
 	c.trace("lineDashOffset=", []string{fstr(v)}, "")
+	c.rec(opLineDashOffset, "", v)
 	if !math.IsNaN(v) && !math.IsInf(v, 0) {
 		c.state.dashOffset = v
 	}
@@ -265,6 +288,7 @@ func (c *Context2D) SetLineDashOffset(v float64) {
 // SetGlobalAlpha assigns ctx.globalAlpha; out-of-range values ignored.
 func (c *Context2D) SetGlobalAlpha(a float64) {
 	c.trace("globalAlpha=", []string{fstr(a)}, "")
+	c.rec(opGlobalAlpha, "", a)
 	if a >= 0 && a <= 1 {
 		c.state.globalAlpha = a
 	}
@@ -273,6 +297,7 @@ func (c *Context2D) SetGlobalAlpha(a float64) {
 // SetGlobalCompositeOperation assigns ctx.globalCompositeOperation.
 func (c *Context2D) SetGlobalCompositeOperation(s string) {
 	c.trace("globalCompositeOperation=", []string{s}, "")
+	c.rec(opComposite, s)
 	if op, ok := raster.ParseCompositeOp(s); ok {
 		c.state.compositeOp = op
 	}
@@ -289,6 +314,7 @@ func (c *Context2D) GlobalCompositeOperation() string {
 // maps shadowColor/shadowOffsetX/... assignments onto it).
 func (c *Context2D) SetShadow(colorStr string, ox, oy, blur float64) {
 	c.trace("shadowColor=", []string{colorStr, fstr(ox), fstr(oy), fstr(blur)}, "")
+	c.rec(opShadow, colorStr, ox, oy, blur)
 	if col, ok := ParseColor(colorStr); ok {
 		c.state.shadowColor = col
 	}
@@ -303,6 +329,9 @@ func (c *Context2D) SetShadow(colorStr string, ox, oy, blur float64) {
 // FillRect draws a filled rectangle, as ctx.fillRect.
 func (c *Context2D) FillRect(x, y, w, h float64) {
 	c.trace("fillRect", []string{fstr(x), fstr(y), fstr(w), fstr(h)}, "")
+	if c.rec(opFillRect, "", x, y, w, h) {
+		return
+	}
 	poly := c.transformedRect(x, y, w, h)
 	if c.hasShadow() {
 		c.paintShadow([][]geom.Point{poly})
@@ -313,6 +342,9 @@ func (c *Context2D) FillRect(x, y, w, h float64) {
 // StrokeRect draws a rectangle outline, as ctx.strokeRect.
 func (c *Context2D) StrokeRect(x, y, w, h float64) {
 	c.trace("strokeRect", []string{fstr(x), fstr(y), fstr(w), fstr(h)}, "")
+	if c.rec(opStrokeRect, "", x, y, w, h) {
+		return
+	}
 	poly := c.transformedRect(x, y, w, h)
 	r := c.rasterizer()
 	r.Stroke(poly, true, c.strokeStyleNow())
@@ -324,6 +356,9 @@ func (c *Context2D) StrokeRect(x, y, w, h float64) {
 // scale are honored; rotation falls back to the bounding box).
 func (c *Context2D) ClearRect(x, y, w, h float64) {
 	c.trace("clearRect", []string{fstr(x), fstr(y), fstr(w), fstr(h)}, "")
+	if c.rec(opClearRect, "", x, y, w, h) {
+		return
+	}
 	poly := c.transformedRect(x, y, w, h)
 	bounds := geom.Rect{}
 	for _, p := range poly {
@@ -349,6 +384,7 @@ func (c *Context2D) transformedRect(x, y, w, h float64) []geom.Point {
 // BeginPath starts a new path, as ctx.beginPath().
 func (c *Context2D) BeginPath() {
 	c.trace("beginPath", nil, "")
+	c.rec(opBeginPath, "")
 	c.path = c.path[:0]
 	c.began = true
 }
@@ -356,6 +392,7 @@ func (c *Context2D) BeginPath() {
 // ClosePath closes the current subpath, as ctx.closePath().
 func (c *Context2D) ClosePath() {
 	c.trace("closePath", nil, "")
+	c.rec(opClosePath, "")
 	if n := len(c.path); n > 0 && len(c.path[n-1].pts) > 0 {
 		c.path[n-1].closed = true
 		c.cur = c.path[n-1].pts[0]
@@ -365,6 +402,7 @@ func (c *Context2D) ClosePath() {
 // MoveTo starts a new subpath at (x, y), as ctx.moveTo.
 func (c *Context2D) MoveTo(x, y float64) {
 	c.trace("moveTo", []string{fstr(x), fstr(y)}, "")
+	c.rec(opMoveTo, "", x, y)
 	p := c.state.transform.Apply(geom.Pt(x, y))
 	c.path = append(c.path, subpath{pts: []geom.Point{p}})
 	c.cur = p
@@ -372,9 +410,15 @@ func (c *Context2D) MoveTo(x, y float64) {
 
 // LineTo appends a line segment, as ctx.lineTo.
 func (c *Context2D) LineTo(x, y float64) {
+	c.rec(opLineTo, "", x, y)
+	c.lineTo(x, y)
+}
+
+// lineTo is LineTo unrecorded: the segments arcTo adds are part of its
+// own recorded call, though the page's trace still shows them.
+func (c *Context2D) lineTo(x, y float64) {
 	c.trace("lineTo", []string{fstr(x), fstr(y)}, "")
-	p := c.state.transform.Apply(geom.Pt(x, y))
-	c.appendPoint(p)
+	c.appendPoint(c.state.transform.Apply(geom.Pt(x, y)))
 }
 
 // appendPoint adds p to the last subpath, starting one implicitly if none
@@ -392,6 +436,7 @@ func (c *Context2D) appendPoint(p geom.Point) {
 // QuadraticCurveTo appends a quadratic Bézier, as ctx.quadraticCurveTo.
 func (c *Context2D) QuadraticCurveTo(cpx, cpy, x, y float64) {
 	c.trace("quadraticCurveTo", []string{fstr(cpx), fstr(cpy), fstr(x), fstr(y)}, "")
+	c.rec(opQuadraticCurveTo, "", cpx, cpy, x, y)
 	m := c.state.transform
 	cp := m.Apply(geom.Pt(cpx, cpy))
 	end := m.Apply(geom.Pt(x, y))
@@ -404,6 +449,7 @@ func (c *Context2D) QuadraticCurveTo(cpx, cpy, x, y float64) {
 // BezierCurveTo appends a cubic Bézier, as ctx.bezierCurveTo.
 func (c *Context2D) BezierCurveTo(c1x, c1y, c2x, c2y, x, y float64) {
 	c.trace("bezierCurveTo", []string{fstr(c1x), fstr(c1y), fstr(c2x), fstr(c2y), fstr(x), fstr(y)}, "")
+	c.rec(opBezierCurveTo, "", c1x, c1y, c2x, c2y, x, y)
 	m := c.state.transform
 	c1 := m.Apply(geom.Pt(c1x, c1y))
 	c2 := m.Apply(geom.Pt(c2x, c2y))
@@ -427,6 +473,7 @@ func (c *Context2D) ensureStart(fallback geom.Point) geom.Point {
 // Arc appends a circular arc, as ctx.arc(x, y, r, a0, a1, ccw).
 func (c *Context2D) Arc(x, y, radius, a0, a1 float64, ccw bool) {
 	c.trace("arc", []string{fstr(x), fstr(y), fstr(radius), fstr(a0), fstr(a1), fmt.Sprint(ccw)}, "")
+	c.rec(opArc, "", x, y, radius, a0, a1, b2f(ccw))
 	pts := geom.FlattenArc(nil, geom.Pt(x, y), radius, a0, a1, ccw, 0.2)
 	m := c.state.transform
 	for i, p := range pts {
@@ -446,6 +493,7 @@ func (c *Context2D) Arc(x, y, radius, a0, a1 float64, ccw bool) {
 // the spec requires.
 func (c *Context2D) ArcTo(x1, y1, x2, y2, radius float64) {
 	c.trace("arcTo", []string{fstr(x1), fstr(y1), fstr(x2), fstr(y2), fstr(radius)}, "")
+	c.rec(opArcTo, "", x1, y1, x2, y2, radius)
 	m := c.state.transform
 	p1 := geom.Pt(x1, y1)
 	p2 := geom.Pt(x2, y2)
@@ -466,7 +514,7 @@ func (c *Context2D) ArcTo(x1, y1, x2, y2, radius float64) {
 	d2 := p2.Sub(p1)
 	cross := d0.Cross(d2)
 	if radius <= 0 || d0.Len() == 0 || d2.Len() == 0 || math.Abs(cross) < 1e-9 {
-		c.LineTo(x1, y1)
+		c.lineTo(x1, y1)
 		return
 	}
 	u0 := d0.Normalize()
@@ -492,7 +540,7 @@ func (c *Context2D) ArcTo(x1, y1, x2, y2, radius float64) {
 		delta += 2 * math.Pi
 	}
 	ccw := delta < 0
-	c.LineTo(t0.X, t0.Y)
+	c.lineTo(t0.X, t0.Y)
 	pts := geom.FlattenArc(nil, center, radius, a0, a1, ccw, 0.2)
 	for _, p := range pts[1:] {
 		dp := m.Apply(p)
@@ -551,6 +599,7 @@ func (c *Context2D) IsPointInPath(x, y float64, rule string) bool {
 // honored via the path transform).
 func (c *Context2D) Ellipse(x, y, rx, ry, rotation, a0, a1 float64, ccw bool) {
 	c.trace("ellipse", []string{fstr(x), fstr(y), fstr(rx), fstr(ry), fstr(rotation), fstr(a0), fstr(a1), fmt.Sprint(ccw)}, "")
+	c.rec(opEllipse, "", x, y, rx, ry, rotation, a0, a1, b2f(ccw))
 	if rx < 0 || ry < 0 {
 		return
 	}
@@ -572,6 +621,7 @@ func (c *Context2D) Ellipse(x, y, rx, ry, rotation, a0, a1 float64, ccw bool) {
 // Rect appends a closed rectangle subpath, as ctx.rect.
 func (c *Context2D) Rect(x, y, w, h float64) {
 	c.trace("rect", []string{fstr(x), fstr(y), fstr(w), fstr(h)}, "")
+	c.rec(opRect, "", x, y, w, h)
 	poly := c.transformedRect(x, y, w, h)
 	c.path = append(c.path, subpath{pts: poly, closed: true})
 	c.cur = poly[0]
@@ -582,6 +632,9 @@ func (c *Context2D) Rect(x, y, w, h float64) {
 // Fill fills the current path, as ctx.fill(rule).
 func (c *Context2D) Fill(rule string) {
 	c.trace("fill", []string{rule}, "")
+	if c.rec(opFill, rule) {
+		return
+	}
 	fr := raster.NonZero
 	if rule == "evenodd" {
 		fr = raster.EvenOdd
@@ -601,6 +654,9 @@ func (c *Context2D) Fill(rule string) {
 // Stroke strokes the current path, as ctx.stroke().
 func (c *Context2D) Stroke() {
 	c.trace("stroke", nil, "")
+	if c.rec(opStroke, "") {
+		return
+	}
 	r := c.rasterizer()
 	st := c.strokeStyleNow()
 	for _, sp := range c.path {
@@ -616,6 +672,7 @@ func (c *Context2D) Stroke() {
 // exact for the rect() clips page scripts overwhelmingly use.
 func (c *Context2D) Clip() {
 	c.trace("clip", nil, "")
+	c.rec(opClip, "")
 	bounds := geom.Rect{}
 	for _, sp := range c.path {
 		for _, p := range sp.pts {
@@ -733,6 +790,9 @@ type Gradient struct {
 // Invalid colors are ignored.
 func (g *Gradient) AddColorStop(pos float64, colorStr string) {
 	g.ctx.trace("addColorStop", []string{fstr(pos), colorStr}, "")
+	if i := g.ctx.gradIndex(g.Paint()); i >= 0 {
+		g.ctx.rec(opColorStop, colorStr, float64(i), pos)
+	}
 	col, ok := ParseColor(colorStr)
 	if !ok {
 		return
@@ -759,7 +819,11 @@ func (c *Context2D) CreateLinearGradient(x0, y0, x1, y1 float64) *Gradient {
 	m := c.state.transform
 	p0 := m.Apply(geom.Pt(x0, y0))
 	p1 := m.Apply(geom.Pt(x1, y1))
-	return &Gradient{ctx: c, lin: raster.NewLinearGradient(p0.X, p0.Y, p1.X, p1.Y)}
+	g := &Gradient{ctx: c, lin: raster.NewLinearGradient(p0.X, p0.Y, p1.X, p1.Y)}
+	if c.rec(opLinearGradient, "", x0, y0, x1, y1) {
+		c.grads = append(c.grads, g)
+	}
+	return g
 }
 
 // CreateRadialGradient implements a simplified ctx.createRadialGradient
@@ -772,7 +836,11 @@ func (c *Context2D) CreateRadialGradient(x0, y0, r0, x1, y1, r1 float64) *Gradie
 	if scale == 0 {
 		scale = 1
 	}
-	return &Gradient{ctx: c, rad: raster.NewRadialGradient(p1.X, p1.Y, r1*scale)}
+	g := &Gradient{ctx: c, rad: raster.NewRadialGradient(p1.X, p1.Y, r1*scale)}
+	if c.rec(opRadialGradient, "", x0, y0, r0, x1, y1, r1) {
+		c.grads = append(c.grads, g)
+	}
+	return g
 }
 
 // --- pixel access -------------------------------------------------------------------

@@ -1,0 +1,274 @@
+package canvas
+
+import (
+	"encoding/binary"
+	"math"
+	"sync"
+
+	"canvassing/internal/imaging"
+	"canvassing/internal/raster"
+)
+
+// A canvas's pixels are a function of the 2D calls drawn on it and its
+// machine profile, and fingerprinting scripts draw the same test canvas
+// on every site they run on. So an element records the Context2D calls
+// it receives after a blank bitmap as a display list, and rasterises
+// only when a pixel is first read (bitmap), by replaying the list
+// through the same Context2D code onto its own bitmap. A hook-free
+// toDataURL of a still-recording element looks the list up in a Memo
+// first, so a drawing the study has already extracted is neither
+// rasterised nor encoded again.
+//
+// The list is bytes: per call an opcode, the count of its float64
+// arguments, their bits, and one length-prefixed string. Gradients are
+// numbered in the order the list created them.
+
+type opcode byte
+
+const (
+	opSave opcode = iota
+	opRestore
+	opTranslate
+	opScale
+	opRotate
+	opTransform
+	opSetTransform
+	opResetTransform
+	opFillStyle
+	opFillGradient
+	opStrokeStyle
+	opStrokeGradient
+	opLineWidth
+	opLineCap
+	opLineJoin
+	opMiterLimit
+	opLineDash
+	opLineDashOffset
+	opGlobalAlpha
+	opComposite
+	opShadow
+	opFont
+	opTextAlign
+	opTextBaseline
+	opFillRect
+	opStrokeRect
+	opClearRect
+	opBeginPath
+	opClosePath
+	opMoveTo
+	opLineTo
+	opQuadraticCurveTo
+	opBezierCurveTo
+	opArc
+	opArcTo
+	opEllipse
+	opRect
+	opFill
+	opStroke
+	opClip
+	opFillText
+	opStrokeText
+	opLinearGradient
+	opRadialGradient
+	opColorStop
+)
+
+// maxListBytes caps a display list. A call that would grow a list past
+// it takes the element live first, so one list is replayed at most once
+// and no page can grow one without bound.
+const maxListBytes = 64 << 10
+
+// rec appends a call to the element's display list and reports whether
+// the element is recording. A draw call returns early when it is; state
+// and path calls apply eagerly either way, because getters, measureText
+// and isPointInPath read them.
+func (c *Context2D) rec(op opcode, s string, a ...float64) bool {
+	e := c.el
+	if e.img != nil {
+		return false
+	}
+	// Checked before appending: the call that trips the cap must run
+	// eagerly after the replay, not be replayed as well.
+	if len(e.ops)+1+2*binary.MaxVarintLen64+8*len(a)+len(s) > maxListBytes {
+		e.bitmap()
+		return false
+	}
+	e.ops = append(e.ops, byte(op))
+	e.ops = binary.AppendUvarint(e.ops, uint64(len(a)))
+	for _, v := range a {
+		e.ops = binary.LittleEndian.AppendUint64(e.ops, math.Float64bits(v))
+	}
+	e.ops = binary.AppendUvarint(e.ops, uint64(len(s)))
+	e.ops = append(e.ops, s...)
+	return true
+}
+
+// b2f records a bool argument as 0 or 1.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// recGradient records assigning g as a fill or stroke paint. A gradient
+// this list did not create has no number in it, so the element goes
+// live instead.
+func (c *Context2D) recGradient(op opcode, g raster.Paint) {
+	if i := c.gradIndex(g); i >= 0 {
+		c.rec(op, "", float64(i))
+	} else {
+		c.el.bitmap()
+	}
+}
+
+// gradIndex returns the number of the gradient painting p in this
+// context's display list, or -1.
+func (c *Context2D) gradIndex(p raster.Paint) int {
+	for i, g := range c.grads {
+		if g.Paint() == p {
+			return i
+		}
+	}
+	return -1
+}
+
+// replay draws the display list onto the element's fresh bitmap and
+// empties it. The calls run on a context and element of their own with
+// no tracer and no extraction hook: materialising is invisible to the
+// page's call record.
+func (e *Element) replay() {
+	if len(e.ops) > 0 {
+		c := newContext2D(&Element{width: e.width, height: e.height, img: e.img, profile: e.profile})
+		var s string
+		var a []float64
+		// play repeats each recorded call, indexed by opcode, with the
+		// string and numbers decoded into s and a.
+		play := [...]func(){
+			opSave:             c.Save,
+			opRestore:          c.Restore,
+			opTranslate:        func() { c.Translate(a[0], a[1]) },
+			opScale:            func() { c.Scale(a[0], a[1]) },
+			opRotate:           func() { c.Rotate(a[0]) },
+			opTransform:        func() { c.Transform(a[0], a[1], a[2], a[3], a[4], a[5]) },
+			opSetTransform:     func() { c.SetTransform(a[0], a[1], a[2], a[3], a[4], a[5]) },
+			opResetTransform:   c.ResetTransform,
+			opFillStyle:        func() { c.SetFillStyle(s) },
+			opFillGradient:     func() { c.SetFillGradient(c.grads[int(a[0])].Paint()) },
+			opStrokeStyle:      func() { c.SetStrokeStyle(s) },
+			opStrokeGradient:   func() { c.SetStrokeGradient(c.grads[int(a[0])].Paint()) },
+			opLineWidth:        func() { c.SetLineWidth(a[0]) },
+			opLineCap:          func() { c.SetLineCap(s) },
+			opLineJoin:         func() { c.SetLineJoin(s) },
+			opMiterLimit:       func() { c.SetMiterLimit(a[0]) },
+			opLineDash:         func() { c.SetLineDash(a) },
+			opLineDashOffset:   func() { c.SetLineDashOffset(a[0]) },
+			opGlobalAlpha:      func() { c.SetGlobalAlpha(a[0]) },
+			opComposite:        func() { c.SetGlobalCompositeOperation(s) },
+			opShadow:           func() { c.SetShadow(s, a[0], a[1], a[2]) },
+			opFont:             func() { c.SetFont(s) },
+			opTextAlign:        func() { c.SetTextAlign(s) },
+			opTextBaseline:     func() { c.SetTextBaseline(s) },
+			opFillRect:         func() { c.FillRect(a[0], a[1], a[2], a[3]) },
+			opStrokeRect:       func() { c.StrokeRect(a[0], a[1], a[2], a[3]) },
+			opClearRect:        func() { c.ClearRect(a[0], a[1], a[2], a[3]) },
+			opBeginPath:        c.BeginPath,
+			opClosePath:        c.ClosePath,
+			opMoveTo:           func() { c.MoveTo(a[0], a[1]) },
+			opLineTo:           func() { c.LineTo(a[0], a[1]) },
+			opQuadraticCurveTo: func() { c.QuadraticCurveTo(a[0], a[1], a[2], a[3]) },
+			opBezierCurveTo:    func() { c.BezierCurveTo(a[0], a[1], a[2], a[3], a[4], a[5]) },
+			opArc:              func() { c.Arc(a[0], a[1], a[2], a[3], a[4], a[5] != 0) },
+			opArcTo:            func() { c.ArcTo(a[0], a[1], a[2], a[3], a[4]) },
+			opEllipse:          func() { c.Ellipse(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] != 0) },
+			opRect:             func() { c.Rect(a[0], a[1], a[2], a[3]) },
+			opFill:             func() { c.Fill(s) },
+			opStroke:           c.Stroke,
+			opClip:             c.Clip,
+			opFillText:         func() { c.FillText(s, a[0], a[1]) },
+			opStrokeText:       func() { c.StrokeText(s, a[0], a[1]) },
+			opLinearGradient:   func() { c.grads = append(c.grads, c.CreateLinearGradient(a[0], a[1], a[2], a[3])) },
+			opRadialGradient:   func() { c.grads = append(c.grads, c.CreateRadialGradient(a[0], a[1], a[2], a[3], a[4], a[5])) },
+			opColorStop:        func() { c.grads[int(a[0])].AddColorStop(a[1], s) },
+		}
+		for b := e.ops; len(b) > 0; {
+			op := b[0]
+			n, k := binary.Uvarint(b[1:])
+			b = b[1+k:]
+			a = a[:0]
+			for ; n > 0; n-- {
+				a = append(a, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+				b = b[8:]
+			}
+			n, k = binary.Uvarint(b)
+			s = string(b[k : k+int(n)])
+			b = b[k+int(n):]
+			play[op]()
+		}
+	}
+	e.ops = nil
+	if e.ctx != nil {
+		e.ctx.grads = nil
+	}
+}
+
+// memoKey identifies what a hook-free toDataURL of the recording element
+// returns: the profile's rendering parameters (not the pointer: every
+// crawl builds its profile afresh), the size, the format, the quality
+// the encoder will use, and the display list.
+func (e *Element) memoKey(f imaging.Format, quality float64) []byte {
+	p := e.profile
+	k := make([]byte, 0, 80+len(p.Name)+len(e.ops))
+	for _, s := range []string{p.Name, string(f)} {
+		k = binary.AppendUvarint(k, uint64(len(s)))
+		k = append(k, s...)
+	}
+	for _, v := range []uint64{p.Seed, math.Float64bits(p.Gamma), math.Float64bits(p.AAStrength),
+		math.Float64bits(p.SubpixelJitter), uint64(e.width), uint64(e.height), math.Float64bits(f.Quality(quality))} {
+		k = binary.LittleEndian.AppendUint64(k, v)
+	}
+	return append(k, e.ops...)
+}
+
+// Memo maps drawings to the data URLs hook-free toDataURL calls return
+// for them. One study shares one Memo across its crawls and their
+// workers, so it is safe for concurrent use. A map lookup compares the
+// whole key, display list included, so a hit is exact. Its size is
+// bounded by bytes: it empties when full.
+type Memo struct {
+	mu    sync.RWMutex
+	urls  map[string]string
+	size  int // bytes of keys and values held
+	limit int
+}
+
+// memoBytes bounds a Memo. A Scale 0.1 study's 251 distinct drawings
+// take 0.88 MB at seed 3.
+const memoBytes = 64 << 20
+
+// NewMemo returns an empty Memo.
+func NewMemo() *Memo { return &Memo{urls: map[string]string{}, limit: memoBytes} }
+
+func (m *Memo) get(key []byte) (string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	u, ok := m.urls[string(key)]
+	return u, ok
+}
+
+func (m *Memo) put(key []byte, u string) {
+	n := len(key) + len(u)
+	if n > m.limit {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.urls[string(key)]; ok {
+		return // another worker drew the same list first
+	}
+	if m.size+n > m.limit {
+		m.urls, m.size = map[string]string{}, 0
+	}
+	m.urls[string(key)] = u
+	m.size += n
+}

@@ -39,15 +39,20 @@ func (f TracerFunc) Trace(iface, member string, args []string, ret string) {
 // hook returns pixels unchanged.
 type ExtractHook func(img *raster.Image) *raster.Image
 
-// Element is an HTMLCanvasElement.
+// Element is an HTMLCanvasElement. It starts out recording: img is nil
+// and ops, the display list, grows with every 2D call (see rec). The
+// first pixel read materialises it (see bitmap); from then on it draws
+// eagerly until a width or height assignment resets it.
 type Element struct {
 	width, height int
-	img           *raster.Image // nil until first pixel access; see bitmap
+	img           *raster.Image // nil while recording
+	ops           []byte
 	ctx           *Context2D
 	glctx         *WebGLContext
 	profile       *machine.Profile
 	tracer        Tracer
 	extractHook   ExtractHook
+	memo          *Memo
 }
 
 // defaultW and defaultH are the spec-mandated default canvas size.
@@ -81,11 +86,11 @@ func New(profile *machine.Profile) *Element {
 	}
 }
 
-// bitmap returns the canvas pixels, allocating them transparent black
-// on first use, so a script's usual createElement, width=, height=
-// sequence allocates one bitmap rather than three. Every pixel access
-// goes through it. A canvas over the size limits gets a 0×0 image: draws
-// on it are no-ops and reads see transparent black.
+// bitmap returns the canvas pixels. On a recording element it
+// allocates them transparent black, replays the display list onto them
+// and leaves the element live. Every pixel access goes through it. A
+// canvas over the size limits gets a 0×0 image: draws on it are no-ops
+// and reads see transparent black.
 func (e *Element) bitmap() *raster.Image {
 	if e.img == nil {
 		if e.width <= maxSide && e.height <= maxSide && fitsArea(e.width, e.height) {
@@ -93,6 +98,7 @@ func (e *Element) bitmap() *raster.Image {
 		} else {
 			e.img = &raster.Image{}
 		}
+		e.replay()
 	}
 	return e.img
 }
@@ -103,6 +109,10 @@ func (e *Element) SetTracer(t Tracer) { e.tracer = t }
 
 // SetExtractHook installs a pixel-extraction hook (randomization defense).
 func (e *Element) SetExtractHook(h ExtractHook) { e.extractHook = h }
+
+// SetMemo shares m's data URLs with this element's hook-free toDataURL
+// calls. Nil, the default, shares nothing.
+func (e *Element) SetMemo(m *Memo) { e.memo = m }
 
 // Profile returns the machine profile this element renders on.
 func (e *Element) Profile() *machine.Profile { return e.profile }
@@ -149,6 +159,7 @@ func (e *Element) SetHeight(h int) {
 
 func (e *Element) resetBitmap() {
 	e.img = nil
+	e.ops = e.ops[:0]
 	if e.ctx != nil {
 		e.ctx.resetState()
 	}
@@ -184,23 +195,42 @@ func (e *Element) Image() *raster.Image { return e.bitmap() }
 
 // ToDataURL encodes the current bitmap as a data: URL. The format string
 // follows toDataURL's first argument ("" means PNG); quality applies to
-// lossy formats with <=0 selecting the 0.92 default. A canvas over the
-// size limits has no pixels and gives "data:,", as the spec says.
+// lossy formats, with values outside (0, 1] selecting the 0.92 default.
+// A canvas over the size limits has no pixels and gives "data:,", as
+// the spec says. A recording element with a memo and no extraction hook
+// takes the URL from the memo when its drawing is there, and adds it
+// when not.
 func (e *Element) ToDataURL(format string, quality float64) string {
-	u := "data:,"
-	if img := e.bitmap(); len(img.Pix) > 0 {
-		f := imaging.ParseFormat(format)
-		if e.extractHook != nil {
-			img = e.extractHook(img)
+	f := imaging.ParseFormat(format)
+	var key []byte
+	u, ok := "", false
+	if e.img == nil && e.extractHook == nil && e.memo != nil {
+		key = e.memoKey(f, quality)
+		u, ok = e.memo.get(key)
+	}
+	if !ok {
+		u = e.encode(f, quality)
+		if key != nil {
+			e.memo.put(key, u)
 		}
-		data, err := imaging.EncodeCached(img, f, quality)
-		if err != nil {
-			// Encoding a valid in-memory image cannot fail with stdlib
-			// codecs; keep the API total anyway.
-			data = nil
-		}
-		u = imaging.DataURL(f, data)
 	}
 	e.trace("toDataURL", []string{format}, u)
 	return u
+}
+
+func (e *Element) encode(f imaging.Format, quality float64) string {
+	img := e.bitmap()
+	if len(img.Pix) == 0 {
+		return "data:,"
+	}
+	if e.extractHook != nil {
+		img = e.extractHook(img)
+	}
+	data, err := imaging.Encode(img, f, quality)
+	if err != nil {
+		// Encoding a valid in-memory image cannot fail with stdlib
+		// codecs; keep the API total anyway.
+		data = nil
+	}
+	return imaging.DataURL(f, data)
 }

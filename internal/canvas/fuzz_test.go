@@ -1,8 +1,11 @@
 package canvas
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -12,12 +15,18 @@ import (
 
 // FuzzCanvasOps decodes its input into a sequence of Element and
 // Context2D calls on two canvases — sizes, transforms, paths, text,
-// dashes, shadows, Get/Put/CreateImageData, drawImage between the two,
-// toDataURL, and the WebGL draw path — with NaN, ±Inf, ±1e300 and huge
-// sizes among the arguments. Page scripts reach every one of these
-// calls with arguments of their choosing, and jsvm's step budget cannot
-// stop a native call, so each call must return within a deadline,
-// without a panic and with bounded allocation.
+// dashes, shadows, gradients, Get/Put/CreateImageData, drawImage
+// between the two, toDataURL, and the WebGL draw path — with NaN, ±Inf,
+// ±1e300 and huge sizes among the arguments. Page scripts reach every
+// one of these calls with arguments of their choosing, and jsvm's step
+// budget cannot stop a native call, so each call must return within a
+// deadline, without a panic and with bounded allocation.
+//
+// It is also differential. Each input runs on eager elements, which
+// draw every call as it comes; on recording elements without a memo;
+// and on recording elements sharing one memo, cold and then warm. The
+// four runs must agree on every traced call and return (every toDataURL
+// URL included), on every getImageData's bytes and on the final pixels.
 func FuzzCanvasOps(f *testing.F) {
 	// The repros of the hostile inputs the canvas and raster layers used
 	// to crash, exhaust memory or hang on.
@@ -33,61 +42,126 @@ func FuzzCanvasOps(f *testing.F) {
 		"beginPath", "moveTo", 0, 10, "lineTo", 30, 10, "stroke"))
 	f.Add(fuzzSeed("setLineDash", byte(1), 1e-6, "beginPath", "moveTo", 0, 10, "lineTo", 30, 10, "stroke"))
 	f.Add(fuzzSeed("fillStyle", byte(2), "fillRect", 0, 0, 4, 4, "webglDraw", -1, 3))
+	f.Add(fuzzSeed("toDataURL", byte(2), math.NaN()))
 	// A fingerprinting-shaped scene across both canvases.
 	f.Add(fuzzSeed("width", 160, "height", 40, "font", byte(0), "fillStyle", byte(0),
 		"fillRect", 100, 1, 50, 20, "shadow", byte(1), 2, 2, 3, "fillText", byte(0), 2, 15,
 		"rotate", 0.5, "arc", 50, 20, 15, 0, 6.3, 0, "stroke", "swap", "drawImage", 5, 5,
 		"getImageData", 0, 0, 12, 12, "putImageData", 3, 3, "toDataURL", byte(0)))
+	// The same scene twice on one canvas, so the memo can hit.
+	scene := []any{"font", byte(0), "fillStyle", byte(0), "fillRect", 100, 1, 50, 20,
+		"fillText", byte(0), 2, 15, "toDataURL", byte(0)}
+	f.Add(fuzzSeed(append(append(append([]any{}, scene...), "width", 300), scene...)...))
+	// A gradient created before a reset and painted after it, on both
+	// canvases, with a stop added after a draw that used it.
+	f.Add(fuzzSeed("gradient", 0, 0, 40, 0, 0, byte(0), 1, byte(1), "fillRect", 0, 0, 40, 20,
+		"lastGradient", 0.5, byte(5), "fillRect", 0, 20, 40, 20, "toDataURL", byte(0),
+		"width", 200, "lastGradient", 0.2, byte(3), "fillRect", 0, 0, 40, 20, "toDataURL", byte(0),
+		"swap", "lastGradient", 0.7, byte(0), "fillRect", 0, 0, 40, 20, "toDataURL", byte(0)))
+	// arcTo after moveTo: its own lineTo segments must not be replayed
+	// twice.
+	f.Add(fuzzSeed("beginPath", "moveTo", 10, 10, "arcTo", 40, 10, 40, 40, 10, "lineTo", 40, 40,
+		"stroke", "toDataURL", byte(0), "getImageData", 0, 0, 48, 48))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// The costliest legitimate call, encoding a 4096² canvas of noise,
-		// takes up to 5 s and 512 MB (webp); the bounds leave room above
-		// that and far below a hang or a 3 GB bitmap.
-		const (
-			deadline = 30 * time.Second
-			maxMB    = 1024
-		)
-		type step struct {
-			op string
-			mb uint64
+	f.Fuzz(checkCanvasOps)
+}
+
+// TestCanvasOpsDifferential runs FuzzCanvasOps's check on 300 seeded
+// random inputs whose arguments all lie in −32…191: small canvases and
+// coordinates, which the fuzzer's mutations of the seeds above reach
+// only slowly.
+func TestCanvasOpsDifferential(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 16+rng.IntN(240))
+		for j := range data {
+			data[j] = byte(rng.IntN(0xE0))
 		}
-		// Buffered for every start and end message, so the op goroutine
-		// never blocks on a receiver that has given up.
-		steps := make(chan step, 2*maxFuzzOps)
-		go func() {
-			defer close(steps)
-			in := &fuzzInput{b: data}
-			fc := newFuzzCanvas()
-			var before, after runtime.MemStats
-			for n := 0; n < maxFuzzOps && len(in.b) > 0; n++ {
-				op := fuzzOps[int(in.byte())%len(fuzzOps)]
-				steps <- step{op: op.name}
-				runtime.ReadMemStats(&before)
-				op.run(fc, in)
-				runtime.ReadMemStats(&after)
-				steps <- step{op: op.name, mb: (after.TotalAlloc - before.TotalAlloc) >> 20}
-			}
-		}()
-		started := ""
-		for {
-			select {
-			case s, ok := <-steps:
-				if !ok {
-					return
-				}
-				if started == "" {
-					started = s.op
-					continue
-				}
-				if s.mb > maxMB {
-					t.Fatalf("%s allocated %d MB", s.op, s.mb)
-				}
-				started = ""
-			case <-time.After(deadline):
-				t.Fatalf("%s still running after %v", started, deadline)
+		checkCanvasOps(t, data)
+	}
+}
+
+// checkCanvasOps runs data on eager elements, then on recording ones
+// without a memo and with one shared memo, cold and warm, and requires
+// the four transcripts to be equal.
+func checkCanvasOps(t *testing.T, data []byte) {
+	want := runFuzzOps(t, data, true, nil)
+	memo := NewMemo()
+	for _, run := range []struct {
+		name string
+		memo *Memo
+	}{{"deferred", nil}, {"memo cold", memo}, {"memo warm", memo}} {
+		got := runFuzzOps(t, data, false, run.memo)
+		for i := 0; i < len(got) || i < len(want); i++ {
+			if i >= len(got) || i >= len(want) || got[i] != want[i] {
+				t.Fatalf("input %x, %s: transcript line %d differs from the eager run's:\n got %.200s\nwant %.200s",
+					data, run.name, i, lineAt(got, i), lineAt(want, i))
 			}
 		}
-	})
+	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end>"
+}
+
+// runFuzzOps runs data's calls on a fresh fuzzCanvas and returns its
+// transcript, failing t when a call panics, outlives the deadline or
+// allocates past the bound.
+func runFuzzOps(t *testing.T, data []byte, eager bool, memo *Memo) []string {
+	// The costliest legitimate call, encoding a 4096² canvas of noise,
+	// takes up to 5 s and 512 MB (webp); the bounds leave room above
+	// that and far below a hang or a 3 GB bitmap.
+	const (
+		deadline = 30 * time.Second
+		maxMB    = 1024
+	)
+	type step struct {
+		op string
+		mb uint64
+	}
+	// Buffered for every start and end message, so the op goroutine
+	// never blocks on a receiver that has given up.
+	steps := make(chan step, 2*maxFuzzOps)
+	fc := newFuzzCanvas(eager, memo)
+	go func() {
+		defer close(steps)
+		in := &fuzzInput{b: data}
+		var before, after runtime.MemStats
+		for n := 0; n < maxFuzzOps && len(in.b) > 0; n++ {
+			op := fuzzOps[int(in.byte())%len(fuzzOps)]
+			steps <- step{op: op.name}
+			runtime.ReadMemStats(&before)
+			op.run(fc, in)
+			runtime.ReadMemStats(&after)
+			steps <- step{op: op.name, mb: (after.TotalAlloc - before.TotalAlloc) >> 20}
+		}
+		for _, e := range fc.els {
+			fc.log("final", e.Image().Pix)
+		}
+	}()
+	started := ""
+	for {
+		select {
+		case s, ok := <-steps:
+			if !ok {
+				return fc.transcript
+			}
+			if started == "" {
+				started = s.op
+				continue
+			}
+			if s.mb > maxMB {
+				t.Fatalf("%s allocated %d MB", s.op, s.mb)
+			}
+			started = ""
+		case <-time.After(deadline):
+			t.Fatalf("%s still running after %v", started, deadline)
+		}
+	}
 }
 
 // maxFuzzOps bounds the calls one input makes.
@@ -146,15 +220,45 @@ var (
 )
 
 // fuzzCanvas is the state the decoded calls run against: two canvases,
-// the one calls go to, and the last ImageData made.
+// the one calls go to, the last ImageData and gradient made, and the
+// transcript of what the calls traced and read.
 type fuzzCanvas struct {
-	els  [2]*Element
-	cur  int
-	data *ImageData
+	els        [2]*Element
+	cur        int
+	data       *ImageData
+	grad       *Gradient
+	eager      bool
+	transcript []string
 }
 
-func newFuzzCanvas() *fuzzCanvas {
-	return &fuzzCanvas{els: [2]*Element{New(machine.Intel()), New(machine.AppleM1())}}
+// newFuzzCanvas returns two canvases on different profiles sharing
+// memo. Eager canvases are taken live at creation and after every
+// reset, so they draw each call as it comes, as canvases did before
+// display lists.
+func newFuzzCanvas(eager bool, memo *Memo) *fuzzCanvas {
+	fc := &fuzzCanvas{els: [2]*Element{New(machine.Intel()), New(machine.AppleM1())}, eager: eager}
+	for _, e := range fc.els {
+		e.SetTracer(TracerFunc(func(iface, member string, args []string, ret string) {
+			fc.log(fmt.Sprintf("%s.%s(%q)", iface, member, args), []byte(ret))
+		}))
+		e.SetMemo(memo)
+		fc.keepLive(e)
+	}
+	return fc
+}
+
+// log appends one transcript line, hashing long payloads.
+func (fc *fuzzCanvas) log(what string, payload []byte) {
+	if len(payload) > 64 {
+		payload = fmt.Appendf(nil, "%d bytes, sha256 %x", len(payload), sha256.Sum256(payload))
+	}
+	fc.transcript = append(fc.transcript, fmt.Sprintf("%s = %q", what, payload))
+}
+
+func (fc *fuzzCanvas) keepLive(e *Element) {
+	if fc.eager {
+		e.bitmap()
+	}
 }
 
 func (fc *fuzzCanvas) el() *Element      { return fc.els[fc.cur] }
@@ -168,8 +272,8 @@ var fuzzOps = []struct {
 	name string
 	run  func(fc *fuzzCanvas, in *fuzzInput)
 }{
-	{"width", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().SetWidth(int(in.num())) }},
-	{"height", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().SetHeight(int(in.num())) }},
+	{"width", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().SetWidth(int(in.num())); fc.keepLive(fc.el()) }},
+	{"height", func(fc *fuzzCanvas, in *fuzzInput) { fc.el().SetHeight(int(in.num())); fc.keepLive(fc.el()) }},
 	{"swap", func(fc *fuzzCanvas, in *fuzzInput) { fc.cur = 1 - fc.cur }},
 	{"translate", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Translate(in.num(), in.num()) }},
 	{"scale", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().Scale(in.num(), in.num()) }},
@@ -225,15 +329,15 @@ var fuzzOps = []struct {
 	{"fillStyle", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetFillStyle(pick(in, fuzzColors)) }},
 	{"strokeStyle", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetStrokeStyle(pick(in, fuzzColors)) }},
 	{"gradient", func(fc *fuzzCanvas, in *fuzzInput) {
-		g := fc.ctx().CreateLinearGradient(in.num(), in.num(), in.num(), in.num())
-		g.AddColorStop(in.num(), pick(in, fuzzColors))
-		g.AddColorStop(in.num(), pick(in, fuzzColors))
-		fc.ctx().SetFillGradient(g.Paint())
+		fc.grad = fc.ctx().CreateLinearGradient(in.num(), in.num(), in.num(), in.num())
+		fc.grad.AddColorStop(in.num(), pick(in, fuzzColors))
+		fc.grad.AddColorStop(in.num(), pick(in, fuzzColors))
+		fc.ctx().SetFillGradient(fc.grad.Paint())
 	}},
 	{"radialGradient", func(fc *fuzzCanvas, in *fuzzInput) {
-		g := fc.ctx().CreateRadialGradient(in.num(), in.num(), in.num(), in.num(), in.num(), in.num())
-		g.AddColorStop(in.num(), pick(in, fuzzColors))
-		fc.ctx().SetStrokeGradient(g.Paint())
+		fc.grad = fc.ctx().CreateRadialGradient(in.num(), in.num(), in.num(), in.num(), in.num(), in.num())
+		fc.grad.AddColorStop(in.num(), pick(in, fuzzColors))
+		fc.ctx().SetStrokeGradient(fc.grad.Paint())
 	}},
 	{"lineWidth", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetLineWidth(in.num()) }},
 	{"lineCap", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().SetLineCap(pick(in, fuzzWords)) }},
@@ -255,6 +359,7 @@ var fuzzOps = []struct {
 	{"getImageData", func(fc *fuzzCanvas, in *fuzzInput) {
 		if d := fc.ctx().GetImageData(int(in.num()), int(in.num()), int(in.num()), int(in.num())); d != nil {
 			fc.data = d
+			fc.log("imageData", d.Pix)
 		}
 	}},
 	{"putImageData", func(fc *fuzzCanvas, in *fuzzInput) { fc.ctx().PutImageData(fc.data, int(in.num()), int(in.num())) }},
@@ -273,6 +378,14 @@ var fuzzOps = []struct {
 		gl := fc.gl()
 		gl.BufferData([]float64{in.num(), in.num(), in.num(), in.num(), in.num(), in.num(), in.num(), in.num()})
 		gl.DrawArrays(GLTriangleStrip, int(in.num()), int(in.num()))
+	}},
+	// lastGradient paints with the last gradient made, which may come
+	// from the other canvas or from before a reset, after adding a stop.
+	{"lastGradient", func(fc *fuzzCanvas, in *fuzzInput) {
+		if fc.grad != nil {
+			fc.grad.AddColorStop(in.num(), pick(in, fuzzColors))
+			fc.ctx().SetFillGradient(fc.grad.Paint())
+		}
 	}},
 }
 

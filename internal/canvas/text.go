@@ -10,6 +10,7 @@ import (
 // ignored per spec.
 func (c *Context2D) SetFont(s string) {
 	c.trace("font=", []string{s}, "")
+	c.rec(opFont, s)
 	if f, ok := font.ParseFont(s); ok {
 		c.state.font = f
 		c.state.fontStr = s
@@ -25,6 +26,7 @@ func (c *Context2D) Font() string {
 // SetTextAlign assigns ctx.textAlign.
 func (c *Context2D) SetTextAlign(s string) {
 	c.trace("textAlign=", []string{s}, "")
+	c.rec(opTextAlign, s)
 	switch s {
 	case "start", "end", "left", "right", "center":
 		c.state.textAlign = s
@@ -34,6 +36,7 @@ func (c *Context2D) SetTextAlign(s string) {
 // SetTextBaseline assigns ctx.textBaseline.
 func (c *Context2D) SetTextBaseline(s string) {
 	c.trace("textBaseline=", []string{s}, "")
+	c.rec(opTextBaseline, s)
 	switch s {
 	case "alphabetic", "top", "middle", "bottom", "hanging", "ideographic":
 		c.state.textBaseline = s
@@ -55,12 +58,18 @@ func (c *Context2D) MeasureText(text string) TextMetrics {
 // FillText draws filled text at (x, y), as ctx.fillText.
 func (c *Context2D) FillText(text string, x, y float64) {
 	c.trace("fillText", []string{text, fstr(x), fstr(y)}, "")
+	if c.rec(opFillText, text, x, y) {
+		return
+	}
 	c.drawText(text, x, y, c.state.fillPaint, false)
 }
 
 // StrokeText draws outlined text, as ctx.strokeText.
 func (c *Context2D) StrokeText(text string, x, y float64) {
 	c.trace("strokeText", []string{text, fstr(x), fstr(y)}, "")
+	if c.rec(opStrokeText, text, x, y) {
+		return
+	}
 	c.drawText(text, x, y, c.state.strokePaint, true)
 }
 

@@ -207,6 +207,12 @@ type Config struct {
 	// happens at commit time, in page order, so the counters are
 	// independent of worker scheduling.
 	Snapshots SnapshotStore
+	// Memo, when non-nil, is the display-list memo every page's
+	// canvases share: a drawing one page has extracted with a hook-free
+	// toDataURL is served to the next without rasterising or encoding
+	// it. DefaultConfig makes a fresh one; nil shares nothing across
+	// pages. It changes no extracted byte.
+	Memo *canvas.Memo
 	// CommitEvery is how many committed pages separate OnCommit calls
 	// (<=0 selects 64). The final commit always fires regardless.
 	CommitEvery int
@@ -274,7 +280,8 @@ type ResumeState struct {
 }
 
 // DefaultConfig returns the paper's crawl configuration: consent
-// acceptance, scrolling, no extension, Intel machine.
+// acceptance, scrolling, no extension, Intel machine, and a fresh
+// display-list memo that the crawls run with it (or a copy) share.
 func DefaultConfig() Config {
 	return Config{
 		Workers:     8,
@@ -282,6 +289,7 @@ func DefaultConfig() Config {
 		AutoConsent: true,
 		Scroll:      true,
 		Seed:        1,
+		Memo:        canvas.NewMemo(),
 	}
 }
 
@@ -696,6 +704,7 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 		RandSeed: cfg.Seed ^ stats.HashString("page:"+site.Domain),
 	})
 	doc := dom.NewDocument(cfg.Profile, site.Domain)
+	doc.Memo = cfg.Memo
 	if cfg.ExtractHookFor != nil {
 		doc.ExtractHook = cfg.ExtractHookFor(site.Domain)
 	} else if cfg.ExtractHook != nil {

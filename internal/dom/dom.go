@@ -26,6 +26,9 @@ type Document struct {
 	// ExtractHook is installed on every created canvas (randomization
 	// defenses).
 	ExtractHook canvas.ExtractHook
+	// Memo, when non-nil, is shared by every created canvas's
+	// hook-free toDataURL calls (see canvas.Memo).
+	Memo *canvas.Memo
 	// Domain is the page's hostname, exposed as document.domain.
 	Domain string
 	// Canvases collects every canvas element created by page scripts,
@@ -108,6 +111,7 @@ func (d *Document) createElement(tag string) jsvm.Value {
 	case "canvas", "CANVAS":
 		el := canvas.New(d.Profile)
 		el.SetTracer(d.Tracer)
+		el.SetMemo(d.Memo)
 		if d.ExtractHook != nil {
 			el.SetExtractHook(d.ExtractHook)
 		}

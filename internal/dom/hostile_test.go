@@ -74,6 +74,7 @@ func TestCanvasResourceCaps(t *testing.T) {
 		{"dash-fine", `x.setLineDash([1e-6]); x.beginPath(); x.moveTo(0, 10); x.lineTo(30, 10); x.stroke(); 'ok'`, "", "ok"},
 		{"dash-long", `x.setLineDash([1, 1]); x.beginPath(); x.moveTo(0, 10); x.lineTo(1e300, 10); x.stroke(); 'ok'`, "", "ok"},
 		{"hsl-hue", `x.fillStyle = 'hsl(1e300, 50%, 50%)'; x.fillRect(0, 0, 4, 4); 'ok'`, "", "ok"},
+		{"webp-nan", `document.createElement('canvas').toDataURL('image/webp', 0/0) == document.createElement('canvas').toDataURL('image/webp')`, "", "true"},
 		{"webgl-first", `var g = document.createElement('canvas').getContext('webgl'); g.bufferData(g.ARRAY_BUFFER, [0, 1, -1, -1, 1, -1], g.STATIC_DRAW); g.drawArrays(g.TRIANGLES, -1, 3); g.drawArrays(g.TRIANGLES, 4611686018427387904, 3); 'ok'`, "", "ok"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -50,19 +50,33 @@ func ParseFormat(s string) Format {
 // Lossy reports whether the format discards pixel detail.
 func (f Format) Lossy() bool { return f == JPEG || f == WebP }
 
+// Quality returns the quality Encode uses for f given toDataURL's
+// quality argument q: q when it is in (0, 1], otherwise (NaN included)
+// the Canvas default of 0.92, and 0 for PNG, which ignores it.
+func (f Format) Quality(q float64) float64 {
+	switch {
+	case !f.Lossy():
+		return 0
+	case q > 0 && q <= 1:
+		return q
+	}
+	return 0.92
+}
+
 // Encode serializes img in the given format. Quality (0..1) applies to
-// lossy formats only; values <= 0 select the Canvas default of 0.92.
+// lossy formats only; see Format.Quality.
 func Encode(img *raster.Image, f Format, quality float64) ([]byte, error) {
+	quality = f.Quality(quality)
 	switch f {
 	case JPEG:
-		q := int(qualityOrDefault(quality) * 100)
+		q := int(quality * 100)
 		var buf bytes.Buffer
 		if err := jpeg.Encode(&buf, img.ToStdImage(), &jpeg.Options{Quality: q}); err != nil {
 			return nil, fmt.Errorf("imaging: jpeg encode: %w", err)
 		}
 		return buf.Bytes(), nil
 	case WebP:
-		return encodeWebPSim(img, qualityOrDefault(quality)), nil
+		return encodeWebPSim(img, quality), nil
 	default:
 		var buf bytes.Buffer
 		if err := png.Encode(&buf, img.ToStdImage()); err != nil {
@@ -70,13 +84,6 @@ func Encode(img *raster.Image, f Format, quality float64) ([]byte, error) {
 		}
 		return buf.Bytes(), nil
 	}
-}
-
-func qualityOrDefault(q float64) float64 {
-	if q <= 0 || q > 1 {
-		return 0.92
-	}
-	return q
 }
 
 // encodeWebPSim produces the stand-in lossy webp container: RIFF header,

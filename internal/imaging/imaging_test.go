@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"image/png"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,6 +130,25 @@ func TestWebPSimQualityAffectsLoss(t *testing.T) {
 	loImg, _ := DecodeWebPSim(lo)
 	if hiImg.DiffCount(img) >= loImg.DiffCount(img) {
 		t.Fatal("lower quality should lose more detail")
+	}
+}
+
+// TestEncodeOutOfRangeQuality: a quality outside (0, 1], NaN included,
+// encodes every format at the default quality. NaN used to reach the
+// webp quantiser as a zero step and panic with a division by zero.
+func TestEncodeOutOfRangeQuality(t *testing.T) {
+	img := testImage()
+	for _, f := range []Format{PNG, JPEG, WebP} {
+		want, err := Encode(img, f, 0.92)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1.5} {
+			got, err := Encode(img, f, q)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s at quality %v: err %v, equal to the default-quality bytes: %v", f, q, err, bytes.Equal(got, want))
+			}
+		}
 	}
 }
 

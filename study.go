@@ -23,6 +23,7 @@ import (
 	"canvassing/internal/analysis"
 	"canvassing/internal/attrib"
 	"canvassing/internal/blocklist"
+	"canvassing/internal/canvas"
 	"canvassing/internal/checkpoint"
 	"canvassing/internal/cluster"
 	"canvassing/internal/crawler"
@@ -158,6 +159,7 @@ type Study struct {
 	analyzer   *analysis.Executor
 	ckpt       *checkpoint.Writer
 	visits     *tracez.Reservoir // exemplar reservoir (nil unless TraceVisits)
+	memo       *canvas.Memo      // display-list memo every crawl shares
 	randCache  map[int]RandomizationResult
 	// interactCache memoizes the EX3 interaction re-crawl (randCache
 	// pattern): the report and the repro CLI share one re-crawl.
@@ -195,6 +197,7 @@ func New(opts Options) *Study {
 		Web:     w,
 		Lists:   ListsForSeed(opts.Seed),
 		tel:     tel,
+		memo:    canvas.NewMemo(),
 	}
 	if opts.FaultRate > 0 {
 		s.Faults = netsim.NewFaultModel(opts.Seed, opts.FaultRate)
@@ -291,6 +294,9 @@ func (s *Study) crawlConfig(condition string) crawler.Config {
 	// reservoir; it lives outside the registry, so this is invisible
 	// to bundles.
 	cfg.Visits = s.visits
+	// Every crawl shares the memo: control, ABP, uBO and the demo
+	// harvest draw the same vendor canvases on the same profile.
+	cfg.Memo = s.memo
 	return cfg
 }
 
