@@ -24,12 +24,15 @@ test:
 # internal/raster run on every crawl worker at once: each worker has its
 # own Interp and method tables (one Program may run on many Interps, as
 # TestSharedProgramConcurrent checks), and each canvas context its own
-# Rasterizer. internal/canvas is here for its display-list memo, the one
-# canvas structure every crawl worker of a study shares
-# (TestMemoConcurrent: 8 goroutines extract overlapping drawings through
-# one memo).
+# Rasterizer. Crawl workers share two structures of a study: the
+# display-list memo in internal/canvas (TestMemoConcurrent: 8 goroutines
+# extract overlapping drawings through one memo) and the call memo in
+# internal/jsvm (TestCallMemoConcurrent: 8 interpreters call a pure
+# function with overlapping arguments through one memo).
+# internal/imaging pools the PNG encoder's compressors across workers
+# (TestPooledPNGMatchesStdlib).
 race:
-	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
+	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
 
 vet:
 	$(GO) vet ./...
@@ -58,7 +61,12 @@ fmt-check:
 # blobs/ — never a file outside the store. FuzzDecodeDataURL feeds
 # arbitrary data URLs — `POST /v1/classify` accepts them from clients —
 # through ParseDataURL, PNGSize and DecodeWebPSim, and requires an
-# error or dimensions that match the pixel bytes.
+# error or dimensions that match the pixel bytes. FuzzEval also runs
+# every input with call memos, cold, warm and shared across inputs, and
+# requires the same outcome. FuzzReadJSONL feeds arbitrary bytes to
+# event.ReadJSONL, which bundle.Load reads every bundle's events.jsonl
+# with, and requires an error or events that read back equal after
+# Sink.WriteJSONL writes them.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
@@ -72,14 +80,15 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzCanvasOps -fuzztime 10s ./internal/canvas
 	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeDataURL -fuzztime 10s ./internal/imaging
+	$(GO) test -run XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/event
 
 check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-module paper-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 
 # paper-check reruns the three committed paper reports with the
 # commands EXPERIMENTS.md "Provenance" gives and requires each to be
-# byte-identical to the committed file. It takes about 45 s on a 2-vCPU
-# host; the paper-scale run is the long pole, at 25-27 s and about
-# 600 MB of memory.
+# byte-identical to the committed file. It takes about 20 s on a 2-vCPU
+# host; the paper-scale run is the long pole, at 8-9 s and 490-560 MB
+# of memory.
 PCHECK := .paper-check
 paper-check:
 	rm -rf $(PCHECK)

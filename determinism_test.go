@@ -158,21 +158,28 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestDisplayListMemoOracle: the study's display-list memo must be
-// invisible. With the memo a repeated drawing's toDataURL is served
-// without a replay; without it every extraction replays its element's
-// display list. Both runs must write byte-identical bundles and record
-// identical extractions, Seq included, on every page of every crawl.
-// A replay that reached the page's tracer would shift Seq here.
+// TestDisplayListMemoOracle: the study's display-list memo and call
+// memo must be invisible. With the display-list memo a repeated
+// drawing's toDataURL is served without a replay; without it every
+// extraction replays its element's display list. With the call memo a
+// pure script function called again with the same arguments returns
+// without running. The study runs with neither memo, with both, and
+// with the display-list memo alone; all three must write byte-identical
+// bundles and record identical extractions, Seq included, on every
+// page of every crawl. A replay that reached the page's tracer would
+// shift Seq here.
 func TestDisplayListMemoOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the pipeline twice per seed")
+		t.Skip("runs the pipeline three times per seed")
 	}
 	for _, seed := range []uint64{3, 11} {
-		run := func(memo bool) (string, *Study) {
+		run := func(memo, calls bool) (string, *Study) {
 			s := New(Options{Seed: seed, Scale: 0.02, Workers: 2, WithAdblock: true, WithM1: true})
 			if !memo {
 				s.memo = nil
+			}
+			if !calls {
+				s.calls = nil
 			}
 			s.RunControl()
 			s.Analyze()
@@ -184,36 +191,38 @@ func TestDisplayListMemoOracle(t *testing.T) {
 			}
 			return dir, s
 		}
-		refDir, ref := run(false)
-		dir, s := run(true)
-		for _, name := range []string{"manifest.json", "events.jsonl", "report.txt"} {
-			if got, want := readFile(t, dir, name), readFile(t, refDir, name); !bytes.Equal(got, want) {
-				t.Errorf("seed %d: %s differs with the memo; first divergence at byte %d", seed, name, firstDiff(got, want))
-			}
-		}
-		if got, want := deterministicMetrics(t, dir), deterministicMetrics(t, refDir); !bytes.Equal(got, want) {
-			t.Errorf("seed %d: deterministic metrics differ with the memo\n got: %s\nwant: %s", seed, got, want)
-		}
-		// A memo hit returns the string the miss stored, so equal URLs
-		// sharing their bytes count the hits the memo served.
-		first, shared := map[string]*byte{}, 0
-		for i, pair := range [][2]*crawler.Result{{ref.Control, s.Control}, {ref.ABP, s.ABP}, {ref.UBO, s.UBO}, {ref.M1, s.M1}} {
-			for j, p := range pair[0].Pages {
-				got := pair[1].Pages[j].Extractions
-				if !reflect.DeepEqual(p.Extractions, got) {
-					t.Fatalf("seed %d crawl %d page %s: extractions differ with the memo", seed, i, p.Domain)
+		refDir, ref := run(false, false)
+		for _, calls := range []bool{true, false} {
+			dir, s := run(true, calls)
+			for _, name := range []string{"manifest.json", "events.jsonl", "report.txt"} {
+				if got, want := readFile(t, dir, name), readFile(t, refDir, name); !bytes.Equal(got, want) {
+					t.Errorf("seed %d, call memo %v: %s differs with the memos; first divergence at byte %d", seed, calls, name, firstDiff(got, want))
 				}
-				for _, e := range got {
-					if b, ok := first[e.DataURL]; !ok {
-						first[e.DataURL] = unsafe.StringData(e.DataURL)
-					} else if b == unsafe.StringData(e.DataURL) {
-						shared++
+			}
+			if got, want := deterministicMetrics(t, dir), deterministicMetrics(t, refDir); !bytes.Equal(got, want) {
+				t.Errorf("seed %d, call memo %v: deterministic metrics differ with the memos\n got: %s\nwant: %s", seed, calls, got, want)
+			}
+			// A memo hit returns the string the miss stored, so equal URLs
+			// sharing their bytes count the hits the memo served.
+			first, shared := map[string]*byte{}, 0
+			for i, pair := range [][2]*crawler.Result{{ref.Control, s.Control}, {ref.ABP, s.ABP}, {ref.UBO, s.UBO}, {ref.M1, s.M1}} {
+				for j, p := range pair[0].Pages {
+					got := pair[1].Pages[j].Extractions
+					if !reflect.DeepEqual(p.Extractions, got) {
+						t.Fatalf("seed %d crawl %d page %s: extractions differ with the memos", seed, i, p.Domain)
+					}
+					for _, e := range got {
+						if b, ok := first[e.DataURL]; !ok {
+							first[e.DataURL] = unsafe.StringData(e.DataURL)
+						} else if b == unsafe.StringData(e.DataURL) {
+							shared++
+						}
 					}
 				}
 			}
-		}
-		if shared == 0 {
-			t.Fatalf("seed %d: the memo served no extraction", seed)
+			if shared == 0 {
+				t.Fatalf("seed %d: the memo served no extraction", seed)
+			}
 		}
 	}
 }

@@ -213,6 +213,13 @@ type Config struct {
 	// it. DefaultConfig makes a fresh one; nil shares nothing across
 	// pages. It changes no extracted byte.
 	Memo *canvas.Memo
+	// Calls, when non-nil, is the call memo every page's interpreter
+	// shares: a pure script function called with the same arguments on
+	// an earlier page (the copy-pasted hash over a data URL the memo
+	// above served) returns its result without running again.
+	// DefaultConfig makes a fresh one; nil shares nothing. It changes
+	// no value and no step count.
+	Calls *jsvm.CallMemo
 	// CommitEvery is how many committed pages separate OnCommit calls
 	// (<=0 selects 64). The final commit always fires regardless.
 	CommitEvery int
@@ -281,7 +288,8 @@ type ResumeState struct {
 
 // DefaultConfig returns the paper's crawl configuration: consent
 // acceptance, scrolling, no extension, Intel machine, and a fresh
-// display-list memo that the crawls run with it (or a copy) share.
+// display-list memo and call memo that the crawls run with it (or a
+// copy) share.
 func DefaultConfig() Config {
 	return Config{
 		Workers:     8,
@@ -290,6 +298,7 @@ func DefaultConfig() Config {
 		Scroll:      true,
 		Seed:        1,
 		Memo:        canvas.NewMemo(),
+		Calls:       jsvm.NewCallMemo(),
 	}
 }
 
@@ -702,6 +711,7 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 	in := jsvm.New(jsvm.Options{
 		MaxSteps: cfg.MaxStepsPerScript,
 		RandSeed: cfg.Seed ^ stats.HashString("page:"+site.Domain),
+		Calls:    cfg.Calls,
 	})
 	doc := dom.NewDocument(cfg.Profile, site.Domain)
 	doc.Memo = cfg.Memo

@@ -20,6 +20,7 @@ import (
 	"image/jpeg"
 	"image/png"
 	"strings"
+	"sync"
 
 	"canvassing/internal/raster"
 )
@@ -79,12 +80,29 @@ func Encode(img *raster.Image, f Format, quality float64) ([]byte, error) {
 		return encodeWebPSim(img, quality), nil
 	default:
 		var buf bytes.Buffer
-		if err := png.Encode(&buf, img.ToStdImage()); err != nil {
+		if err := pngEncoder.Encode(&buf, img.ToStdImage()); err != nil {
 			return nil, fmt.Errorf("imaging: png encode: %w", err)
 		}
 		return buf.Bytes(), nil
 	}
 }
+
+// pngEncoder is png.Encode with its compressor state pooled: png.Encode
+// builds a new zlib writer, about half a megabyte, on every call. The
+// encoder resets a pooled writer for each image, so the output is
+// byte-identical to png.Encode's.
+var pngEncoder = png.Encoder{BufferPool: &pngPool{}}
+
+// pngPool implements png.EncoderBufferPool over a sync.Pool, so
+// concurrent crawl workers each take their own buffer.
+type pngPool struct{ p sync.Pool }
+
+func (p *pngPool) Get() *png.EncoderBuffer {
+	b, _ := p.p.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (p *pngPool) Put(b *png.EncoderBuffer) { p.p.Put(b) }
 
 // encodeWebPSim produces the stand-in lossy webp container: RIFF header,
 // "WEBP" tag, dimensions, and pixel data quantized per channel. The

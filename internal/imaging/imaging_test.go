@@ -3,9 +3,11 @@ package imaging
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"image/png"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +83,57 @@ func TestEncodeDeterministic(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s encoding must be deterministic", f)
 		}
+	}
+}
+
+// TestPooledPNGMatchesStdlib encodes images of growing and shrinking
+// size, opaque and translucent, on 4 goroutines at once through the
+// pooled encoder, so each pooled compressor is reset and reused across
+// sizes, and requires every output to equal png.Encode's byte for
+// byte. make race runs it under the race detector.
+func TestPooledPNGMatchesStdlib(t *testing.T) {
+	sizes := [][2]int{{20, 10}, {300, 60}, {1, 1}, {320, 90}, {7, 3}, {120, 120}, {2, 50}}
+	imgs := make([]*raster.Image, len(sizes))
+	want := make([][]byte, len(sizes))
+	for i, sz := range sizes {
+		img := raster.NewImage(sz[0], sz[1])
+		for y := 0; y < sz[1]; y++ {
+			for x := 0; x < sz[0]; x++ {
+				img.Set(x, y, raster.RGBA{R: uint8(x*7 + i), G: uint8(y * 13), B: uint8(x ^ y), A: uint8(255 - (x+y)%3*100*(i%2))})
+			}
+		}
+		imgs[i] = img
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, img.ToStdImage()); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range imgs {
+					i := (k + g) % len(imgs)
+					if round%2 == 1 {
+						i = len(imgs) - 1 - i
+					}
+					got, err := Encode(imgs[i], PNG, 0)
+					if err != nil || !bytes.Equal(got, want[i]) {
+						errs <- fmt.Sprintf("goroutine %d round %d: %dx%d differs from png.Encode (err %v)", g, round, sizes[i][0], sizes[i][1], err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -148,6 +148,10 @@ type FuncLit struct {
 	Name   string // optional
 	Params []string
 	Body   []Stmt
+	// src is the function's source text from "(" to the closing "}"
+	// ("" for an arrow function): the call memo's key for a pure
+	// function (compile.go).
+	src string
 }
 
 // Unary is prefix !x, -x, +x, typeof x, ++x, --x.

@@ -159,7 +159,8 @@ func installBuiltins(in *Interp) {
 		if len(args) == 0 {
 			return String("undefined"), nil
 		}
-		return String(JSONStringify(args[0])), nil
+		s, err := JSONStringify(args[0])
+		return String(s), err
 	})
 	in.SetGlobal("JSON", jsonObj)
 
@@ -168,7 +169,8 @@ func installBuiltins(in *Interp) {
 		if len(args) == 0 {
 			return String(""), nil
 		}
-		return String(args[0].Str()), nil
+		s, err := args[0].toStr()
+		return String(s), err
 	}))
 	in.SetGlobal("Number", NewNative(func(this Value, args []Value) (Value, error) {
 		if len(args) == 0 {

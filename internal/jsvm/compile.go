@@ -53,6 +53,10 @@ type funcCode struct {
 	argsSlot int // -1 when nothing reads arguments
 	selfSlot int // -1 for an anonymous function
 	body     []stmtFn
+	// memo is the call-memo key prefix of a pure function: its source
+	// text, length-prefixed. It is "" for every other function, and
+	// those never consult the memo (memo.go).
+	memo string
 }
 
 // scope is the compile-time view of a frame: the names it may bind.
@@ -69,10 +73,43 @@ type scope struct {
 	// usesArgs is set once any reference resolves to it.
 	argsSlot int
 	usesArgs bool
+	// fn is the scope of the function this scope's code runs in: itself
+	// for a function scope, nil at top level.
+	fn *scope
+	// On a function scope: hidden holds the slots of this, arguments
+	// and the function's own name, and impure records that its body
+	// may read or write state outside its own frames (see taint).
+	hidden []int
+	impure bool
 }
 
 func newScope(parent *scope, names []string) *scope {
-	return &scope{parent: parent, names: names, proven: make([]bool, len(names)), argsSlot: -1}
+	s := &scope{parent: parent, names: names, proven: make([]bool, len(names)), argsSlot: -1}
+	if parent != nil {
+		s.fn = parent.fn
+	}
+	return s
+}
+
+// taint marks the function whose code is being compiled in s impure.
+//
+// A function is pure, and its calls may be memoised, when everything
+// its body evaluates depends only on its arguments. The compiler calls
+// taint for every construct outside a whitelist: literals, array and
+// object literals, the unary, binary, logical, conditional and comma
+// operators, assignment, ++ and -- to names proven bound in the
+// function's own frames (resolve), x.length, method calls x.m(...), and
+// the var, expression, block, if, for, while, return, break and
+// continue statements. So a pure body never reads a global, an outer
+// frame, this, arguments or its own name, never creates a function,
+// and never holds a function value, so it cannot reach a host object
+// or another script function's state. Nor can it read a property of a
+// method object, which a script may have written: a member read other
+// than length is allowed only as a call's callee.
+func (s *scope) taint() {
+	if s != nil && s.fn != nil {
+		s.fn.impure = true
+	}
 }
 
 // slot returns name's slot, adding one if the scope has none yet.
@@ -128,9 +165,13 @@ type ref struct {
 	proven bool
 }
 
+// resolve compiles a reference to name in s. Unless the name is proven
+// bound in a frame of the function being compiled, other than its
+// this, arguments or own-name slot, it taints that function.
 func (s *scope) resolve(name string) ref {
 	r := ref{name: name}
 	depth := 0
+	local := false
 	for sc := s; sc != nil; sc = sc.parent {
 		if len(sc.names) == 0 {
 			continue
@@ -142,10 +183,14 @@ func (s *scope) resolve(name string) ref {
 			}
 			if sc.proven[i] {
 				r.proven = true
+				local = sc.fn == s.fn && !slices.Contains(sc.hidden, i)
 				break
 			}
 		}
 		depth++
+	}
+	if !local {
+		s.taint()
 	}
 	return r
 }
@@ -304,6 +349,7 @@ func compileStmt(st Stmt, s *scope) stmtFn {
 	case *ContinueStmt:
 		return signal(errContinue)
 	case *ThrowStmt:
+		s.taint()
 		e := compileExpr(x.X, s)
 		return func(in *Interp, f *frame) (Value, error) {
 			if err := in.step(); err != nil {
@@ -316,8 +362,10 @@ func compileStmt(st Stmt, s *scope) stmtFn {
 			return Undefined(), thrownSignal{v}
 		}
 	case *TryStmt:
+		s.taint()
 		return compileTry(x, s)
 	}
+	s.taint()
 	msg := fmt.Sprintf("unknown statement %T", st)
 	return func(in *Interp, f *frame) (Value, error) {
 		if err := in.step(); err != nil {
@@ -531,14 +579,17 @@ func compileTry(x *TryStmt, s *scope) stmtFn {
 // name.
 func compileFunc(x *FuncLit, outer *scope) *funcCode {
 	s := newScope(outer, nil)
+	s.fn = s
 	code := &funcCode{params: make([]int, len(x.Params)), selfSlot: -1}
 	for i, p := range x.Params {
 		code.params[i] = s.slot(p)
 	}
 	code.thisSlot = s.slot("this")
 	s.argsSlot = s.slot("arguments")
+	s.hidden = []int{code.thisSlot, s.argsSlot}
 	if x.Name != "" {
 		code.selfSlot = s.slot(x.Name)
+		s.hidden = append(s.hidden, code.selfSlot)
 	}
 	for i := range s.proven {
 		s.proven[i] = true
@@ -551,6 +602,9 @@ func compileFunc(x *FuncLit, outer *scope) *funcCode {
 	code.argsSlot = -1
 	if s.usesArgs {
 		code.argsSlot = s.argsSlot
+	}
+	if !s.impure && x.src != "" {
+		code.memo = memoPrefix(x.src)
 	}
 	return code
 }
@@ -611,6 +665,7 @@ func compileExpr(e Expr, s *scope) exprFn {
 			return obj, nil
 		}
 	case *FuncLit:
+		s.taint()
 		code := compileFunc(x, s)
 		return func(in *Interp, f *frame) (Value, error) {
 			if err := in.step(); err != nil {
@@ -642,6 +697,9 @@ func compileExpr(e Expr, s *scope) exprFn {
 			return els(in, f)
 		}
 	case *Member:
+		if x.Name != "length" {
+			s.taint()
+		}
 		obj, key := compileExpr(x.X, s), newPropKey(x.Name)
 		return func(in *Interp, f *frame) (Value, error) {
 			if err := in.step(); err != nil {
@@ -654,6 +712,7 @@ func compileExpr(e Expr, s *scope) exprFn {
 			return in.member(o, key.name, &key.ids)
 		}
 	case *Index:
+		s.taint()
 		obj, idx := compileExpr(x.X, s), compileExpr(x.I, s)
 		return func(in *Interp, f *frame) (Value, error) {
 			if err := in.step(); err != nil {
@@ -672,8 +731,10 @@ func compileExpr(e Expr, s *scope) exprFn {
 	case *Call:
 		return compileCall(x, s)
 	case *NewExpr:
+		s.taint()
 		return compileNew(x, s)
 	}
+	s.taint()
 	msg := fmt.Sprintf("unknown expression %T", e)
 	return func(in *Interp, f *frame) (Value, error) {
 		if err := in.step(); err != nil {
@@ -745,6 +806,7 @@ func compileTarget(e Expr, s *scope) storeFn {
 			return nil
 		}
 	case *Member:
+		s.taint()
 		obj, name := compileExpr(t.X, s), t.Name
 		return func(in *Interp, f *frame, v Value) error {
 			o, err := obj(in, f)
@@ -754,6 +816,7 @@ func compileTarget(e Expr, s *scope) storeFn {
 			return in.setProp(o, name, v)
 		}
 	case *Index:
+		s.taint()
 		obj, idx := compileExpr(t.X, s), compileExpr(t.I, s)
 		return func(in *Interp, f *frame, v Value) error {
 			o, err := obj(in, f)
@@ -767,6 +830,7 @@ func compileTarget(e Expr, s *scope) storeFn {
 			return in.setIndex(o, i, v)
 		}
 	}
+	s.taint()
 	msg := fmt.Sprintf("invalid assignment target %T", e)
 	return func(in *Interp, f *frame, v Value) error { return &RuntimeError{Msg: msg} }
 }
@@ -804,6 +868,7 @@ func compileUnary(x *Unary, s *scope) exprFn {
 	case "~":
 		return unary(compileExpr(x.X, s), func(v Value) Value { return Number(float64(^toInt32(v.Num()))) })
 	}
+	s.taint()
 	operand, msg := compileExpr(x.X, s), fmt.Sprintf("unknown unary operator %q", x.Op)
 	return func(in *Interp, f *frame) (Value, error) {
 		if err := in.step(); err != nil {
@@ -976,6 +1041,7 @@ func compileCall(x *Call, s *scope) exprFn {
 			return in.callArgs(fn, this, args, f)
 		}
 	case *Index:
+		s.taint()
 		obj, idx := compileExpr(callee.X, s), compileExpr(callee.I, s)
 		return func(in *Interp, f *frame) (Value, error) {
 			if err := in.step(); err != nil {
@@ -996,6 +1062,7 @@ func compileCall(x *Call, s *scope) exprFn {
 			return in.callArgs(fn, this, args, f)
 		}
 	}
+	s.taint()
 	callee := compileExpr(x.Fn, s)
 	return func(in *Interp, f *frame) (Value, error) {
 		if err := in.step(); err != nil {

@@ -18,14 +18,15 @@ var (
 	reference runner = jsvm.RunReference
 )
 
-// outcome runs prog on a fresh interpreter under a budget of max steps
-// and renders everything a script can leave behind: its value, error
-// text, step count and console output.
-func outcome(t testing.TB, prog *jsvm.Program, run runner, max int) string {
+// outcome runs prog on a fresh interpreter under a budget of max steps,
+// with the call memo calls (nil: none), and renders everything a script
+// can leave behind: its value, error text, step count and console
+// output.
+func outcome(t testing.TB, prog *jsvm.Program, run runner, max int, calls *jsvm.CallMemo) string {
 	t.Helper()
 	done := make(chan string, 1)
 	go func() {
-		in := jsvm.New(jsvm.Options{MaxSteps: max, RandSeed: 7})
+		in := jsvm.New(jsvm.Options{MaxSteps: max, RandSeed: 7, Calls: calls})
 		v, err := run(in, prog)
 		res := fmt.Sprintf("value=%s/%s", v.TypeOf(), v.Str())
 		if err != nil {
@@ -42,35 +43,48 @@ func outcome(t testing.TB, prog *jsvm.Program, run runner, max int) string {
 	}
 }
 
-// TestStepBudgetsMatchReference runs every step case under every budget
-// from one step up to one past what it needs, on both paths. Wherever
-// the limit strikes, the compiled code must have done exactly the
-// reference's side effects and charged exactly its steps.
+// TestStepBudgetsMatchReference runs every step case and call case
+// under every budget from one step up to one past what it needs, on
+// both paths. Wherever the limit strikes, the compiled code must have
+// done exactly the reference's side effects and charged exactly its
+// steps, and so must the compiled code with a call memo that a full run
+// warmed, including budgets that end inside a memoised call.
 func TestStepBudgetsMatchReference(t *testing.T) {
-	for _, c := range stepCases {
+	for _, c := range append(stepCases, callCases...) {
 		prog, err := jsvm.Parse(c.src)
 		if err != nil {
 			continue
 		}
-		in := jsvm.New(jsvm.Options{MaxSteps: c.max})
+		warm := jsvm.NewCallMemo()
+		in := jsvm.New(jsvm.Options{MaxSteps: c.max, Calls: warm})
 		_, _ = in.Run(prog)
 		need := in.Steps()
 		stride := 1 + need/400
 		for max := 1; max <= need+1; max += stride {
-			if got, want := outcome(t, prog, compiled, max), outcome(t, prog, reference, max); got != want {
+			want := outcome(t, prog, reference, max, nil)
+			if got := outcome(t, prog, compiled, max, nil); got != want {
 				t.Fatalf("%s at MaxSteps %d:\n compiled  %s\n reference %s", c.name, max, got, want)
+			}
+			if got := outcome(t, prog, compiled, max, warm); got != want {
+				t.Fatalf("%s at MaxSteps %d with a warm call memo:\n compiled  %s\n reference %s", c.name, max, got, want)
 			}
 		}
 	}
 }
 
+// fuzzCalls is one call memo every FuzzEval input shares, so entries
+// stored by one input meet the calls of the next.
+var fuzzCalls = jsvm.NewCallMemo()
+
 // FuzzEval checks that every program Parse accepts runs to completion
 // under a 20,000-step budget without a panic, on both paths, and that
 // the compiled code agrees with the reference walker on value, error
-// text, Steps() and console output.
+// text, Steps() and console output. The compiled code runs three more
+// times with call memos: cold and then warm on a memo of its own, and
+// on the memo every input shares; each must agree too.
 func FuzzEval(f *testing.F) {
 	params := services.ScriptParams{SiteDomain: "fuzz.example"}
-	for _, c := range stepCases {
+	for _, c := range append(stepCases, callCases...) {
 		f.Add(c.src)
 	}
 	for _, v := range services.Registry() {
@@ -89,8 +103,15 @@ func FuzzEval(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got, want := outcome(t, prog, compiled, 20_000), outcome(t, prog, reference, 20_000); got != want {
+		want := outcome(t, prog, reference, 20_000, nil)
+		if got := outcome(t, prog, compiled, 20_000, nil); got != want {
 			t.Fatalf("compiled and reference disagree on %q:\n compiled  %s\n reference %s", src, got, want)
+		}
+		own := jsvm.NewCallMemo()
+		for i, calls := range []*jsvm.CallMemo{own, own, fuzzCalls} {
+			if got := outcome(t, prog, compiled, 20_000, calls); got != want {
+				t.Fatalf("a call memo changes the outcome of %q (run %d):\n memo      %s\n reference %s", src, i, got, want)
+			}
 		}
 	})
 }

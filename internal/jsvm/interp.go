@@ -56,6 +56,9 @@ type Options struct {
 	MaxSteps int
 	// RandSeed seeds Math.random for deterministic crawls.
 	RandSeed uint64
+	// Calls, when non-nil, memoises calls of pure script functions
+	// (see CallMemo). Interps may share one. It changes no result.
+	Calls *CallMemo
 }
 
 // Interp executes programs against a global scope.
@@ -73,6 +76,11 @@ type Interp struct {
 	// methods serves the natives behind primitive and array methods,
 	// built on first read (see methodAt).
 	methods [numMethodTables][]Value
+	// calls is the call memo (nil: none); keyBuf holds the last key
+	// built, and keyBytes counts key bytes built since ResetSteps.
+	calls    *CallMemo
+	keyBuf   []byte
+	keyBytes int
 	// ConsoleLog receives console.log lines (joined with spaces).
 	ConsoleLog []string
 }
@@ -86,6 +94,7 @@ func New(opts Options) *Interp {
 		globals:  map[string]Value{},
 		maxSteps: opts.MaxSteps,
 		rands:    opts.RandSeed ^ 0x9E3779B97F4A7C15,
+		calls:    opts.Calls,
 	}
 	installBuiltins(in)
 	return in
@@ -101,7 +110,7 @@ func (in *Interp) Global(name string) (Value, bool) {
 }
 
 // ResetSteps restores the full step budget (between page scripts).
-func (in *Interp) ResetSteps() { in.steps = 0 }
+func (in *Interp) ResetSteps() { in.steps, in.keyBytes = 0, 0 }
 
 // Steps reports the evaluation steps consumed since the last
 // ResetSteps — the crawler's per-script budget telemetry.
@@ -278,7 +287,15 @@ func add(l, r Value) (Value, error) {
 	}
 	if l.kind == KindString || r.kind == KindString ||
 		(l.kind == KindObject && !l.IsCallable()) || (r.kind == KindObject && !r.IsCallable()) {
-		return concatStrings(l.Str(), r.Str())
+		ls, err := l.toStr()
+		if err != nil {
+			return Undefined(), err
+		}
+		rs, err := r.toStr()
+		if err != nil {
+			return Undefined(), err
+		}
+		return concatStrings(ls, rs)
 	}
 	return Number(l.Num() + r.Num()), nil
 }
@@ -294,6 +311,7 @@ func concatStrings(a, b string) (Value, error) {
 var (
 	errStringLen = &RuntimeError{Msg: "invalid string length"}
 	errArrayLen  = &RuntimeError{Msg: "invalid array length"}
+	errCallStack = &RuntimeError{Msg: "maximum call stack size exceeded"}
 )
 
 // CallValue invokes a callable value with an explicit this and arguments.
@@ -306,11 +324,18 @@ func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
 	if o.Native != nil {
 		return o.Native(this, args)
 	}
-	code := o.code
 	if in.depth >= maxCallDepth {
-		return Undefined(), rtErrf("maximum call stack size exceeded")
+		return Undefined(), errCallStack
 	}
-	f := newFrame(o.env, code.nslots)
+	if o.code.memo != "" && in.calls != nil {
+		return in.memoCall(fn, o.code, this, args)
+	}
+	return in.call(fn, o.code, this, args)
+}
+
+// call runs the script function fn, whose compiled code is code.
+func (in *Interp) call(fn Value, code *funcCode, this Value, args []Value) (Value, error) {
+	f := newFrame(fn.Object().env, code.nslots)
 	for i, slot := range code.params {
 		if i < len(args) {
 			f.slots[slot] = args[i]

@@ -654,8 +654,8 @@ func TestStringifyProperty(t *testing.T) {
 			}
 			obj.Object().Props[k] = Number(v)
 		}
-		s := JSONStringify(obj)
-		return strings.HasPrefix(s, "{") && strings.HasSuffix(s, "}")
+		s, err := JSONStringify(obj)
+		return err == nil && strings.HasPrefix(s, "{") && strings.HasSuffix(s, "}")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -41,12 +41,13 @@ var keywords = map[string]bool{
 	"try": true, "catch": true, "finally": true,
 }
 
-// token is one lexical token with its source position (for errors).
+// token is one lexical token and the byte offset where it starts: the
+// parser slices a function's source text by offsets, and lexer and
+// parser errors derive their line and column from one (syntaxError).
 type token struct {
 	kind tokenKind
 	text string
-	line int
-	col  int
+	pos  int
 }
 
 func (t token) String() string {
@@ -66,6 +67,14 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("jsvm: syntax error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// syntaxError reports msg at byte offset pos of src, as a 1-based line
+// and a column counted in bytes.
+func syntaxError(src string, pos int, msg string) error {
+	before := src[:pos]
+	line := 1 + strings.Count(before, "\n")
+	return &SyntaxError{line, pos - strings.LastIndexByte(before, '\n'), msg}
+}
+
 // multi-char punctuators, longest first so maximal munch works.
 var punctuators = []string{
 	"===", "!==", "<<=", ">>=",
@@ -78,57 +87,44 @@ var punctuators = []string{
 // lex tokenizes src, stripping // and /* */ comments.
 func lex(src string) ([]token, error) {
 	var toks []token
-	line, col := 1, 1
 	i := 0
 	n := len(src)
-
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-			i++
-		}
-	}
 
 	for i < n {
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
+			i++
 		case c == '/' && i+1 < n && src[i+1] == '/':
 			for i < n && src[i] != '\n' {
-				advance(1)
+				i++
 			}
 		case c == '/' && i+1 < n && src[i+1] == '*':
-			startLine, startCol := line, col
-			advance(2)
+			start := i
+			i += 2
 			closed := false
 			for i+1 < n {
 				if src[i] == '*' && src[i+1] == '/' {
-					advance(2)
+					i += 2
 					closed = true
 					break
 				}
-				advance(1)
+				i++
 			}
 			if !closed {
-				return nil, &SyntaxError{startLine, startCol, "unterminated block comment"}
+				return nil, syntaxError(src, start, "unterminated block comment")
 			}
 		case c == '"' || c == '\'':
-			startLine, startCol := line, col
+			start := i
 			quote := c
-			advance(1)
+			i++
 			var sb strings.Builder
 			closed := false
 			for i < n {
 				ch := src[i]
 				if ch == '\\' && i+1 < n {
 					esc := src[i+1]
-					advance(2)
+					i += 2
 					switch esc {
 					case 'n':
 						sb.WriteByte('\n')
@@ -165,7 +161,7 @@ func lex(src string) ([]token, error) {
 							}
 							if ok {
 								sb.WriteRune(r)
-								advance(4)
+								i += 4
 							} else {
 								sb.WriteByte('u')
 							}
@@ -178,22 +174,22 @@ func lex(src string) ([]token, error) {
 					continue
 				}
 				if ch == quote {
-					advance(1)
+					i++
 					closed = true
 					break
 				}
 				if ch == '\n' {
-					return nil, &SyntaxError{startLine, startCol, "unterminated string"}
+					return nil, syntaxError(src, start, "unterminated string")
 				}
 				sb.WriteByte(ch)
-				advance(1)
+				i++
 			}
 			if !closed {
-				return nil, &SyntaxError{startLine, startCol, "unterminated string"}
+				return nil, syntaxError(src, start, "unterminated string")
 			}
-			toks = append(toks, token{tString, sb.String(), startLine, startCol})
+			toks = append(toks, token{tString, sb.String(), start})
 		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9'):
-			startLine, startCol := line, col
+			start := i
 			j := i
 			if c == '0' && i+1 < n && (src[i+1] == 'x' || src[i+1] == 'X') {
 				j = i + 2
@@ -221,37 +217,37 @@ func lex(src string) ([]token, error) {
 				}
 			}
 			text := src[i:j]
-			advance(j - i)
-			toks = append(toks, token{tNumber, text, startLine, startCol})
+			i = j
+			toks = append(toks, token{tNumber, text, start})
 		case isIdentStart(c):
-			startLine, startCol := line, col
+			start := i
 			j := i
 			for j < n && isIdentPart(src[j]) {
 				j++
 			}
 			text := src[i:j]
-			advance(j - i)
+			i = j
 			kind := tIdent
 			if keywords[text] {
 				kind = tKeyword
 			}
-			toks = append(toks, token{kind, text, startLine, startCol})
+			toks = append(toks, token{kind, text, start})
 		default:
 			matched := false
 			for _, p := range punctuators {
 				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, token{tPunct, p, line, col})
-					advance(len(p))
+					toks = append(toks, token{tPunct, p, i})
+					i += len(p)
 					matched = true
 					break
 				}
 			}
 			if !matched {
-				return nil, &SyntaxError{line, col, fmt.Sprintf("unexpected character %q", c)}
+				return nil, syntaxError(src, i, fmt.Sprintf("unexpected character %q", c))
 			}
 		}
 	}
-	toks = append(toks, token{tEOF, "", line, col})
+	toks = append(toks, token{tEOF, "", n})
 	return toks, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestToInt32 pins ECMAScript ToInt32 (truncate, reduce modulo 2^32,
@@ -71,6 +72,11 @@ func TestResourceCaps(t *testing.T) {
 		{"concat-string", `var s = 'x'.repeat(1 << 20).repeat(16); s.concat(s)`, "invalid string length"},
 		{"join", `var s = 'x'.repeat(1 << 20).repeat(16); [s, s].join('')`, "invalid string length"},
 		{"replace", `var s = 'x'.repeat(1 << 20).repeat(16); s.replace('x', s)`, "invalid string length"},
+		{"array-to-string", `var a = [1]; for (var i = 0; i < 30; i++) a = [a, a]; '' + a`, "invalid string length"},
+		{"json-stringify", `var a = [1]; for (var i = 0; i < 30; i++) a = [a, a]; JSON.stringify(a)`, "invalid string length"},
+		{"array-visits", `var c = []; for (var i = 0; i < 5000; i++) c = [c]; var a = [c]; for (var i = 0; i < 30; i++) a = [a, a]; String(a)`, "invalid string length"},
+		{"cyclic-array", `var a = [1]; a.push(a); [0].concat(a).join('-')`, "maximum call stack size exceeded"},
+		{"cyclic-json", `var a = [1]; a.push(a); JSON.stringify(a)`, "maximum call stack size exceeded"},
 		{"recursion", `var n = 0; function f() { n++; return f(); } f()`, "maximum call stack size exceeded"},
 		{"callback-recursion", `function g() { [1].forEach(g); } g()`, "maximum call stack size exceeded"},
 	} {
@@ -107,5 +113,53 @@ func TestResourceCaps(t *testing.T) {
 	}
 	if !strings.Contains(runErr(t, `var a = []; a.length = 1048577`).Error(), "invalid array length") {
 		t.Fatal("array one past the cap must fail")
+	}
+}
+
+// TestParseNesting feeds the parser a megabyte of nested parentheses,
+// prefix operators and blocks. Each must fail with a syntax error at the
+// nesting cap, quickly and with bounded allocation, instead of
+// recursing once per level; scripts nested below the cap still parse.
+// Each link of an else-if chain or a chained ?: opens a level, so such
+// chains meet the cap too.
+func TestParseNesting(t *testing.T) {
+	const n = 1 << 19
+	for name, src := range map[string]string{
+		"parens": strings.Repeat("(", n) + "1" + strings.Repeat(")", n),
+		"unary":  strings.Repeat("!", n) + "1",
+		"blocks": strings.Repeat("{", n) + strings.Repeat("}", n),
+		"arrows": strings.Repeat("x => ", n/5) + "1",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := Parse(src)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "nesting too deep") {
+			t.Fatalf("%s: err = %v, want the nesting cap", name, err)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("%s: took %v", name, elapsed)
+		}
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 256 {
+			t.Fatalf("%s: allocated %d MB", name, mb)
+		}
+	}
+	deep := strings.Repeat("(", 100) + "1" + strings.Repeat(")", 100)
+	if v := run(t, "var x = "+deep+"; x"); v.Num() != 1 {
+		t.Fatalf("100 nested parentheses: %v", v.Num())
+	}
+	for name, link := range map[string]string{
+		"else-if": "if (x) x++; else ",
+		"ternary": "x ? 1 : ",
+	} {
+		if v := run(t, "var x = 0; "+strings.Repeat(link, 250)+"x - 1;"); v.Num() != -1 {
+			t.Fatalf("%s: 250 links: %v", name, v.Num())
+		}
+		_, err := Parse("var x = 0; " + strings.Repeat(link, 260) + "x - 1;")
+		if err == nil || !strings.Contains(err.Error(), "nesting too deep") {
+			t.Fatalf("%s: 260 links: err = %v, want the nesting cap", name, err)
+		}
 	}
 }

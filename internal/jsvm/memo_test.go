@@ -1,0 +1,214 @@
+package jsvm
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// memoised reports whether the function src binds to global f would
+// consult a call memo.
+func memoised(t *testing.T, src string) bool {
+	t.Helper()
+	in := New(Options{})
+	in.SetGlobal("g", Number(1))
+	if _, err := in.RunSource(src); err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	fn, ok := in.Global("f")
+	if !ok || fn.Object() == nil || fn.Object().code == nil {
+		t.Fatalf("%s: f is not a script function", src)
+	}
+	return fn.Object().code.memo != ""
+}
+
+// TestPurityRule pins the whitelist: every allowed node kind keeps a
+// function pure, and each construct that can reach state outside the
+// function's own frames makes it impure.
+func TestPurityRule(t *testing.T) {
+	pure := map[string]string{
+		"literals":      `function f() { return 1 + 'a' + true + null + undefined; }`,
+		"array-object":  `function f(x) { var a = [x, 2]; var o = {k: x}; return a.length + o.length; }`,
+		"operators":     `function f(x) { return !x || -x && +x ? ~x : (typeof x, x in {}, x << 1 === 2); }`,
+		"assignment":    `function f(x) { var y = x; y += 2; y -= 1; y++; --y; y = y * 2; return y; }`,
+		"length-method": `function f(s) { return s.length + s.charCodeAt(0) + s.split('').reverse().join('-').length; }`,
+		"statements": `function f(n) { var s = 0; let t = 1; const u = 2;
+			for (var i = 0; i < n; i++) { if (i % 2) continue; else s += i; }
+			while (s > 100) { s -= 100; break; } do { t++; } while (t < 3); { s += t + u; } return s; }`,
+		"djb2":          hashSrc + `var f = __fpHash;`,
+		"expression":    `var f = function (s) { return s.length; };`,
+		"var-then-read": `function f() { var x = 1; if (x) var y = 2; return x; }`,
+	}
+	impure := map[string]string{
+		"global":          `function f(x) { return x + g; }`,
+		"typeof-global":   `function f() { return typeof Math; }`,
+		"typeof-missing":  `function f() { return typeof nope; }`,
+		"implicit-global": `function f() { leak = 1; return 1; }`,
+		"outer-frame":     `function outer() { var k = 1; return function (x) { return x + k; }; } var f = outer();`,
+		"read-before-var": `function f() { var r = x; var x = 1; return r; }`,
+		"if-var":          `function f(c) { if (c) var k = 1; return k; }`,
+		"for-var-after":   `function f(n) { for (var i = 0; i < n; i++) {} return i; }`,
+		"this":            `function f() { return this; }`,
+		"arguments":       `function f() { return arguments.length; }`,
+		"own-name":        `function f(n) { return n ? f(n - 1) : 0; }`,
+		"param-own-name":  `function f(f) { return f; }`,
+		"nested-function": `function f() { var h = function () { return 1; }; return 1; }`,
+		"arrow":           `function f() { var h = (x) => x; return 1; }`,
+		"arrow-itself":    `var f = (s) => s.length;`,
+		"new":             `function f(x) { return new x(); }`,
+		"plain-call":      `function f(x) { return x(1); }`,
+		"computed-read":   `function f(s) { return s[0]; }`,
+		"computed-call":   `function f(s) { return s['charAt'](0); }`,
+		"method-property": `function f(s) { return s.charCodeAt.x; }`,
+		"member-read":     `function f(o) { return o.k; }`,
+		"member-store":    `function f() { var o = {}; o.k = 1; return 1; }`,
+		"index-store":     `function f() { var a = []; a[0] = 1; return 1; }`,
+		"length-store":    `function f() { var a = []; a.length++; return 1; }`,
+		"throw":           `function f() { throw 1; }`,
+		"try":             `function f() { try { return 1; } catch (e) { return 2; } }`,
+	}
+	for name, src := range pure {
+		if !memoised(t, src) {
+			t.Errorf("%s: want pure: %s", name, src)
+		}
+	}
+	for name, src := range impure {
+		if memoised(t, src) {
+			t.Errorf("%s: want impure: %s", name, src)
+		}
+	}
+}
+
+// TestCallMemoKeyPrefix checks that a declaration's key starts with its
+// source from "(" to the closing "}", comments included.
+func TestCallMemoKeyPrefix(t *testing.T) {
+	in := New(Options{})
+	if _, err := in.RunSource("function f(s /* in */) {\n\treturn s.length; // out\n} f('x')"); err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := in.Global("f")
+	if got, want := fn.Object().code.memo, memoPrefix("(s /* in */) {\n\treturn s.length; // out\n}"); got != want {
+		t.Fatalf("key prefix %q, want %q", got, want)
+	}
+}
+
+// TestCallMemoConcurrent runs 8 goroutines, each with its own Interp,
+// over one shared memo: each hashes an overlapping set of strings, so
+// the goroutines both fill the memo and hit each other's entries. Every
+// value and step count must equal a run without the memo (make race
+// checks the sharing).
+func TestCallMemoConcurrent(t *testing.T) {
+	prog, err := Parse(hashSrc + `
+var out = [];
+for (var i = 0; i < 6; i++) { out.push(__fpHash('data:' + ((i + seed) % 4) + 'AAAA'.repeat(32 + (i + seed) % 4))); }
+out.join(',');
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runOnce := func(seed int, calls *CallMemo) string {
+		in := New(Options{Calls: calls})
+		in.SetGlobal("seed", Number(float64(seed)))
+		v, err := in.Run(prog)
+		return fmt.Sprintf("%s steps=%d err=%v", v.Str(), in.Steps(), err)
+	}
+	const workers = 8
+	want := make([]string, workers)
+	for w := range want {
+		want[w] = runOnce(w, nil)
+	}
+	calls := NewCallMemo()
+	errs := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				if got := runOnce(w, calls); got != want[w] {
+					errs[w] = fmt.Sprintf("round %d: %s, alone %s", round, got, want[w])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, e := range errs {
+		if e != "" {
+			t.Errorf("worker %d: %s", w, e)
+		}
+	}
+	if n := len(calls.calls); n != 4 {
+		t.Fatalf("memo holds %d calls, want the 4 distinct ones", n)
+	}
+}
+
+// TestCallMemoByteBound checks that the memo empties when the next
+// entry would pass its byte bound, and never stores an entry larger
+// than the bound.
+func TestCallMemoByteBound(t *testing.T) {
+	m := NewCallMemo()
+	m.limit = 1000
+	key := func(i int) string { return fmt.Sprintf("%0100d", i) }
+	entry := 100 + memoEntryBytes
+	for i := 0; i < 20; i++ {
+		m.put(key(i), callResult{v: Number(float64(i)), steps: i})
+		if m.size > m.limit {
+			t.Fatalf("after %d puts: %d bytes held, bound %d", i+1, m.size, m.limit)
+		}
+		if want := (i%(m.limit/entry) + 1) * entry; m.size != want {
+			t.Fatalf("after %d puts: %d bytes held, want %d", i+1, m.size, want)
+		}
+		if c, ok := m.get([]byte(key(i))); !ok || c.steps != i {
+			t.Fatalf("entry %d missing right after its put", i)
+		}
+	}
+	if _, ok := m.get([]byte(key(0))); ok {
+		t.Fatal("entry 0 survived the memo emptying")
+	}
+	m.put("big", callResult{v: String(strings.Repeat("x", m.limit))})
+	if _, ok := m.get([]byte("big")); ok {
+		t.Fatal("stored an entry larger than the bound")
+	}
+}
+
+// TestCallMemoCopiesStrings stores 256 one-byte results, each cut from
+// a fresh megabyte string. The memo must keep a copy of each result,
+// not the megabyte behind it, so the bytes it counts are the bytes it
+// keeps alive.
+func TestCallMemoCopiesStrings(t *testing.T) {
+	calls := NewCallMemo()
+	in := New(Options{Calls: calls})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v, err := in.RunSource(`function f(n) { return 'abcdefgh'.repeat(1 << 17).charAt(0); } var s; for (var i = 0; i < 256; i++) s = f(i); s`)
+	if err != nil || v.Str() != "a" {
+		t.Fatalf("got %q, %v", v.Str(), err)
+	}
+	if n := len(calls.calls); n != 256 {
+		t.Fatalf("memo holds %d calls, want 256", n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapInuse) - int64(before.HeapInuse); grown > 32<<20 {
+		t.Fatalf("memo of 256 one-byte results keeps %d MB live", grown>>20)
+	}
+	runtime.KeepAlive(calls)
+}
+
+// TestCallMemoKeyBudget runs a loop that passes a 16 MB string to a
+// pure function costing a few steps: the calls skip the memo rather
+// than hash 16 MB each, since the loop never earns a key that long.
+func TestCallMemoKeyBudget(t *testing.T) {
+	in := New(Options{Calls: NewCallMemo()})
+	v, err := in.RunSource(`function f(s) { return 1; } var s = 'x'.repeat(1 << 20).repeat(16); var n = 0; for (var i = 0; i < 50000; i++) n += f(s); n`)
+	if err != nil || v.Num() != 50000 {
+		t.Fatalf("got %v, %v", v.Num(), err)
+	}
+	if in.keyBytes != 0 || len(in.calls.calls) != 0 {
+		t.Fatalf("built %d key bytes and stored %d calls for a 16 MB argument", in.keyBytes, len(in.calls.calls))
+	}
+}

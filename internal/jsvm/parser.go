@@ -12,7 +12,7 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: src, toks: toks}
 	prog := &Program{}
 	for !p.at(tEOF, "") {
 		st, err := p.statement()
@@ -28,9 +28,33 @@ func Parse(src string) (*Program, error) {
 }
 
 type parser struct {
+	src  string
 	toks []token
 	pos  int
+	// depth counts the statement, assignment and unary levels open on
+	// the current path; every recursion of the parser passes through one
+	// of the three.
+	depth int
 }
+
+// maxNesting caps depth. Past it a script is a syntax error, so a
+// megabyte of "(" fails after a short scan instead of recursing a
+// million levels. The vendor, deferred and benign scripts nest at most
+// 13 levels. A parenthesised level counts 2, so no chain of unary
+// operators and parentheses runs deeper than 256 closures.
+const maxNesting = 256
+
+// nest opens one nesting level; the caller closes it with
+// defer p.unnest() once nest succeeds.
+func (p *parser) nest() error {
+	if p.depth >= maxNesting {
+		return p.errHere("nesting too deep")
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
@@ -53,17 +77,20 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 		return p.next(), nil
 	}
 	t := p.cur()
-	return token{}, &SyntaxError{t.line, t.col, fmt.Sprintf("expected %q, found %s", text, t)}
+	return token{}, p.errAt(t, fmt.Sprintf("expected %q, found %s", text, t))
 }
 
-func (p *parser) errHere(msg string) error {
-	t := p.cur()
-	return &SyntaxError{t.line, t.col, msg}
-}
+func (p *parser) errHere(msg string) error { return p.errAt(p.cur(), msg) }
+
+func (p *parser) errAt(t token, msg string) error { return syntaxError(p.src, t.pos, msg) }
 
 // --- statements ---
 
 func (p *parser) statement() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	switch {
 	case t.kind == tKeyword && (t.text == "var" || t.text == "let" || t.text == "const"):
@@ -164,9 +191,10 @@ func (p *parser) funcDecl() (Stmt, error) {
 	return &VarDecl{Names: []string{nameTok.text}, Inits: []Expr{fn}, IsFunc: true}, nil
 }
 
-// funcRest parses "(params) { body }".
+// funcRest parses "(params) { body }", keeping its source text.
 func (p *parser) funcRest(name string) (*FuncLit, error) {
-	if _, err := p.expect(tPunct, "("); err != nil {
+	open, err := p.expect(tPunct, "(")
+	if err != nil {
 		return nil, err
 	}
 	fn := &FuncLit{Name: name}
@@ -188,6 +216,7 @@ func (p *parser) funcRest(name string) (*FuncLit, error) {
 		return nil, err
 	}
 	fn.Body = body.(*BlockStmt).Body
+	fn.src = p.src[open.pos : p.toks[p.pos-1].pos+1]
 	return fn, nil
 }
 
@@ -392,6 +421,10 @@ func (p *parser) expression() (Expr, error) {
 }
 
 func (p *parser) assignment() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	// Arrow functions: ident => ... or (params) => ...
 	if fn, ok, err := p.tryArrow(); err != nil {
 		return nil, err
@@ -420,7 +453,9 @@ func (p *parser) assignment() (Expr, error) {
 	return left, nil
 }
 
-// tryArrow detects and parses arrow functions with bounded lookahead.
+// tryArrow detects and parses arrow functions. An arrow's parameter
+// list holds only identifiers and commas, so the lookahead stops at the
+// first other token and nested parentheses parse in linear time.
 func (p *parser) tryArrow() (Expr, bool, error) {
 	start := p.pos
 	if p.at(tIdent, "") && p.toks[p.pos+1].kind == tPunct && p.toks[p.pos+1].text == "=>" {
@@ -433,23 +468,11 @@ func (p *parser) tryArrow() (Expr, bool, error) {
 		return &FuncLit{Params: []string{name}, Body: body}, true, nil
 	}
 	if p.at(tPunct, "(") {
-		// Scan ahead for the matching ")" followed by "=>".
-		depth := 0
-		i := p.pos
-		for ; i < len(p.toks); i++ {
-			tt := p.toks[i]
-			if tt.kind == tPunct && tt.text == "(" {
-				depth++
-			} else if tt.kind == tPunct && tt.text == ")" {
-				depth--
-				if depth == 0 {
-					break
-				}
-			} else if tt.kind == tEOF {
-				break
-			}
+		i := p.pos + 1
+		for p.toks[i].kind == tIdent || p.toks[i].kind == tPunct && p.toks[i].text == "," {
+			i++
 		}
-		if i+1 < len(p.toks) && p.toks[i+1].kind == tPunct && p.toks[i+1].text == "=>" {
+		if p.toks[i].kind == tPunct && p.toks[i].text == ")" && p.toks[i+1].kind == tPunct && p.toks[i+1].text == "=>" {
 			p.next() // (
 			var params []string
 			for !p.at(tPunct, ")") {
@@ -557,6 +580,10 @@ func (p *parser) binaryExpr(minPrec int) (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	if t.kind == tPunct && (t.text == "!" || t.text == "-" || t.text == "+" || t.text == "~" || t.text == "++" || t.text == "--") {
 		p.next()
@@ -680,7 +707,7 @@ func (p *parser) primary() (Expr, error) {
 			v, err = strconv.ParseFloat(t.text, 64)
 		}
 		if err != nil {
-			return nil, &SyntaxError{t.line, t.col, "bad number literal"}
+			return nil, p.errAt(t, "bad number literal")
 		}
 		return &NumberLit{Value: v}, nil
 	case t.kind == tString:
@@ -763,5 +790,5 @@ func (p *parser) primary() (Expr, error) {
 		}
 		return obj, nil
 	}
-	return nil, &SyntaxError{t.line, t.col, fmt.Sprintf("unexpected token %s", t)}
+	return nil, p.errAt(t, fmt.Sprintf("unexpected token %s", t))
 }

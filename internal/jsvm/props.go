@@ -385,8 +385,11 @@ func stringMethod(name string) NativeFunc {
 		return func(this Value, args []Value) (Value, error) {
 			out := String(this.Str())
 			for _, a := range args {
-				var err error
-				if out, err = concatStrings(out.str(), a.Str()); err != nil {
+				s, err := a.toStr()
+				if err != nil {
+					return Undefined(), err
+				}
+				if out, err = concatStrings(out.str(), s); err != nil {
 					return Undefined(), err
 				}
 			}
@@ -447,19 +450,11 @@ func (in *Interp) arrayMethod(name string) NativeFunc {
 			if len(args) > 0 {
 				sep = args[0].Str()
 			}
-			to := this.Object()
-			parts := make([]string, len(to.Elems))
-			n := len(sep) * (len(parts) - 1)
-			for i, e := range to.Elems {
-				if !e.IsNullish() {
-					parts[i] = e.Str()
-					n += len(parts[i])
-				}
+			var w strWriter
+			if err := w.join(this.Object().Elems, sep, 0); err != nil {
+				return Undefined(), err
 			}
-			if n > maxStringLen {
-				return Undefined(), errStringLen
-			}
-			return String(strings.Join(parts, sep)), nil
+			return String(w.b.String()), nil
 		}
 	case "indexOf":
 		return func(this Value, args []Value) (Value, error) {

@@ -1,7 +1,6 @@
 package jsvm
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -212,13 +211,8 @@ func (v Value) Str() string {
 		o := v.Object()
 		switch {
 		case o.IsArray:
-			parts := make([]string, len(o.Elems))
-			for i, e := range o.Elems {
-				if !e.IsNullish() {
-					parts[i] = e.Str()
-				}
-			}
-			return strings.Join(parts, ",")
+			s, _ := v.toStr() // "" past the caps
+			return s
 		case o.code != nil || o.Native != nil:
 			return "function () { [code] }"
 		case o.Host != nil:
@@ -231,6 +225,73 @@ func (v Value) Str() string {
 		}
 	}
 	return ""
+}
+
+// toStr is Str for the callers that can raise an error: converting an
+// array fails once it passes the caps strWriter enforces.
+func (v Value) toStr() (string, error) {
+	if o := v.Object(); o != nil && o.IsArray {
+		var w strWriter
+		if err := w.join(o.Elems, ",", 0); err != nil {
+			return "", err
+		}
+		return w.b.String(), nil
+	}
+	return v.Str(), nil
+}
+
+// strWriter builds the string form of an array or the JSON text of a
+// value within the interpreter's caps. Output stops at maxStringLen
+// bytes. Values visited count too, up to maxStringLen of them, so a
+// small array that refers to one big sub-array many times, writing
+// little, still ends; and arrays nest at most maxCallDepth deep, which
+// ends a cyclic array.
+type strWriter struct {
+	b      strings.Builder
+	visits int
+}
+
+func (w *strWriter) write(s string) error {
+	if w.b.Len()+len(s) > maxStringLen {
+		return errStringLen
+	}
+	w.b.WriteString(s)
+	return nil
+}
+
+func (w *strWriter) visit(depth int) error {
+	if depth > maxCallDepth {
+		return errCallStack
+	}
+	if w.visits++; w.visits > maxStringLen {
+		return errStringLen
+	}
+	return nil
+}
+
+// join writes elems converted per ToString and separated by sep, as
+// Array.prototype.join does: null and undefined become "".
+func (w *strWriter) join(elems []Value, sep string, depth int) error {
+	for i, e := range elems {
+		if err := w.visit(depth); err != nil {
+			return err
+		}
+		if i > 0 {
+			if err := w.write(sep); err != nil {
+				return err
+			}
+		}
+		if o := e.Object(); o != nil && o.IsArray {
+			if err := w.join(o.Elems, ",", depth+1); err != nil {
+				return err
+			}
+		} else if !e.IsNullish() {
+			if err := w.write(e.Str()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // formatNumber renders numbers the way JavaScript does: integers without
@@ -307,54 +368,76 @@ func LooseEquals(a, b Value) bool {
 
 // JSONStringify implements JSON.stringify for the supported value kinds.
 // Functions and host objects serialize as null (close enough to JS, which
-// drops/nulls them depending on position).
-func JSONStringify(v Value) string {
+// drops/nulls them depending on position). It fails when the text would
+// pass the caps strWriter enforces.
+func JSONStringify(v Value) (string, error) {
+	var w strWriter
+	if err := w.json(v, 0); err != nil {
+		return "", err
+	}
+	return w.b.String(), nil
+}
+
+// json writes v's JSON text. Undefined writes "undefined", which an
+// array element turns into null and an object property drops.
+func (w *strWriter) json(v Value, depth int) error {
+	if err := w.visit(depth); err != nil {
+		return err
+	}
 	switch v.kind {
 	case KindUndefined:
-		return "undefined"
+		return w.write("undefined")
 	case KindNull:
-		return "null"
+		return w.write("null")
 	case KindBool, KindNumber:
-		return v.Str()
+		return w.write(v.Str())
 	case KindString:
-		return strconv.Quote(v.str())
-	case KindObject:
-		o := v.Object()
-		if v.IsCallable() || o.Host != nil {
-			return "null"
+		return w.write(strconv.Quote(v.str()))
+	}
+	o := v.Object()
+	if v.IsCallable() || o.Host != nil {
+		return w.write("null")
+	}
+	if o.IsArray {
+		if err := w.write("["); err != nil {
+			return err
 		}
-		if o.IsArray {
-			parts := make([]string, len(o.Elems))
-			for i, e := range o.Elems {
-				s := JSONStringify(e)
-				if s == "undefined" {
-					s = "null"
+		for i, e := range o.Elems {
+			if i > 0 {
+				if err := w.write(","); err != nil {
+					return err
 				}
-				parts[i] = s
 			}
-			return "[" + strings.Join(parts, ",") + "]"
+			if e.kind == KindUndefined {
+				e = Null()
+			}
+			if err := w.json(e, depth+1); err != nil {
+				return err
+			}
 		}
-		keys := make([]string, 0, len(o.Props))
-		for k := range o.Props {
+		return w.write("]")
+	}
+	keys := make([]string, 0, len(o.Props))
+	for k, pv := range o.Props {
+		if pv.kind != KindUndefined {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		sb.WriteByte('{')
-		first := true
-		for _, k := range keys {
-			s := JSONStringify(o.Props[k])
-			if s == "undefined" {
-				continue
-			}
-			if !first {
-				sb.WriteByte(',')
-			}
-			first = false
-			fmt.Fprintf(&sb, "%s:%s", strconv.Quote(k), s)
-		}
-		sb.WriteByte('}')
-		return sb.String()
 	}
-	return "null"
+	sort.Strings(keys)
+	if err := w.write("{"); err != nil {
+		return err
+	}
+	for i, k := range keys {
+		sep := ","
+		if i == 0 {
+			sep = ""
+		}
+		if err := w.write(sep + strconv.Quote(k) + ":"); err != nil {
+			return err
+		}
+		if err := w.json(o.Props[k], depth+1); err != nil {
+			return err
+		}
+	}
+	return w.write("}")
 }

@@ -28,6 +28,7 @@ import (
 	"canvassing/internal/cluster"
 	"canvassing/internal/crawler"
 	"canvassing/internal/detect"
+	"canvassing/internal/jsvm"
 	"canvassing/internal/machine"
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
@@ -160,6 +161,7 @@ type Study struct {
 	ckpt       *checkpoint.Writer
 	visits     *tracez.Reservoir // exemplar reservoir (nil unless TraceVisits)
 	memo       *canvas.Memo      // display-list memo every crawl shares
+	calls      *jsvm.CallMemo    // pure-call memo every crawl shares
 	randCache  map[int]RandomizationResult
 	// interactCache memoizes the EX3 interaction re-crawl (randCache
 	// pattern): the report and the repro CLI share one re-crawl.
@@ -198,6 +200,7 @@ func New(opts Options) *Study {
 		Lists:   ListsForSeed(opts.Seed),
 		tel:     tel,
 		memo:    canvas.NewMemo(),
+		calls:   jsvm.NewCallMemo(),
 	}
 	if opts.FaultRate > 0 {
 		s.Faults = netsim.NewFaultModel(opts.Seed, opts.FaultRate)
@@ -294,9 +297,11 @@ func (s *Study) crawlConfig(condition string) crawler.Config {
 	// reservoir; it lives outside the registry, so this is invisible
 	// to bundles.
 	cfg.Visits = s.visits
-	// Every crawl shares the memo: control, ABP, uBO and the demo
-	// harvest draw the same vendor canvases on the same profile.
+	// Every crawl shares the memos: control, ABP, uBO and the demo
+	// harvest draw the same vendor canvases on the same profile, and
+	// hash the same data URLs with the same copy-pasted helper.
 	cfg.Memo = s.memo
+	cfg.Calls = s.calls
 	return cfg
 }
 
