@@ -26,7 +26,8 @@ test:
 # TestSharedProgramConcurrent checks), and each canvas context its own
 # Rasterizer. Crawl workers share two structures of a study: the
 # display-list memo in internal/canvas (TestMemoConcurrent: 8 goroutines
-# extract overlapping drawings through one memo) and the call memo in
+# extract overlapping drawings through one memo, without a hook and
+# through the two kinds of noise hook E8 installs) and the call memo in
 # internal/jsvm (TestCallMemoConcurrent: 8 interpreters call a pure
 # function with overlapping arguments through one memo).
 # internal/imaging pools the PNG encoder's compressors across workers
@@ -54,7 +55,10 @@ fmt-check:
 # without a panic and with bounded allocation. It is differential: each
 # input also runs on eager canvases, on display-list canvases without a
 # memo, and on ones sharing a memo, cold and warm, and all four must
-# trace, read and end with the same bytes. FuzzSnapshotLoad feeds
+# trace, read and end with the same bytes. Its inputs also extract
+# through a noise hook keyed by canvas content and one drawing fresh
+# noise per call, so every hooked URL the memo serves is checked against
+# an eager encode. FuzzSnapshotLoad feeds
 # arbitrary snapshots/index.json bytes to snapshot.Load, which `serve
 # -bundle` and resume both read from disk, and requires an error or a
 # store whose every URL resolves to a content-matching blob under
@@ -87,8 +91,8 @@ check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-mo
 # paper-check reruns the three committed paper reports with the
 # commands EXPERIMENTS.md "Provenance" gives and requires each to be
 # byte-identical to the committed file. It takes about 20 s on a 2-vCPU
-# host; the paper-scale run is the long pole, at 8-9 s and 490-560 MB
-# of memory.
+# host; the paper-scale run is the long pole, at 9 s and 500-570 MB of
+# memory.
 PCHECK := .paper-check
 paper-check:
 	rm -rf $(PCHECK)

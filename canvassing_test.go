@@ -2,6 +2,7 @@ package canvassing
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -201,6 +202,44 @@ func TestTable4Shape(t *testing.T) {
 	}
 	if pct("All", 0) >= pct("Disconnect", 0) {
 		t.Fatal("All must be below each individual list")
+	}
+}
+
+// TestTable4MatchesPerCanvasMatching: Table4 matches each distinct
+// script URL against the lists once, and must count exactly what
+// matching every fingerprintable canvas's script URL counts.
+func TestTable4MatchesPerCanvasMatching(t *testing.T) {
+	for _, seed := range []uint64{3, 11} {
+		s := New(Options{Seed: seed, Scale: 0.02})
+		s.RunControl()
+		s.Analyze()
+		want := Table4Result{Counts: map[string][2]int{}}
+		for i := range s.Sites {
+			st := &s.Sites[i]
+			if !st.OK || st.Cohort == web.Demo {
+				continue
+			}
+			idx := 0
+			if st.Cohort == web.Tail {
+				idx = 1
+			}
+			for _, c := range st.Fingerprintable() {
+				want.Totals[idx]++
+				el, ep, disc := s.Lists.CoverageOf(c.ScriptURL, scriptHost(c.ScriptURL))
+				for name, in := range map[string]bool{"EasyList": el, "EasyPrivacy": ep, "Disconnect": disc,
+					"Any": el || ep || disc, "All": el && ep && disc} {
+					if in {
+						bump(want.Counts, name, idx)
+					}
+				}
+			}
+		}
+		if got := s.Table4(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Table4 = %+v, per-canvas matching gives %+v", seed, got, want)
+		}
+		if want.Totals[0] == 0 || len(want.Counts) != 5 {
+			t.Fatalf("seed %d: too few canvases to compare: %+v", seed, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"canvassing/internal/bundle"
 	"canvassing/internal/crawler"
+	"canvassing/internal/obs/event"
 )
 
 // The determinism oracle: the parallel analysis pipeline must be
@@ -160,14 +161,18 @@ func firstDiff(a, b []byte) int {
 
 // TestDisplayListMemoOracle: the study's display-list memo and call
 // memo must be invisible. With the display-list memo a repeated
-// drawing's toDataURL is served without a replay; without it every
-// extraction replays its element's display list. With the call memo a
-// pure script function called again with the same arguments returns
-// without running. The study runs with neither memo, with both, and
-// with the display-list memo alone; all three must write byte-identical
-// bundles and record identical extractions, Seq included, on every
-// page of every crawl. A replay that reached the page's tracer would
-// shift Seq here.
+// drawing's toDataURL is served without a replay, and an E8 extraction
+// whose hooked pixels were encoded before is served without an encode;
+// without it every extraction replays its element's display list and
+// encodes.
+// With the call memo a pure script function called again with the same
+// arguments returns without running. The study runs with neither memo,
+// with both, and with the display-list memo alone; all three must write
+// byte-identical bundles and record identical extractions, Seq
+// included, on every page of every crawl. A replay that reached the
+// page's tracer would shift Seq here. The report is rendered before the
+// bundle is written, so events.jsonl carries E8's randomize.verdict
+// events, each with its site's extraction and distinct-URL counts.
 func TestDisplayListMemoOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pipeline three times per seed")
@@ -185,6 +190,7 @@ func TestDisplayListMemoOracle(t *testing.T) {
 			s.Analyze()
 			s.RunAdblock()
 			s.RunM1()
+			s.RenderAll()
 			dir := filepath.Join(t.TempDir(), "bundle")
 			if err := s.WriteBundle(dir); err != nil {
 				t.Fatal(err)
@@ -192,6 +198,9 @@ func TestDisplayListMemoOracle(t *testing.T) {
 			return dir, s
 		}
 		refDir, ref := run(false, false)
+		if !bytes.Contains(readFile(t, refDir, "events.jsonl"), []byte(event.RandomizeVerdict)) {
+			t.Fatalf("seed %d: the bundle holds no %s events", seed, event.RandomizeVerdict)
+		}
 		for _, calls := range []bool{true, false} {
 			dir, s := run(true, calls)
 			for _, name := range []string{"manifest.json", "events.jsonl", "report.txt"} {

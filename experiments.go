@@ -364,9 +364,11 @@ type Table4Result struct {
 
 // Table4 computes E6 with the paper's §5.1 methodology: EasyList and
 // EasyPrivacy rules are applied to the script URL with resource type
-// script and no dynamic context; Disconnect by script domain.
+// script and no dynamic context; Disconnect by script domain. Coverage
+// depends only on the URL, so each distinct URL is matched once.
 func (s *Study) Table4() Table4Result {
 	res := Table4Result{Counts: map[string][2]int{}}
+	coverage := map[string][3]bool{}
 	for i := range s.Sites {
 		st := &s.Sites[i]
 		if !st.OK || st.Cohort == web.Demo {
@@ -378,8 +380,12 @@ func (s *Study) Table4() Table4Result {
 		}
 		for _, c := range st.Fingerprintable() {
 			res.Totals[idx]++
-			host := scriptHost(c.ScriptURL)
-			el, ep, disc := s.Lists.CoverageOf(c.ScriptURL, host)
+			cov, ok := coverage[c.ScriptURL]
+			if !ok {
+				cov[0], cov[1], cov[2] = s.Lists.CoverageOf(c.ScriptURL, scriptHost(c.ScriptURL))
+				coverage[c.ScriptURL] = cov
+			}
+			el, ep, disc := cov[0], cov[1], cov[2]
 			if el {
 				bump(res.Counts, "EasyList", idx)
 			}
@@ -526,7 +532,10 @@ type RandomizationResult struct {
 // disciplines to show which one the check catches. Results are cached
 // per sample size: the defense re-crawls are expensive and several
 // reports request the same sample, and caching also keeps the evidence
-// log free of duplicate verdict events.
+// log free of duplicate verdict events. The re-crawls share the study's
+// canvas memo: every extraction still rasterises and runs the defense's
+// hook, but pixels the study has already encoded are not encoded again,
+// which per-session noise, keyed by canvas content, makes common.
 func (s *Study) Randomization(sampleSize int) RandomizationResult {
 	if r, ok := s.randCache[sampleSize]; ok {
 		return r

@@ -1,6 +1,7 @@
 package canvas
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -17,7 +18,9 @@ import (
 // through the same Context2D code onto its own bitmap. A hook-free
 // toDataURL of a still-recording element looks the list up in a Memo
 // first, so a drawing the study has already extracted is neither
-// rasterised nor encoded again.
+// rasterised nor encoded again. A hooked toDataURL still rasterises and
+// runs its hook on every call, then looks the hooked pixels up by their
+// digest, so pixels the study has already encoded are not encoded again.
 //
 // The list is bytes: per call an opcode, the count of its float64
 // arguments, their bits, and one length-prefixed string. Gradients are
@@ -212,13 +215,20 @@ func (e *Element) replay() {
 	}
 }
 
+// A Memo key starts with a tag byte saying which of the two kinds below
+// it is, so a drawing's key never equals a hooked canvas's.
+const (
+	drawingTag byte = iota
+	pixelsTag
+)
+
 // memoKey identifies what a hook-free toDataURL of the recording element
 // returns: the profile's rendering parameters (not the pointer: every
 // crawl builds its profile afresh), the size, the format, the quality
 // the encoder will use, and the display list.
 func (e *Element) memoKey(f imaging.Format, quality float64) []byte {
 	p := e.profile
-	k := make([]byte, 0, 80+len(p.Name)+len(e.ops))
+	k := append(make([]byte, 0, 81+len(p.Name)+len(e.ops)), drawingTag)
 	for _, s := range []string{p.Name, string(f)} {
 		k = binary.AppendUvarint(k, uint64(len(s)))
 		k = append(k, s...)
@@ -230,11 +240,26 @@ func (e *Element) memoKey(f imaging.Format, quality float64) []byte {
 	return append(k, e.ops...)
 }
 
+// pixKey identifies what encoding img, the pixels an extraction hook
+// returned, gives: their SHA-256 (a 64-bit hash could silently give one
+// canvas another's URL), the size, the format and the quality the
+// encoder will use. Equal keys mean equal encoder input.
+func pixKey(img *raster.Image, f imaging.Format, quality float64) []byte {
+	sum := sha256.Sum256(img.Pix)
+	k := append(make([]byte, 0, 1+len(sum)+24+len(f)), pixelsTag)
+	k = append(k, sum[:]...)
+	for _, v := range []uint64{uint64(img.W), uint64(img.H), math.Float64bits(f.Quality(quality))} {
+		k = binary.LittleEndian.AppendUint64(k, v)
+	}
+	return append(k, f...)
+}
+
 // Memo maps drawings to the data URLs hook-free toDataURL calls return
-// for them. One study shares one Memo across its crawls and their
-// workers, so it is safe for concurrent use. A map lookup compares the
-// whole key, display list included, so a hit is exact. Its size is
-// bounded by bytes: it empties when full.
+// for them, and hooked pixels to the URLs they encode to. One study
+// shares one Memo across its crawls and their workers, so it is safe
+// for concurrent use. A map lookup compares the whole key, display list
+// or digest included, so a hit is exact. Its size is bounded by bytes:
+// it empties when full.
 type Memo struct {
 	mu    sync.RWMutex
 	urls  map[string]string
@@ -264,7 +289,7 @@ func (m *Memo) put(key []byte, u string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.urls[string(key)]; ok {
-		return // another worker drew the same list first
+		return // another worker extracted the same canvas first
 	}
 	if m.size+n > m.limit {
 		m.urls, m.size = map[string]string{}, 0

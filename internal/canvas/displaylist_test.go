@@ -2,8 +2,10 @@ package canvas
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"canvassing/internal/machine"
 	"canvassing/internal/raster"
@@ -110,14 +112,42 @@ func TestMemoStaysWithinBound(t *testing.T) {
 	}
 }
 
+// contentNoise is a per-session-style hook: its noise is a function of
+// the pixels alone, so equal canvases extract equally.
+func contentNoise(img *raster.Image) *raster.Image {
+	return noisy(img, uint64(crc32.ChecksumIEEE(img.Pix)))
+}
+
+// callNoise returns a per-render-style hook: every call draws fresh
+// noise, numbered from 1 for each hook it returns.
+func callNoise() ExtractHook {
+	var calls uint64
+	return func(img *raster.Image) *raster.Image {
+		calls++
+		return noisy(img, calls)
+	}
+}
+
+// noisy returns a copy of img with the low bit of every 61st byte
+// flipped, starting at a byte chosen by seed.
+func noisy(img *raster.Image, seed uint64) *raster.Image {
+	out := img.Clone()
+	for i := int(seed % 61); i < len(out.Pix); i += 61 {
+		out.Pix[i] ^= 1
+	}
+	return out
+}
+
 // TestMemoConcurrent: 8 goroutines extract overlapping drawings through
-// one memo, on two profiles, and every URL equals a serial render
-// without the memo.
+// one memo, on two profiles, without a hook, with contentNoise and with
+// a fresh callNoise, and every URL equals a serial render without the
+// memo.
 func TestMemoConcurrent(t *testing.T) {
 	profiles := []*machine.Profile{machine.Intel(), machine.AppleM1()}
-	render := func(m *Memo, p, i int, format string) string {
+	render := func(m *Memo, p, i int, format string, hook int) string {
 		e := New(profiles[p])
 		e.SetMemo(m)
+		e.SetExtractHook([]ExtractHook{nil, contentNoise, callNoise()}[hook])
 		drawScene(e, i)
 		return e.ToDataURL(format, 0)
 	}
@@ -126,7 +156,9 @@ func TestMemoConcurrent(t *testing.T) {
 	for p := range profiles {
 		for i := 0; i < 6; i++ {
 			for _, f := range formats {
-				want[fmt.Sprint(p, i, f)] = render(nil, p, i, f)
+				for h := 0; h < 3; h++ {
+					want[fmt.Sprint(p, i, f, h)] = render(nil, p, i, f, h)
+				}
 			}
 		}
 	}
@@ -136,23 +168,36 @@ func TestMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for n := 0; n < 24; n++ {
-				p, i, f := (w+n)%2, (w*5+n)%6, formats[n%2]
-				if got := render(m, p, i, f); got != want[fmt.Sprint(p, i, f)] {
-					t.Errorf("worker %d: profile %d drawing %d %q differs from the serial render", w, p, i, f)
+			for n := 0; n < 36; n++ {
+				p, i, f, h := (w+n)%2, (w*5+n)%6, formats[n%2], (w+n/2)%3
+				if got := render(m, p, i, f, h); got != want[fmt.Sprint(p, i, f, h)] {
+					t.Errorf("worker %d: profile %d drawing %d %q hook %d differs from the serial render", w, p, i, f, h)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := len(m.urls); n == 0 || n > len(want) {
-		t.Fatalf("memo holds %d entries for %d distinct extractions", n, len(want))
+	if d, h := countKeys(m); d == 0 || h == 0 || d+h > len(want) {
+		t.Fatalf("memo holds %d drawings and %d hooked canvases for %d distinct extractions", d, h, len(want))
 	}
 }
 
+// countKeys counts the drawings and the hooked canvases m holds.
+func countKeys(m *Memo) (drawings, hooked int) {
+	for k := range m.urls {
+		if k[0] == pixelsTag {
+			hooked++
+		} else {
+			drawings++
+		}
+	}
+	return drawings, hooked
+}
+
 // TestMemoHitSkipsRaster: a drawing the memo holds is served without
-// materialising the element, which keeps recording, and a hooked or
-// live element never consults the memo.
+// materialising the element, which keeps recording. A hooked element
+// rasterises and runs its hook on every call, and shares a URL only
+// with extractions whose hooked pixels are identical.
 func TestMemoHitSkipsRaster(t *testing.T) {
 	m := NewMemo()
 	first := New(nil)
@@ -172,13 +217,81 @@ func TestMemoHitSkipsRaster(t *testing.T) {
 		t.Fatal("drawing after a hit must change the URL")
 	}
 
-	hooked := New(nil)
-	hooked.SetMemo(m)
-	hooked.SetExtractHook(func(img *raster.Image) *raster.Image { return img })
-	drawScene(hooked, 2)
-	n := len(m.urls)
-	hooked.ToDataURL("", 0)
-	if len(m.urls) != n {
-		t.Fatal("a hooked extraction must not use the memo")
+	hooked := func(i int, hook ExtractHook) string {
+		e := New(nil)
+		e.SetMemo(m)
+		e.SetExtractHook(hook)
+		drawScene(e, i)
+		u := e.ToDataURL("", 0)
+		if e.img == nil {
+			t.Fatal("a hooked extraction must rasterise")
+		}
+		return u
+	}
+	calls := 0
+	identity := func(img *raster.Image) *raster.Image { calls++; return img }
+	if hooked(1, identity) != want || hooked(1, identity) != want || calls != 2 {
+		t.Fatalf("a hook that keeps the pixels must give the drawing's URL and run on every call (ran %d times)", calls)
+	}
+	a, b := hooked(1, contentNoise), hooked(1, contentNoise)
+	if a == want {
+		t.Fatal("a hook that changes the pixels got its drawing's hook-free URL")
+	}
+	if a != b || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatal("two extractions with identical hooked pixels must share one stored URL")
+	}
+	if hooked(2, contentNoise) == a {
+		t.Fatal("another drawing's hooked pixels got the same URL")
+	}
+	noise := callNoise()
+	if c, d := hooked(1, noise), hooked(1, noise); c == d || c == a || c == want || d == want {
+		t.Fatal("extractions with different hooked pixels must get different URLs")
+	}
+}
+
+// TestHookedMemo: with contentNoise and with callNoise, a run of
+// extractions through a shared memo, cold and then warm, returns the
+// URLs the same run returns on eager, memo-less elements. Each round
+// draws one of three scenes and extracts it twice, so contentNoise
+// repeats URLs and callNoise never does.
+func TestHookedMemo(t *testing.T) {
+	run := func(m *Memo, eager bool, hook ExtractHook) []string {
+		var urls []string
+		for r := 0; r < 9; r++ {
+			e := New(nil)
+			e.SetMemo(m)
+			e.SetExtractHook(hook)
+			if eager {
+				e.bitmap()
+			}
+			drawScene(e, r%3)
+			urls = append(urls, e.ToDataURL("", 0), e.ToDataURL("image/webp", 0.5))
+		}
+		return urls
+	}
+	for name, hook := range map[string]func() ExtractHook{
+		"contentNoise": func() ExtractHook { return contentNoise },
+		"callNoise":    callNoise,
+	} {
+		want := run(nil, true, hook())
+		m := NewMemo()
+		for _, pass := range []string{"cold", "warm"} {
+			got := run(m, false, hook())
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, memo %s: extraction %d differs from the eager run's", name, pass, i)
+				}
+			}
+		}
+		distinct := map[string]bool{}
+		for _, u := range want {
+			distinct[u] = true
+		}
+		if d, h := countKeys(m); h != len(distinct) || d != 0 {
+			t.Fatalf("%s: memo holds %d hooked URLs and %d drawings for %d distinct hooked URLs", name, h, d, len(distinct))
+		}
+		if name == "contentNoise" && len(distinct) != 6 || name == "callNoise" && len(distinct) != len(want) {
+			t.Fatalf("%s: %d distinct URLs in %d extractions", name, len(distinct), len(want))
+		}
 	}
 }

@@ -110,8 +110,8 @@ func (e *Element) SetTracer(t Tracer) { e.tracer = t }
 // SetExtractHook installs a pixel-extraction hook (randomization defense).
 func (e *Element) SetExtractHook(h ExtractHook) { e.extractHook = h }
 
-// SetMemo shares m's data URLs with this element's hook-free toDataURL
-// calls. Nil, the default, shares nothing.
+// SetMemo shares m's data URLs with this element's toDataURL calls.
+// Nil, the default, shares nothing.
 func (e *Element) SetMemo(m *Memo) { e.memo = m }
 
 // Profile returns the machine profile this element renders on.
@@ -197,35 +197,50 @@ func (e *Element) Image() *raster.Image { return e.bitmap() }
 // follows toDataURL's first argument ("" means PNG); quality applies to
 // lossy formats, with values outside (0, 1] selecting the 0.92 default.
 // A canvas over the size limits has no pixels and gives "data:,", as
-// the spec says. A recording element with a memo and no extraction hook
-// takes the URL from the memo when its drawing is there, and adds it
-// when not.
+// the spec says. With a memo, a hook-free call on a recording element
+// looks its drawing up (memoKey), and a hooked call the pixels its hook
+// returned (pixKey); a miss encodes and stores.
 func (e *Element) ToDataURL(format string, quality float64) string {
 	f := imaging.ParseFormat(format)
-	var key []byte
-	u, ok := "", false
+	var u string
 	if e.img == nil && e.extractHook == nil && e.memo != nil {
-		key = e.memoKey(f, quality)
-		u, ok = e.memo.get(key)
-	}
-	if !ok {
-		u = e.encode(f, quality)
-		if key != nil {
+		key := e.memoKey(f, quality)
+		ok := false
+		if u, ok = e.memo.get(key); !ok {
+			u = e.extract(f, quality)
 			e.memo.put(key, u)
 		}
+	} else {
+		u = e.extract(f, quality)
 	}
 	e.trace("toDataURL", []string{format}, u)
 	return u
 }
 
-func (e *Element) encode(f imaging.Format, quality float64) string {
+// extract encodes the bitmap as the extraction hook leaves it. The hook
+// runs on every call, so per-render noise stays fresh; only encoding
+// pixels the memo has seen is skipped.
+func (e *Element) extract(f imaging.Format, quality float64) string {
 	img := e.bitmap()
 	if len(img.Pix) == 0 {
 		return "data:,"
 	}
 	if e.extractHook != nil {
 		img = e.extractHook(img)
+		if e.memo != nil {
+			key := pixKey(img, f, quality)
+			u, ok := e.memo.get(key)
+			if !ok {
+				u = encode(img, f, quality)
+				e.memo.put(key, u)
+			}
+			return u
+		}
 	}
+	return encode(img, f, quality)
+}
+
+func encode(img *raster.Image, f imaging.Format, quality float64) string {
 	data, err := imaging.Encode(img, f, quality)
 	if err != nil {
 		// Encoding a valid in-memory image cannot fail with stdlib

@@ -26,7 +26,8 @@ import (
 // draw every call as it comes; on recording elements without a memo;
 // and on recording elements sharing one memo, cold and then warm. The
 // four runs must agree on every traced call and return (every toDataURL
-// URL included), on every getImageData's bytes and on the final pixels.
+// URL included, hooked ones too), on every getImageData's bytes and on
+// the final pixels.
 func FuzzCanvasOps(f *testing.F) {
 	// The repros of the hostile inputs the canvas and raster layers used
 	// to crash, exhaust memory or hang on.
@@ -58,6 +59,13 @@ func FuzzCanvasOps(f *testing.F) {
 		"lastGradient", 0.5, byte(5), "fillRect", 0, 20, 40, 20, "toDataURL", byte(0),
 		"width", 200, "lastGradient", 0.2, byte(3), "fillRect", 0, 0, 40, 20, "toDataURL", byte(0),
 		"swap", "lastGradient", 0.7, byte(0), "fillRect", 0, 0, 40, 20, "toDataURL", byte(0)))
+	// The same scene extracted through both hooks on both canvases,
+	// twice each, so hooked extractions can hit the memo.
+	hooked := []any{"font", byte(0), "fillStyle", byte(0), "fillRect", 100, 1, 50, 20, "fillText", byte(0), 2, 15,
+		"hookedToDataURL", byte(0), byte(0), 0, "hookedToDataURL", byte(1), byte(0), 0,
+		"hookedToDataURL", byte(0), byte(0), 0, "hookedToDataURL", byte(1), byte(2), 0.5,
+		"hookedToDataURL", byte(0), byte(2), 0.5, "hookedToDataURL", byte(0), byte(2), 0.9, "toDataURL", byte(0), 0}
+	f.Add(fuzzSeed(append(append(append([]any{}, hooked...), "swap"), hooked...)...))
 	// arcTo after moveTo: its own lineTo segments must not be replayed
 	// twice.
 	f.Add(fuzzSeed("beginPath", "moveTo", 10, 10, "arcTo", 40, 10, 40, 40, 10, "lineTo", 40, 40,
@@ -220,13 +228,15 @@ var (
 )
 
 // fuzzCanvas is the state the decoded calls run against: two canvases,
-// the one calls go to, the last ImageData and gradient made, and the
-// transcript of what the calls traced and read.
+// the one calls go to, the last ImageData and gradient made, the
+// extraction hooks hookedToDataURL installs, and the transcript of what
+// the calls traced and read.
 type fuzzCanvas struct {
 	els        [2]*Element
 	cur        int
 	data       *ImageData
 	grad       *Gradient
+	hooks      [2]ExtractHook
 	eager      bool
 	transcript []string
 }
@@ -234,9 +244,11 @@ type fuzzCanvas struct {
 // newFuzzCanvas returns two canvases on different profiles sharing
 // memo. Eager canvases are taken live at creation and after every
 // reset, so they draw each call as it comes, as canvases did before
-// display lists.
+// display lists. Each fuzzCanvas has its own callNoise, so every run of
+// an input draws the same noise.
 func newFuzzCanvas(eager bool, memo *Memo) *fuzzCanvas {
-	fc := &fuzzCanvas{els: [2]*Element{New(machine.Intel()), New(machine.AppleM1())}, eager: eager}
+	fc := &fuzzCanvas{els: [2]*Element{New(machine.Intel()), New(machine.AppleM1())},
+		hooks: [2]ExtractHook{contentNoise, callNoise()}, eager: eager}
 	for _, e := range fc.els {
 		e.SetTracer(TracerFunc(func(iface, member string, args []string, ret string) {
 			fc.log(fmt.Sprintf("%s.%s(%q)", iface, member, args), []byte(ret))
@@ -386,6 +398,14 @@ var fuzzOps = []struct {
 			fc.grad.AddColorStop(in.num(), pick(in, fuzzColors))
 			fc.ctx().SetFillGradient(fc.grad.Paint())
 		}
+	}},
+	// hookedToDataURL extracts through contentNoise or callNoise, the
+	// two randomization disciplines, then takes the hook off again.
+	{"hookedToDataURL", func(fc *fuzzCanvas, in *fuzzInput) {
+		e := fc.el()
+		e.SetExtractHook(fc.hooks[in.byte()%2])
+		e.ToDataURL(pick(in, fuzzFormats), in.num())
+		e.SetExtractHook(nil)
 	}},
 }
 

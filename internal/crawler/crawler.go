@@ -132,14 +132,11 @@ type Config struct {
 	Profile *machine.Profile
 	// Extension is the installed ad blocker (nil → control crawl).
 	Extension Extension
-	// ExtractHook, when non-nil, installs a canvas-randomization defense
-	// on every page (§5.3 experiments).
-	ExtractHook canvas.ExtractHook
-	// ExtractHookFor, when non-nil, builds a page-scoped defense hook
-	// per visited domain and takes precedence over ExtractHook. Page
-	// scoping keeps per-render noise a pure function of (seed, domain),
-	// independent of worker scheduling, so traced visit costs stay
-	// width- and run-invariant under a defense.
+	// ExtractHookFor, when non-nil, installs a canvas-randomization
+	// defense (§5.3 experiments) by building a hook for each visited
+	// domain. Page scoping keeps per-render noise a pure function of
+	// (seed, domain), independent of worker scheduling, so traced visit
+	// costs stay width- and run-invariant under a defense.
 	ExtractHookFor func(domain string) canvas.ExtractHook
 	// AutoConsent opts into consent banners, as the paper's crawler does
 	// with the autoconsent library. When false, consent-gated scripts
@@ -210,8 +207,9 @@ type Config struct {
 	// Memo, when non-nil, is the display-list memo every page's
 	// canvases share: a drawing one page has extracted with a hook-free
 	// toDataURL is served to the next without rasterising or encoding
-	// it. DefaultConfig makes a fresh one; nil shares nothing across
-	// pages. It changes no extracted byte.
+	// it, and hooked pixels one page has encoded are not encoded again.
+	// DefaultConfig makes a fresh one; nil shares nothing across pages.
+	// It changes no extracted byte.
 	Memo *canvas.Memo
 	// Calls, when non-nil, is the call memo every page's interpreter
 	// shares: a pure script function called with the same arguments on
@@ -717,8 +715,6 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 	doc.Memo = cfg.Memo
 	if cfg.ExtractHookFor != nil {
 		doc.ExtractHook = cfg.ExtractHookFor(site.Domain)
-	} else if cfg.ExtractHook != nil {
-		doc.ExtractHook = cfg.ExtractHook
 	}
 
 	seq := 0

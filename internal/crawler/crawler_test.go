@@ -259,7 +259,7 @@ func TestPerRenderDefenseChangesExtractions(t *testing.T) {
 	w := testWeb(t)
 	sites := w.CohortSites(web.Popular)[:200]
 	cfg := DefaultConfig()
-	cfg.ExtractHook = randomize.NewDefense(randomize.PerRender, 7).Hook()
+	cfg.ExtractHookFor = randomize.NewDefense(randomize.PerRender, 7).PageHook
 	res := Crawl(w, sites, cfg)
 	// Under per-render noise, double-rendered canvases now differ, so
 	// scripts see inconsistency. Confirm some site extracted two

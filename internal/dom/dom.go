@@ -27,7 +27,7 @@ type Document struct {
 	// defenses).
 	ExtractHook canvas.ExtractHook
 	// Memo, when non-nil, is shared by every created canvas's
-	// hook-free toDataURL calls (see canvas.Memo).
+	// toDataURL calls (see canvas.Memo).
 	Memo *canvas.Memo
 	// Domain is the page's hostname, exposed as document.domain.
 	Domain string

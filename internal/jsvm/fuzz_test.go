@@ -83,21 +83,9 @@ var fuzzCalls = jsvm.NewCallMemo()
 // times with call memos: cold and then warm on a memo of its own, and
 // on the memo every input shares; each must agree too.
 func FuzzEval(f *testing.F) {
-	params := services.ScriptParams{SiteDomain: "fuzz.example"}
-	for _, c := range append(stepCases, callCases...) {
-		f.Add(c.src)
+	for _, src := range evalSeeds() {
+		f.Add(src)
 	}
-	for _, v := range services.Registry() {
-		f.Add(v.Source(params))
-	}
-	for _, v := range services.Deferred() {
-		f.Add(v.Source(params))
-	}
-	for _, k := range services.BenignKinds() {
-		f.Add(services.BenignSource(k))
-	}
-	f.Add(`var a = [3, 1, 2]; var s = 0; a.forEach(function (x, i) { s += x * i; }); try { null.x; } catch (e) { console.log(e.message, s); } s`)
-	f.Add(`function f(n) { return n ? f(n - 1) + arguments.length : typeof g; } var g = f(30); for (;;) { g++; }`)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := jsvm.Parse(src)
 		if err != nil {
@@ -114,4 +102,52 @@ func FuzzEval(f *testing.F) {
 			}
 		}
 	})
+}
+
+// evalSeeds is FuzzEval's seed corpus: the step and call cases, every
+// vendor, deferred and benign script, and two scripts mixing closures,
+// arguments, try and an endless loop.
+func evalSeeds() []string {
+	var seeds []string
+	params := services.ScriptParams{SiteDomain: "fuzz.example"}
+	for _, c := range append(stepCases, callCases...) {
+		seeds = append(seeds, c.src)
+	}
+	for _, v := range services.Registry() {
+		seeds = append(seeds, v.Source(params))
+	}
+	for _, v := range services.Deferred() {
+		seeds = append(seeds, v.Source(params))
+	}
+	for _, k := range services.BenignKinds() {
+		seeds = append(seeds, services.BenignSource(k))
+	}
+	return append(seeds,
+		`var a = [3, 1, 2]; var s = 0; a.forEach(function (x, i) { s += x * i; }); try { null.x; } catch (e) { console.log(e.message, s); } s`,
+		`function f(n) { return n ? f(n - 1) + arguments.length : typeof g; } var g = f(30); for (;;) { g++; }`)
+}
+
+// TestLexerMatchesListScan: matching punctuators by their first byte
+// must lex exactly as scanning the whole list at every byte did, maximal
+// munch included (`&=`, `|=`, `<<=` and `>>=` lex as one token, which
+// the parser rejects). Tokens and errors must agree on every string of
+// one to three bytes drawn from the punctuators' bytes, an identifier
+// byte and a byte no token starts with, and on FuzzEval's seed corpus.
+func TestLexerMatchesListScan(t *testing.T) {
+	const alphabet = "=!<>&|+-*/%?:(){}[];,.^~" + "a@"
+	var srcs []string
+	for _, a := range alphabet {
+		srcs = append(srcs, string(a))
+		for _, b := range alphabet {
+			srcs = append(srcs, string(a)+string(b))
+			for _, c := range alphabet {
+				srcs = append(srcs, string(a)+string(b)+string(c))
+			}
+		}
+	}
+	for _, src := range append(srcs, evalSeeds()...) {
+		if d := jsvm.LexDiff(src); d != "" {
+			t.Fatalf("%.80q: %s", src, d)
+		}
+	}
 }

@@ -75,7 +75,7 @@ func syntaxError(src string, pos int, msg string) error {
 	return &SyntaxError{line, pos - strings.LastIndexByte(before, '\n'), msg}
 }
 
-// multi-char punctuators, longest first so maximal munch works.
+// punctuators, longest first so maximal munch works.
 var punctuators = []string{
 	"===", "!==", "<<=", ">>=",
 	"==", "!=", "<=", ">=", "&&", "||", "++", "--",
@@ -84,8 +84,31 @@ var punctuators = []string{
 	"(", ")", "{", "}", "[", "]", ";", ",", ".", "&", "|", "^", "~",
 }
 
+// punctsByFirst lists the punctuators by their first byte, each list in
+// punctuators' longest-first order.
+var punctsByFirst = func() (t [256][]string) {
+	for _, p := range punctuators {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
+
+// punct returns the longest punctuator s starts with, or "".
+func punct(s string) string {
+	for _, p := range punctsByFirst[s[0]] {
+		if strings.HasPrefix(s, p) {
+			return p
+		}
+	}
+	return ""
+}
+
 // lex tokenizes src, stripping // and /* */ comments.
-func lex(src string) ([]token, error) {
+func lex(src string) ([]token, error) { return lexWith(src, punct) }
+
+// lexWith is lex with the punctuator matcher as a parameter, so that a
+// test can compare punct with the list scan it replaced.
+func lexWith(src string, match func(string) string) ([]token, error) {
 	var toks []token
 	i := 0
 	n := len(src)
@@ -233,18 +256,12 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{kind, text, start})
 		default:
-			matched := false
-			for _, p := range punctuators {
-				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, token{tPunct, p, i})
-					i += len(p)
-					matched = true
-					break
-				}
-			}
-			if !matched {
+			p := match(src[i:])
+			if p == "" {
 				return nil, syntaxError(src, i, fmt.Sprintf("unexpected character %q", c))
 			}
+			toks = append(toks, token{tPunct, p, i})
+			i += len(p)
 		}
 	}
 	toks = append(toks, token{tEOF, "", n})

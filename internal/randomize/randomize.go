@@ -18,7 +18,6 @@ package randomize
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"canvassing/internal/canvas"
@@ -47,20 +46,20 @@ func (m Mode) String() string {
 	return "per-render"
 }
 
+// amplitude is the ± pixel-value perturbation, matching the subtle noise
+// real defenses inject.
+const amplitude = 1
+
 // Defense is a canvas-randomization implementation.
 type Defense struct {
-	mode Mode
-	// Amplitude is the ± pixel-value perturbation (default 1, matching
-	// the subtle noise real defenses inject).
-	Amplitude int
-	seed      uint64
-	counter   atomic.Uint64
-	mu        sync.Mutex
+	mode    Mode
+	seed    uint64
+	counter atomic.Uint64
 }
 
 // NewDefense returns a defense with the given discipline.
 func NewDefense(mode Mode, seed uint64) *Defense {
-	return &Defense{mode: mode, Amplitude: 1, seed: seed}
+	return &Defense{mode: mode, seed: seed}
 }
 
 // Mode returns the noise discipline.
@@ -77,7 +76,7 @@ func (d *Defense) Hook() canvas.ExtractHook {
 		default:
 			noiseSeed = d.seed ^ d.counter.Add(1)
 		}
-		return addNoise(img, noiseSeed, d.Amplitude)
+		return addNoise(img, noiseSeed)
 	}
 }
 
@@ -96,12 +95,12 @@ func (d *Defense) PageHook(domain string) canvas.ExtractHook {
 	var renders uint64
 	return func(img *raster.Image) *raster.Image {
 		renders++
-		return addNoise(img, base^renders, d.Amplitude)
+		return addNoise(img, base^renders)
 	}
 }
 
 // addNoise perturbs ~1/16 of pixels' low bits deterministically from seed.
-func addNoise(img *raster.Image, seed uint64, amplitude int) *raster.Image {
+func addNoise(img *raster.Image, seed uint64) *raster.Image {
 	out := img.Clone()
 	rng := stats.NewRNG(seed)
 	for i := 0; i < len(out.Pix); i += 4 {
