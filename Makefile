@@ -70,7 +70,11 @@ fmt-check:
 # requires the same outcome. FuzzReadJSONL feeds arbitrary bytes to
 # event.ReadJSONL, which bundle.Load reads every bundle's events.jsonl
 # with, and requires an error or events that read back equal after
-# Sink.WriteJSONL writes them.
+# Sink.WriteJSONL writes them. FuzzParseEventDetail feeds arbitrary
+# detect.classify details to detect.ParseEventDetail, which `serve`
+# runs over every such event of a bundle it loads, and requires a
+# rejection or non-negative dimensions in a detail EventDetail would
+# write back field for field.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
@@ -85,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeDataURL -fuzztime 10s ./internal/imaging
 	$(GO) test -run XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/event
+	$(GO) test -run XXX -fuzz FuzzParseEventDetail -fuzztime 10s ./internal/detect
 
 check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-module paper-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"canvassing/internal/adblock"
 	"canvassing/internal/blocklist"
 	"canvassing/internal/canvas"
 	"canvassing/internal/crawler"
@@ -212,7 +213,7 @@ func BenchmarkCrawlWithEvents(b *testing.B) {
 	cfg := crawler.DefaultConfig()
 	cfg.Telemetry = obs.NewTelemetry()
 	cfg.Condition = "bench"
-	cfg.Extension = newUBO(blocklist.NewStandardListsWithTrackers(5, longtailTrackerCoverage()))
+	cfg.Extension = adblock.NewUBlockOrigin(blocklist.NewStandardListsWithTrackers(5, longtailTrackerCoverage()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		crawler.Crawl(w, sites, cfg)

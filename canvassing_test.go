@@ -374,6 +374,65 @@ func TestMissingCrawlErrors(t *testing.T) {
 	if !strings.Contains(text, "skipped") {
 		t.Fatal("render should note skipped experiments")
 	}
+
+	// A study its checkpoint writer halted mid-crawl holds that crawl's
+	// interrupted result but no analysis of it: the experiments reading
+	// it must say so instead of analysing the uncommitted pages.
+	halted := func(stopAfter int) *Study {
+		s := New(Options{Seed: 11, Scale: 0.02, WithAdblock: true, WithM1: true,
+			CheckpointDir: t.TempDir(), CheckpointEvery: 100})
+		s.Checkpointer().StopAfter = stopAfter
+		s.Run()
+		return s
+	}
+	midUBO := halted(18)
+	if !midUBO.Halted || midUBO.UBO == nil || !midUBO.UBO.Interrupted {
+		t.Fatal("StopAfter 18 must halt the study inside the uBO re-crawl")
+	}
+	if _, err := midUBO.Table2(); err == nil {
+		t.Fatal("Table2 must fail on a study halted mid-uBO")
+	}
+	midM1 := halted(28)
+	if !midM1.Halted || midM1.M1 == nil || !midM1.M1.Interrupted {
+		t.Fatal("StopAfter 28 must halt the study inside the M1 crawl")
+	}
+	if _, err := midM1.Table2(); err != nil {
+		t.Fatalf("Table2 on a study halted after both ad-blocker crawls: %v", err)
+	}
+	for _, h := range []*Study{midUBO, midM1} {
+		if _, err := h.CrossMachine(); err == nil {
+			t.Fatal("CrossMachine must fail on a study halted before its M1 analysis")
+		}
+		h.RenderAll()
+		h.PaperComparison()
+	}
+}
+
+// TestControlCrawlSuffices pins the crawl selection of `repro -exp`:
+// every experiment it runs on the control crawl alone renders the same
+// bytes as on a study with all four crawls.
+func TestControlCrawlSuffices(t *testing.T) {
+	full := getStudy(t)
+	control := Run(Options{Seed: full.Options.Seed, Scale: full.Options.Scale})
+	for _, e := range []struct {
+		id     string
+		render func(*Study) string
+	}{
+		{"e1", func(s *Study) string { return s.Prevalence().Render() }},
+		{"e2", func(s *Study) string { return s.Figure1(50).Render() }},
+		{"e3", func(s *Study) string { return s.Reach().Render() }},
+		{"e4", func(s *Study) string { return s.Table1().Render() }},
+		{"e6", func(s *Study) string { return s.Table4().Render() }},
+		{"e7", func(s *Study) string { return s.Evasion().Render() }},
+		{"e8", func(s *Study) string { return s.Randomization(40).Render() }},
+		{"e10", func(s *Study) string { return s.Filters().Render() }},
+		{"e11", func(s *Study) string { return s.Table3().Render() }},
+		{"e12", func(s *Study) string { return s.RuleContext().Render() }},
+	} {
+		if got, want := e.render(control), e.render(full); got != want {
+			t.Errorf("%s on the control crawl alone:\n%s\nwith every crawl:\n%s", e.id, got, want)
+		}
+	}
 }
 
 func TestDumpSampleCanvases(t *testing.T) {

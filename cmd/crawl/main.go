@@ -42,7 +42,6 @@ import (
 	"canvassing"
 	"canvassing/internal/adblock"
 	"canvassing/internal/analysis"
-	"canvassing/internal/blocklist"
 	"canvassing/internal/bundle"
 	"canvassing/internal/checkpoint"
 	"canvassing/internal/crawler"
@@ -169,7 +168,7 @@ func main() {
 	default:
 		log.Fatalf("unknown machine %q", *machineName)
 	}
-	lists := blocklist.NewStandardLists(*seed)
+	lists := canvassing.ListsForSeed(*seed)
 	cfg.Condition = "control"
 	switch *blocker {
 	case "none":

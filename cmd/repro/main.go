@@ -1,7 +1,10 @@
-// Command repro regenerates every table and figure of the paper: it runs
-// the full study (control crawl, ad-blocker re-crawls, M1 validation
-// crawl, all analyses) and prints the experiment suite plus the
-// paper-vs-measured ledger. Single experiments can be selected with -exp.
+// Command repro regenerates every table and figure of the paper: -exp
+// all (the default) runs the full study (control crawl, ad-blocker
+// re-crawls, M1 validation crawl, all analyses) and prints the
+// experiment suite plus the paper-vs-measured ledger. -exp eN prints one
+// experiment and runs only the crawls it reads: E5 adds the ad-blocker
+// re-crawls, E9 the M1 crawl, EX3 the interaction workload, and every
+// other experiment reads the control crawl alone.
 //
 // The paper-scale run is -scale 1 (20k popular + 20k tail sites); the
 // default 0.1 finishes in well under a minute.
@@ -26,6 +29,50 @@ import (
 	"canvassing/internal/obs/ops"
 )
 
+// experiment is one -exp id: the crawls it reads beyond the control
+// crawl, and its report.
+type experiment struct {
+	adblock, m1, interact bool
+	render                func(*canvassing.Study) string
+}
+
+var (
+	inner    = experiment{render: func(s *canvassing.Study) string { return s.InnerPages().Render() }}
+	interact = experiment{interact: true, render: func(s *canvassing.Study) string { return s.InteractionGap().Render() }}
+
+	experiments = map[string]experiment{
+		"all": {adblock: true, m1: true, render: func(s *canvassing.Study) string {
+			return s.RenderAll() + "\n" + s.PaperComparison()
+		}},
+		"compare":  {adblock: true, m1: true, render: (*canvassing.Study).PaperComparison},
+		"e1":       {render: func(s *canvassing.Study) string { return s.Prevalence().Render() }},
+		"e2":       {render: func(s *canvassing.Study) string { return s.Figure1(50).Render() }},
+		"e3":       {render: func(s *canvassing.Study) string { return s.Reach().Render() }},
+		"e4":       {render: func(s *canvassing.Study) string { return s.Table1().Render() }},
+		"e5":       {adblock: true, render: func(s *canvassing.Study) string { return must(s.Table2()).Render() }},
+		"e6":       {render: func(s *canvassing.Study) string { return s.Table4().Render() }},
+		"e7":       {render: func(s *canvassing.Study) string { return s.Evasion().Render() }},
+		"e8":       {render: func(s *canvassing.Study) string { return s.Randomization(40).Render() }},
+		"e9":       {m1: true, render: func(s *canvassing.Study) string { return must(s.CrossMachine()).Render() }},
+		"e10":      {render: func(s *canvassing.Study) string { return s.Filters().Render() }},
+		"e11":      {render: func(s *canvassing.Study) string { return s.Table3().Render() }},
+		"e12":      {render: func(s *canvassing.Study) string { return s.RuleContext().Render() }},
+		"ex2":      inner,
+		"inner":    inner,
+		"ex3":      interact,
+		"interact": interact,
+	}
+)
+
+// must ends the run on an experiment's error, as repro does on every
+// other failure.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
+
 func main() {
 	seed := flag.Uint64("seed", 1, "study seed")
 	scale := flag.Float64("scale", 0.1, "web scale (1.0 = paper scale)")
@@ -38,10 +85,21 @@ func main() {
 	interruptAfter := flag.Int("interrupt-after", 0, "testing: halt the study after N checkpoint writes (exit code 3)")
 	resumeDir := flag.String("resume", "", "resume an interrupted study from this checkpoint directory (ignores the run-shape flags; they come from the checkpoint)")
 	snapshots := flag.Bool("snapshots", false, "reuse control-crawl page bodies across re-crawls via a content-addressed snapshot store")
-	interact := flag.Bool("interact", false, "plant interaction-gated vendors and run the EX3 crawl-vs-interaction experiment")
+	interactFlag := flag.Bool("interact", false, "plant interaction-gated vendors and run the EX3 crawl-vs-interaction experiment")
 	cli := obs.BindCLI(flag.CommandLine)
 	fcli := obs.BindFaultCLI(flag.CommandLine)
 	flag.Parse()
+
+	id := strings.ToLower(*exp)
+	if id == "ex1" || id == "entropy" {
+		// EX1 needs no crawl.
+		emit(canvassing.EntropyAnalysis(48, *seed).Render(), *out)
+		return
+	}
+	e, ok := experiments[id]
+	if !ok {
+		log.Fatalf("unknown experiment %q", *exp)
+	}
 
 	if *resumeDir != "" {
 		s, err := canvassing.Resume(*resumeDir)
@@ -52,46 +110,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "study interrupted again; resume with -resume %s\n", *resumeDir)
 			os.Exit(3)
 		}
-		report(s, *exp, *out, *dumpDir, cli)
+		report(s, e, *out, *dumpDir, cli)
 		return
 	}
 
-	// Extension experiments run lean: EX1 needs no crawl; EX2 needs only
-	// the control crawl plus the inner-page re-crawl; EX3 the control
-	// crawl plus the interaction-driven re-crawl.
-	switch e := strings.ToLower(*exp); e {
-	case "entropy", "ex1":
-		emit(canvassing.EntropyAnalysis(48, *seed).Render(), *out)
-		return
-	case "inner", "ex2":
-		s := canvassing.Run(canvassing.Options{Seed: *seed, Scale: *scale, Workers: *workers, AnalysisWorkers: cli.AnalysisWorkers, TraceVisits: cli.Tracez})
-		text := s.InnerPages().Render()
-		if cli.Metrics {
-			text += "\n" + s.TelemetryReport()
-		}
-		emit(text, *out)
-		finishTelemetry(s, cli)
-		return
-	case "interact", "ex3":
-		s := canvassing.Run(canvassing.Options{Seed: *seed, Scale: *scale, Workers: *workers, AnalysisWorkers: cli.AnalysisWorkers, TraceVisits: cli.Tracez, Interact: true})
-		text := s.InteractionGap().Render()
-		if cli.Metrics {
-			text += "\n" + s.TelemetryReport()
-		}
-		emit(text, *out)
-		finishTelemetry(s, cli)
-		return
-	}
-
-	// Build the study in stages (rather than canvassing.Run) so the
-	// debug endpoint is live while the crawls execute.
+	// New, then Run (rather than canvassing.Run), so the ops plane is
+	// live while the crawls execute.
 	s := canvassing.New(canvassing.Options{
 		Seed:            *seed,
 		Scale:           *scale,
 		Workers:         *workers,
 		AnalysisWorkers: cli.AnalysisWorkers,
-		WithAdblock:     true,
-		WithM1:          true,
+		WithAdblock:     e.adblock,
+		WithM1:          e.m1,
 		FaultRate:       fcli.Rate,
 		Retries:         fcli.Retries,
 		VisitTimeout:    fcli.VisitTimeout,
@@ -99,7 +130,7 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		SnapshotReuse:   *snapshots,
 		TraceVisits:     cli.Tracez,
-		Interact:        *interact,
+		Interact:        *interactFlag || e.interact,
 	})
 	if ck := s.Checkpointer(); ck != nil {
 		ck.StopAfter = *interruptAfter
@@ -109,89 +140,35 @@ func main() {
 		log.Fatal(err)
 	}
 	defer plane.Close()
-	s.RunControl()
-	if !s.Halted {
-		s.Analyze()
-		s.RunAdblock()
-	}
-	if !s.Halted {
-		s.RunM1()
-	}
+	s.Run()
 	if s.Halted {
 		fmt.Fprintf(os.Stderr, "study interrupted; resume with -resume %s\n", *ckptDir)
 		os.Exit(3)
 	}
 	s.Telemetry().Status.MarkDone()
-	report(s, *exp, *out, *dumpDir, cli)
+	report(s, e, *out, *dumpDir, cli)
 }
 
-// report renders the selected experiment(s) and finishes telemetry.
-func report(s *canvassing.Study, exp, out, dumpDir string, cli *obs.CLI) {
-	var text string
-	switch strings.ToLower(exp) {
-	case "all":
-		text = s.RenderAll() + "\n" + s.PaperComparison()
-	case "compare":
-		text = s.PaperComparison()
-	case "e1":
-		text = s.Prevalence().Render()
-	case "e2":
-		text = s.Figure1(50).Render()
-	case "e3":
-		text = s.Reach().Render()
-	case "e4":
-		text = s.Table1().Render()
-	case "e5":
-		t2, err := s.Table2()
-		if err != nil {
-			log.Fatal(err)
-		}
-		text = t2.Render()
-	case "e6":
-		text = s.Table4().Render()
-	case "e7":
-		text = s.Evasion().Render()
-	case "e8":
-		text = s.Randomization(40).Render()
-	case "e9":
-		cm, err := s.CrossMachine()
-		if err != nil {
-			log.Fatal(err)
-		}
-		text = cm.Render()
-	case "e10":
-		text = s.Filters().Render()
-	case "e11":
-		text = s.Table3().Render()
-	case "e12":
-		text = s.RuleContext().Render()
-	default:
-		log.Fatalf("unknown experiment %q", exp)
-	}
-
+// report renders the selected experiment, then writes the run bundle
+// (span trace included) and sample canvases if requested.
+func report(s *canvassing.Study, e experiment, out, dumpDir string, cli *obs.CLI) {
+	text := e.render(s)
 	if cli.Metrics {
 		text += "\n" + s.TelemetryReport()
 	}
 	emit(text, out)
-	finishTelemetry(s, cli)
-
+	if cli.OutDir != "" {
+		if err := s.WriteBundle(cli.OutDir); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)
+	}
 	if dumpDir != "" {
 		files, err := s.DumpSampleCanvases(dumpDir, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %d sample canvases to %s\n", len(files), dumpDir)
-	}
-}
-
-// finishTelemetry writes the run bundle (span trace included) if
-// requested.
-func finishTelemetry(s *canvassing.Study, cli *obs.CLI) {
-	if cli.OutDir != "" {
-		if err := s.WriteBundle(cli.OutDir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)
 	}
 }
 

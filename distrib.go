@@ -5,7 +5,6 @@ import (
 
 	"canvassing/internal/crawler"
 	"canvassing/internal/distrib"
-	"canvassing/internal/machine"
 )
 
 // DistribOptions configures a distributed study run: the crawl phase is
@@ -51,35 +50,14 @@ func (s *Study) studySpec() distrib.StudySpec {
 	}
 }
 
-// distribConditions lists the crawl conditions a distributed run
-// partitions, in the serial pipeline's phase order.
-func distribConditions(opts Options) []string {
-	conds := []string{CondControl}
-	if opts.WithAdblock {
-		conds = append(conds, CondABP, CondUBO)
-	}
-	if opts.WithM1 {
-		conds = append(conds, CondM1)
-	}
-	return conds
-}
-
 // unitEnv builds one work-unit's environment: the study's generated
 // world plus the exact crawler configuration the serial pipeline would
 // use for the unit's condition. The demo ground-truth harvest is not a
 // distributable condition — it runs coordinator-side inside Analyze,
 // exactly as in the serial pipeline.
 func (s *Study) unitEnv(spec distrib.UnitSpec) (distrib.Env, error) {
-	cfg := s.crawlConfig(spec.Condition)
-	switch spec.Condition {
-	case CondControl:
-	case CondABP:
-		cfg.Extension = newABP(s.Lists)
-	case CondUBO:
-		cfg.Extension = newUBO(s.Lists)
-	case CondM1:
-		cfg.Profile = machine.AppleM1()
-	default:
+	cfg, _, _, ok := s.cohort(spec.Condition)
+	if !ok {
 		return distrib.Env{}, fmt.Errorf("canvassing: condition %q is not distributable", spec.Condition)
 	}
 	return distrib.Env{Web: s.Web, Sites: s.crawlSites, Config: cfg}, nil
@@ -184,7 +162,7 @@ func RunDistributed(opts Options, d DistribOptions) (*Study, *distrib.Ledger, er
 	// different layers; a distributed run always uses the latter.
 	opts.CheckpointDir = ""
 	s := New(opts)
-	units := distrib.Partition(distribConditions(opts), len(s.crawlSites), d.Partitions, s.studySpec())
+	units := distrib.Partition(cohortCrawls(opts), len(s.crawlSites), d.Partitions, s.studySpec())
 	spawn := d.Spawn
 	if spawn == nil {
 		spawn = inprocSpawner{s}
@@ -198,25 +176,12 @@ func RunDistributed(opts Options, d DistribOptions) (*Study, *distrib.Ledger, er
 		return s, ledger, err
 	}
 
-	if s.Control, err = s.adoptUnits(d.Dir, units, CondControl); err != nil {
-		return s, ledger, err
-	}
-	s.Analyze()
-	if opts.WithAdblock {
-		if s.ABP, err = s.adoptUnits(d.Dir, units, CondABP); err != nil {
+	for _, cond := range cohortCrawls(opts) {
+		_, res, _, _ := s.cohort(cond)
+		if *res, err = s.adoptUnits(d.Dir, units, cond); err != nil {
 			return s, ledger, err
 		}
-		s.analyzeABP()
-		if s.UBO, err = s.adoptUnits(d.Dir, units, CondUBO); err != nil {
-			return s, ledger, err
-		}
-		s.analyzeUBO()
-	}
-	if opts.WithM1 {
-		if s.M1, err = s.adoptUnits(d.Dir, units, CondM1); err != nil {
-			return s, ledger, err
-		}
-		s.analyzeM1()
+		s.analyze(cond)
 	}
 	return s, ledger, nil
 }

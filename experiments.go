@@ -18,9 +18,6 @@ import (
 	"canvassing/internal/web"
 )
 
-func newABP(l *blocklist.StandardLists) crawler.Extension { return adblock.NewAdblockPlus(l) }
-func newUBO(l *blocklist.StandardLists) crawler.Extension { return adblock.NewUBlockOrigin(l) }
-
 // --- E1: prevalence (§4.1) ------------------------------------------------
 
 // PrevalenceRow summarizes one cohort.
@@ -292,19 +289,12 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// Table2 computes E5. RunAdblock must have been called.
+// Table2 computes E5 from the analysed control and ad-blocker crawls
+// (RunAdblock, or Options.WithAdblock). It errors when an analysis it
+// reads is absent, as on a study halted mid-crawl.
 func (s *Study) Table2() (Table2Result, error) {
-	if s.ABP == nil || s.UBO == nil {
-		return Table2Result{}, fmt.Errorf("canvassing: Table2 requires RunAdblock (set Options.WithAdblock)")
-	}
-	if s.Sites == nil {
-		s.Sites = s.analyzeAll(s.Control.Pages, CondControl)
-	}
-	if s.ABPSites == nil {
-		s.ABPSites = s.analyzeAll(s.ABP.Pages, CondABP)
-	}
-	if s.UBOSites == nil {
-		s.UBOSites = s.analyzeAll(s.UBO.Pages, CondUBO)
+	if s.Sites == nil || s.ABPSites == nil || s.UBOSites == nil {
+		return Table2Result{}, fmt.Errorf("canvassing: Table2 requires the analysed ad-blocker re-crawls (set Options.WithAdblock)")
 	}
 	var res Table2Result
 	for _, cond := range []struct {
@@ -631,21 +621,15 @@ type CrossMachineResult struct {
 	GroupingConsistent bool
 }
 
-// CrossMachine computes E9. RunM1 must have been called.
+// CrossMachine computes E9 from the analysed control and M1 crawls
+// (RunM1, or Options.WithM1). It errors when an analysis it reads is
+// absent, as on a study halted mid-crawl.
 func (s *Study) CrossMachine() (CrossMachineResult, error) {
-	if s.M1 == nil {
-		return CrossMachineResult{}, fmt.Errorf("canvassing: CrossMachine requires RunM1 (set Options.WithM1)")
+	if s.Sites == nil || s.M1Sites == nil {
+		return CrossMachineResult{}, fmt.Errorf("canvassing: CrossMachine requires the analysed M1 crawl (set Options.WithM1)")
 	}
 	var r CrossMachineResult
-	intelSites := s.Sites
-	if intelSites == nil {
-		intelSites = s.analyzeAll(s.Control.Pages, CondControl)
-		s.Sites = intelSites
-	}
-	if s.M1Sites == nil {
-		s.M1Sites = s.analyzeAll(s.M1.Pages, CondM1)
-	}
-	m1Sites := s.M1Sites
+	intelSites, m1Sites := s.Sites, s.M1Sites
 	// Assign group labels per machine in first-seen order; the event
 	// label sequences must match exactly for grouping to be invariant.
 	label := func(sites []detect.SiteCanvases) []int {
@@ -816,7 +800,7 @@ func (s *Study) RuleContext() RuleContextResult {
 	scriptURL := "https://mgid.com/uid/fp.js"
 	req := blocklist.Request{URL: scriptURL, Type: blocklist.TypeScript, PageHost: "news.example", ThirdParty: true}
 	r.MgidMatchesScript = s.Lists.EasyList.Match(req) != nil
-	r.MgidBlockedLive = newABP(s.Lists).BlockScript(req)
+	r.MgidBlockedLive = adblock.NewAdblockPlus(s.Lists).BlockScript(req)
 	r.BlockedByEasyPriv = s.Lists.EasyPrivacy.Match(req) != nil
 	return r
 }

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"canvassing/internal/crawler"
@@ -225,21 +226,35 @@ func EventDetail(scriptURL string, w, h int, format imaging.Format) string {
 }
 
 // ParseEventDetail inverts EventDetail. ok is false for details that
-// do not follow the format (including details from pre-format events).
+// do not follow the format (including details from pre-format events)
+// and for dimensions EventDetail would not write: a sign, a leading
+// zero or trailing bytes.
 func ParseEventDetail(detail string) (scriptURL string, w, h int, format imaging.Format, ok bool) {
 	fields := strings.Fields(detail)
 	// Undecodable payloads record an empty format, leaving two fields.
 	if len(fields) < 2 || len(fields) > 3 || !strings.HasPrefix(fields[0], "script=") {
 		return "", 0, 0, "", false
 	}
-	scriptURL = strings.TrimPrefix(fields[0], "script=")
-	if n, err := fmt.Sscanf(fields[1], "%dx%d", &w, &h); err != nil || n != 2 {
+	ws, hs, _ := strings.Cut(fields[1], "x")
+	w, wok := parseDim(ws)
+	h, hok := parseDim(hs)
+	if !wok || !hok {
 		return "", 0, 0, "", false
 	}
 	if len(fields) == 3 {
 		format = imaging.Format(fields[2])
 	}
-	return scriptURL, w, h, format, true
+	return strings.TrimPrefix(fields[0], "script="), w, h, format, true
+}
+
+// parseDim reads one dimension of an event detail: decimal digits with
+// no sign and no leading zero, as %d writes a non-negative int.
+func parseDim(s string) (int, bool) {
+	if s == "" || (s[0] == '0' && len(s) > 1) || strings.TrimLeft(s, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // VerdictFromEvent reconstructs the memoizable Verdict a

@@ -208,8 +208,7 @@ func (s *Study) PaperComparison() string {
 	add("fingerprintable share of extracted canvases (§3.2)", "83%",
 		report.Pct(filters.PerCohort[web.Popular].Fingerprintable+filters.PerCohort[web.Tail].Fingerprintable,
 			filters.PerCohort[web.Popular].TotalExtractions+filters.PerCohort[web.Tail].TotalExtractions))
-	if s.ABP != nil && s.UBO != nil {
-		t2, _ := s.Table2()
+	if t2, err := s.Table2(); err == nil {
 		c, a, u := t2.Rows[0], t2.Rows[1], t2.Rows[2]
 		add("canvas drop under Adblock Plus (Table 2)", "~3.4%",
 			report.Pct(c.CanvasesPop-a.CanvasesPop, c.CanvasesPop))

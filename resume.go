@@ -54,80 +54,33 @@ func Resume(dir string) (*Study, error) {
 	s.ckpt.Faults = s.Faults
 	s.ckpt.Snapshots = s.Snapshots
 
-	// Walk the pipeline in Run order: replay finished work, continue
-	// the rest. A fresh interruption (an armed StopAfter on the new
-	// writer) halts the walk exactly as it halts Run.
-	if done, rs := crawlCursor(cp, CondControl); done {
-		s.Control = restoreResult(cp.Crawl(CondControl))
-	} else {
-		s.runControl(rs)
-		if s.Halted {
-			return s, nil
-		}
-	}
-	if cp.PhaseDone(PhaseAnalyze) {
-		s.replayAnalyze()
-	} else {
-		s.Analyze()
-	}
-	if opts.WithAdblock {
-		if done, rs := crawlCursor(cp, CondABP); done {
-			s.ABP = restoreResult(cp.Crawl(CondABP))
+	// Walk the cohort crawls in Run order: replay finished work,
+	// continue the rest. A fresh interruption (an armed StopAfter on the
+	// new writer) halts the walk exactly as it halts Run.
+	for _, cond := range cohortCrawls(opts) {
+		cs := cp.Crawl(cond)
+		if cs != nil && cs.Done {
+			_, res, _, _ := s.cohort(cond)
+			*res = restoreResult(cs)
 		} else {
-			s.runABP(rs)
+			sp := s.tel.Tracer.Start("crawl."+cond, "sites", fmt.Sprint(len(s.crawlSites)))
+			var rs *crawler.ResumeState
+			if cs != nil {
+				rs = &crawler.ResumeState{Pages: cs.Pages}
+			}
+			s.crawl(cond, rs)
+			sp.End()
 			if s.Halted {
 				return s, nil
 			}
 		}
-		if cp.PhaseDone(PhaseAnalyzeABP) {
-			s.ABPSites = s.analyzer.Replay(s.ABP.Pages, CondABP)
+		if cp.PhaseDone(analyzePhase(cond)) {
+			s.replay(cond)
 		} else {
-			s.analyzeABP()
-		}
-		if done, rs := crawlCursor(cp, CondUBO); done {
-			s.UBO = restoreResult(cp.Crawl(CondUBO))
-		} else {
-			s.runUBO(rs)
-			if s.Halted {
-				return s, nil
-			}
-		}
-		if cp.PhaseDone(PhaseAnalyzeUBO) {
-			s.UBOSites = s.analyzer.Replay(s.UBO.Pages, CondUBO)
-		} else {
-			s.analyzeUBO()
-		}
-	}
-	if opts.WithM1 {
-		if done, rs := crawlCursor(cp, CondM1); done {
-			s.M1 = restoreResult(cp.Crawl(CondM1))
-		} else {
-			s.runM1Crawl(rs)
-			if s.Halted {
-				return s, nil
-			}
-		}
-		if cp.PhaseDone(PhaseAnalyzeM1) {
-			s.M1Sites = s.analyzer.Replay(s.M1.Pages, CondM1)
-		} else {
-			s.analyzeM1()
+			s.analyze(cond)
 		}
 	}
 	return s, nil
-}
-
-// crawlCursor reads one condition's continuation state out of a
-// checkpoint: (true, nil) for a completed crawl, (false, rs) for a
-// partial one, (false, nil) for one that never started.
-func crawlCursor(cp *checkpoint.Checkpoint, cond string) (done bool, rs *crawler.ResumeState) {
-	cs := cp.Crawl(cond)
-	if cs == nil {
-		return false, nil
-	}
-	if cs.Done {
-		return true, nil
-	}
-	return false, &crawler.ResumeState{Pages: cs.Pages}
 }
 
 // restoreResult rebuilds a completed crawl's Result from its
@@ -141,13 +94,17 @@ func restoreResult(cs *checkpoint.CrawlState) *crawler.Result {
 	}
 }
 
-// replayAnalyze re-derives the control-crawl analysis artifacts
-// without touching telemetry: the analysis ran to completion before
-// the checkpoint, so its events and counters are already in the
-// restored state. The memo cache is warmed (counter-free) so later,
-// counted analyses see the cache an uninterrupted run would have.
-func (s *Study) replayAnalyze() {
-	s.Sites = s.analyzer.Replay(s.Control.Pages, CondControl)
+// replay re-derives one cohort crawl's analysis artifacts without
+// touching telemetry: the analysis ran to completion before the
+// checkpoint, so its events and counters are already in the restored
+// state. The memo cache is warmed (counter-free) so later, counted
+// analyses see the cache an uninterrupted run would have.
+func (s *Study) replay(cond string) {
+	_, res, sites, _ := s.cohort(cond)
+	*sites = s.analyzer.Replay((*res).Pages, cond)
+	if cond != CondControl {
+		return
+	}
 	s.Clustering = cluster.BuildEvents(s.Sites, nil)
 	cfg := s.crawlConfig(CondDemo)
 	cfg.Telemetry = nil // silent demo harvest

@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"canvassing/internal/adblock"
 	"canvassing/internal/analysis"
 	"canvassing/internal/attrib"
 	"canvassing/internal/blocklist"
@@ -237,40 +238,103 @@ func New(opts Options) *Study {
 	return s
 }
 
-// Run executes the full pipeline for opts. If a checkpoint writer with
-// an armed StopAfter interrupts a crawl, the remaining phases are
-// skipped (Study.Halted) and the checkpoint holds the progress.
+// Run executes the full pipeline for opts: New, then Study.Run.
 func Run(opts Options) *Study {
 	s := New(opts)
-	s.RunControl()
-	if s.Halted {
-		return s
-	}
-	s.Analyze()
-	if opts.WithAdblock {
-		s.RunAdblock()
-		if s.Halted {
-			return s
-		}
-	}
-	if opts.WithM1 {
-		s.RunM1()
-	}
+	s.Run()
 	return s
 }
 
-// Pipeline phase names recorded in checkpoints. Resume walks them in
-// this order, replaying finished phases and re-running the rest.
-const (
-	PhaseCrawlControl = "crawl.control"
-	PhaseAnalyze      = "analyze"
-	PhaseCrawlABP     = "crawl.abp"
-	PhaseAnalyzeABP   = "analyze.abp"
-	PhaseCrawlUBO     = "crawl.ubo"
-	PhaseAnalyzeUBO   = "analyze.ubo"
-	PhaseCrawlM1      = "crawl.m1"
-	PhaseAnalyzeM1    = "analyze.m1"
-)
+// Run executes the crawls and analyses of a study New built:
+// RunControl and Analyze, then RunAdblock under Options.WithAdblock and
+// RunM1 under Options.WithM1, the crawls Resume and RunDistributed walk
+// in the same order. If a checkpoint writer with an armed StopAfter
+// interrupts a crawl, the remaining phases are skipped (Study.Halted)
+// and the checkpoint holds the progress.
+func (s *Study) Run() {
+	s.RunControl()
+	if !s.Halted {
+		s.Analyze()
+	}
+	if s.Options.WithAdblock && !s.Halted {
+		s.RunAdblock()
+	}
+	if s.Options.WithM1 && !s.Halted {
+		s.RunM1()
+	}
+}
+
+// cohortCrawls lists the cohort crawls opts asks for, in pipeline
+// order: the control crawl, the Adblock Plus and uBlock Origin
+// re-crawls (Table 2) under WithAdblock, and the Apple M1 validation
+// crawl (§3.1) under WithM1. Resume and RunDistributed walk it.
+func cohortCrawls(opts Options) []string {
+	conds := []string{CondControl}
+	if opts.WithAdblock {
+		conds = append(conds, CondABP, CondUBO)
+	}
+	if opts.WithM1 {
+		conds = append(conds, CondM1)
+	}
+	return conds
+}
+
+// cohort maps a cohort crawl's condition to its crawler configuration
+// (the extension or machine that sets a re-crawl apart from the control
+// crawl) and to the study fields its crawl result and analysed sites
+// go in. ok is false for a condition that is not a cohort crawl.
+func (s *Study) cohort(cond string) (cfg crawler.Config, res **crawler.Result, sites *[]detect.SiteCanvases, ok bool) {
+	cfg = s.crawlConfig(cond)
+	switch cond {
+	case CondControl:
+		return cfg, &s.Control, &s.Sites, true
+	case CondABP:
+		cfg.Extension = adblock.NewAdblockPlus(s.Lists)
+		return cfg, &s.ABP, &s.ABPSites, true
+	case CondUBO:
+		cfg.Extension = adblock.NewUBlockOrigin(s.Lists)
+		return cfg, &s.UBO, &s.UBOSites, true
+	case CondM1:
+		cfg.Profile = machine.AppleM1()
+		return cfg, &s.M1, &s.M1Sites, true
+	}
+	return cfg, nil, nil, false
+}
+
+// crawl runs one cohort crawl, continuing from rs when it is non-nil,
+// and finishes its crawl.<cond> phase. A crawl the checkpoint writer
+// interrupts halts the study instead.
+func (s *Study) crawl(cond string, rs *crawler.ResumeState) {
+	cfg, res, _, _ := s.cohort(cond)
+	s.attachCheckpoint(&cfg, rs)
+	*res = crawler.Crawl(s.Web, s.crawlSites, cfg)
+	if (*res).Interrupted {
+		s.Halted = true
+		return
+	}
+	s.finishPhase("crawl." + cond)
+}
+
+// analyze runs one cohort crawl's analysis: Analyze for the control
+// crawl; a re-crawl's pages are classified under its own condition
+// label into its sites field, finishing the analyze.<cond> phase.
+func (s *Study) analyze(cond string) {
+	if cond == CondControl {
+		s.Analyze()
+		return
+	}
+	_, res, sites, _ := s.cohort(cond)
+	*sites = s.analyzeAll((*res).Pages, cond)
+	s.finishPhase(analyzePhase(cond))
+}
+
+// analyzePhase names a cohort crawl's analysis phase in checkpoints.
+func analyzePhase(cond string) string {
+	if cond == CondControl {
+		return "analyze"
+	}
+	return "analyze." + cond
+}
 
 // crawlConfig builds the shared crawler configuration. Every crawl a
 // study launches (control, ground truth, re-crawls, defenses) feeds
@@ -353,18 +417,9 @@ func (s *Study) analyzeAll(pages []*crawler.PageResult, cond string) []detect.Si
 }
 
 // RunControl performs the control crawl over both cohorts.
-func (s *Study) RunControl() { s.runControl(nil) }
-
-func (s *Study) runControl(rs *crawler.ResumeState) {
+func (s *Study) RunControl() {
 	defer s.tel.Tracer.Start("crawl.control", "sites", fmt.Sprint(len(s.crawlSites))).End()
-	cfg := s.crawlConfig(CondControl)
-	s.attachCheckpoint(&cfg, rs)
-	s.Control = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.Control.Interrupted {
-		s.Halted = true
-		return
-	}
-	s.finishPhase(PhaseCrawlControl)
+	s.crawl(CondControl, nil)
 }
 
 // Analyze runs detection, clustering, ground truth and attribution over
@@ -382,7 +437,7 @@ func (s *Study) Analyze() {
 	gt.End()
 	s.Attribution = attrib.AttributeEvents(s.Clustering, s.GroundTruth, s.Sites, evs)
 	sp.End()
-	s.finishPhase(PhaseAnalyze)
+	s.finishPhase(analyzePhase(CondControl))
 }
 
 // RunAdblock performs the two ad-blocker re-crawls (Table 2) and
@@ -390,82 +445,26 @@ func (s *Study) Analyze() {
 func (s *Study) RunAdblock() {
 	sp := s.tel.Tracer.Start("crawl.adblock")
 	defer sp.End()
-	abp := sp.StartChild("abp")
-	s.runABP(nil)
-	if !s.Halted {
-		s.analyzeABP()
+	for _, cond := range []string{CondABP, CondUBO} {
+		child := sp.StartChild(cond)
+		s.crawl(cond, nil)
+		if !s.Halted {
+			s.analyze(cond)
+		}
+		child.End()
+		if s.Halted {
+			return
+		}
 	}
-	abp.End()
-	if s.Halted {
-		return
-	}
-	ubo := sp.StartChild("ubo")
-	s.runUBO(nil)
-	if !s.Halted {
-		s.analyzeUBO()
-	}
-	ubo.End()
-}
-
-func (s *Study) runABP(rs *crawler.ResumeState) {
-	cfg := s.crawlConfig(CondABP)
-	cfg.Extension = newABP(s.Lists)
-	s.attachCheckpoint(&cfg, rs)
-	s.ABP = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.ABP.Interrupted {
-		s.Halted = true
-		return
-	}
-	s.finishPhase(PhaseCrawlABP)
-}
-
-func (s *Study) analyzeABP() {
-	s.ABPSites = s.analyzeAll(s.ABP.Pages, CondABP)
-	s.finishPhase(PhaseAnalyzeABP)
-}
-
-func (s *Study) runUBO(rs *crawler.ResumeState) {
-	cfg := s.crawlConfig(CondUBO)
-	cfg.Extension = newUBO(s.Lists)
-	s.attachCheckpoint(&cfg, rs)
-	s.UBO = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.UBO.Interrupted {
-		s.Halted = true
-		return
-	}
-	s.finishPhase(PhaseCrawlUBO)
-}
-
-func (s *Study) analyzeUBO() {
-	s.UBOSites = s.analyzeAll(s.UBO.Pages, CondUBO)
-	s.finishPhase(PhaseAnalyzeUBO)
 }
 
 // RunM1 performs the Apple-silicon validation crawl (§3.1).
 func (s *Study) RunM1() {
 	defer s.tel.Tracer.Start("crawl.m1").End()
-	s.runM1Crawl(nil)
-	if s.Halted {
-		return
+	s.crawl(CondM1, nil)
+	if !s.Halted {
+		s.analyze(CondM1)
 	}
-	s.analyzeM1()
-}
-
-func (s *Study) runM1Crawl(rs *crawler.ResumeState) {
-	cfg := s.crawlConfig(CondM1)
-	cfg.Profile = machine.AppleM1()
-	s.attachCheckpoint(&cfg, rs)
-	s.M1 = crawler.Crawl(s.Web, s.crawlSites, cfg)
-	if s.M1.Interrupted {
-		s.Halted = true
-		return
-	}
-	s.finishPhase(PhaseCrawlM1)
-}
-
-func (s *Study) analyzeM1() {
-	s.M1Sites = s.analyzeAll(s.M1.Pages, CondM1)
-	s.finishPhase(PhaseAnalyzeM1)
 }
 
 // ListsForSeed reconstructs the exact blocklists a study with the
