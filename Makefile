@@ -15,10 +15,10 @@ test:
 # The crawler worker pool, the obs registry, the evidence event sink,
 # the fault model, the bundle layer, the parallel analysis executor +
 # memo cache (with detect underneath it), the checkpoint writer, the
-# snapshot store, the exemplar reservoir (offered from workers, read by
-# /tracez), and the ops plane (status tracker, window sampler, live
-# HTTP handlers) are the places goroutines share state; hammer them
-# under the race detector. internal/dom rides along because every
+# exemplar reservoir (offered from workers, read by /tracez), and the
+# ops plane (status tracker, window sampler, live HTTP handlers) are
+# the places goroutines share state; hammer them under the race
+# detector. internal/dom rides along because every
 # crawl worker drives its own event loop — the race detector proves
 # the loops really are confined to their workers. internal/jsvm and
 # internal/raster run on every crawl worker at once: each worker has its
@@ -33,7 +33,7 @@ test:
 # internal/imaging pools the PNG encoder's compressors across workers
 # (TestPooledPNGMatchesStdlib).
 race:
-	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/snapshot ./internal/serve ./internal/distrib
+	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/serve ./internal/distrib
 
 vet:
 	$(GO) vet ./...
@@ -58,14 +58,15 @@ fmt-check:
 # trace, read and end with the same bytes. Its inputs also extract
 # through a noise hook keyed by canvas content and one drawing fresh
 # noise per call, so every hooked URL the memo serves is checked against
-# an eager encode. FuzzSnapshotLoad feeds
-# arbitrary snapshots/index.json bytes to snapshot.Load, which `serve
-# -bundle` and resume both read from disk, and requires an error or a
-# store whose every URL resolves to a content-matching blob under
-# blobs/ — never a file outside the store. FuzzDecodeDataURL feeds
-# arbitrary data URLs — `POST /v1/classify` accepts them from clients —
-# through ParseDataURL, PNGSize and DecodeWebPSim, and requires an
-# error or dimensions that match the pixel bytes. FuzzEval also runs
+# an eager encode. FuzzBundleLoad writes arbitrary manifest.json,
+# events.jsonl and metrics.json bytes and loads them with bundle.Load,
+# which `serve -bundle` and runsdiff both read bundles from disk with,
+# and requires an error or a bundle that Compute, Render and
+# RenderComparison take without a panic and that a diff against itself
+# finds unchanged. FuzzDecodeDataURL feeds arbitrary data URLs —
+# `POST /v1/classify` accepts them from clients — through
+# ParseDataURL, PNGSize and DecodeWebPSim, and requires an error or
+# dimensions that match the pixel bytes. FuzzEval also runs
 # every input with call memos, cold, warm and shared across inputs, and
 # requires the same outcome. FuzzReadJSONL feeds arbitrary bytes to
 # event.ReadJSONL, which bundle.Load reads every bundle's events.jsonl
@@ -86,7 +87,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run XXX -fuzz FuzzEval -fuzztime 10s ./internal/jsvm
 	$(GO) test -run XXX -fuzz FuzzCanvasOps -fuzztime 10s ./internal/canvas
-	$(GO) test -run XXX -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
+	$(GO) test -run XXX -fuzz FuzzBundleLoad -fuzztime 10s ./internal/bundle
 	$(GO) test -run XXX -fuzz FuzzDecodeDataURL -fuzztime 10s ./internal/imaging
 	$(GO) test -run XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/event
 	$(GO) test -run XXX -fuzz FuzzParseEventDetail -fuzztime 10s ./internal/detect
@@ -123,8 +124,8 @@ resume-smoke:
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
 	$(GO) build -o $(SMOKE)/repro ./cmd/repro
-	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt-ref -checkpoint-every 100 -snapshots -outdir $(SMOKE)/ref >/dev/null
-	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt -checkpoint-every 100 -snapshots -interrupt-after 4 >/dev/null; \
+	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt-ref -checkpoint-every 100 -outdir $(SMOKE)/ref >/dev/null
+	$(SMOKE)/repro -seed 11 -scale 0.02 -exp compare -checkpoint $(SMOKE)/ckpt -checkpoint-every 100 -interrupt-after 4 >/dev/null; \
 	  status=$$?; [ $$status -eq 3 ] || { echo "resume-smoke: expected exit 3 from the interrupted run, got $$status"; exit 1; }
 	printf '{"schema":3,"seq":5,"crawls":[{"from":0,"condition":"control","pages":[{"Domain":"torn' >> $(SMOKE)/ckpt/checkpoint.json
 	$(SMOKE)/repro -resume $(SMOKE)/ckpt -exp compare -outdir $(SMOKE)/resumed >/dev/null

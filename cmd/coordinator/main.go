@@ -36,7 +36,6 @@ func main() {
 	faults := flag.Float64("faults", 0, "fault-injection rate on cohort crawls")
 	retries := flag.Int("retries", 0, "resilience retries under -faults (0 = crawler default)")
 	visitTimeout := flag.Duration("visit-timeout", 0, "visit timeout under -faults (0 = crawler default)")
-	snapshots := flag.Bool("snapshots", false, "route page fetches through the content-addressed snapshot store")
 	trace := flag.Bool("trace-visits", false, "capture per-visit span exemplars")
 	every := flag.Int("checkpoint-every", 0, "unit checkpoint cadence in committed pages (0 = default 256)")
 	partitions := flag.Int("partitions", 4, "work-units per condition")
@@ -55,8 +54,7 @@ func main() {
 		Seed: *seed, Scale: *scale, Workers: *workers,
 		WithAdblock: *adblock, WithM1: *m1,
 		FaultRate: *faults, Retries: *retries, VisitTimeout: *visitTimeout,
-		SnapshotReuse: *snapshots, TraceVisits: *trace,
-		CheckpointEvery: *every,
+		TraceVisits: *trace, CheckpointEvery: *every,
 	}
 	d := canvassing.DistribOptions{
 		Dir: *dir, Partitions: *partitions, Slots: *slots, MaxAttempts: *maxAttempts,

@@ -84,7 +84,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 256, "checkpoint cadence in committed pages")
 	interruptAfter := flag.Int("interrupt-after", 0, "testing: halt the study after N checkpoint writes (exit code 3)")
 	resumeDir := flag.String("resume", "", "resume an interrupted study from this checkpoint directory (ignores the run-shape flags; they come from the checkpoint)")
-	snapshots := flag.Bool("snapshots", false, "reuse control-crawl page bodies across re-crawls via a content-addressed snapshot store")
 	interactFlag := flag.Bool("interact", false, "plant interaction-gated vendors and run the EX3 crawl-vs-interaction experiment")
 	cli := obs.BindCLI(flag.CommandLine)
 	fcli := obs.BindFaultCLI(flag.CommandLine)
@@ -128,7 +127,6 @@ func main() {
 		VisitTimeout:    fcli.VisitTimeout,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
-		SnapshotReuse:   *snapshots,
 		TraceVisits:     cli.Tracez,
 		Interact:        *interactFlag || e.interact,
 	})

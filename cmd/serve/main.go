@@ -1,7 +1,6 @@
 // Command serve is the detection-as-a-service binary: it loads a
-// finished study's run bundle (and snapshot store, when present),
-// builds the sharded verdict indexes, and serves the JSON lookup API
-// plus the full ops plane.
+// finished study's run bundle, builds the sharded verdict indexes, and
+// serves the JSON lookup API plus the full ops plane.
 //
 //	serve -bundle ./run                       # serve on the default address
 //	serve -bundle ./run -addr :0 -addr-file a # pick a port, publish it
@@ -41,7 +40,6 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound base URL to this file once listening")
 	shards := flag.Int("shards", 0, "index shard count (0 = default 8; any count serves identical bytes)")
 	batchWindow := flag.Duration("batch-window", 0, "lookup coalescing window (0 = default 2ms)")
-	snapshots := flag.String("snapshots", "", "snapshot-store directory (default <bundle>/snapshots when present)")
 	withPprof := flag.Bool("pprof", false, "also serve /debug/pprof on the same address")
 	redWindow := flag.Duration("window", 0, "sliding window for the live RED views (default 1m)")
 	check := flag.String("check", "", "client mode: probe the server at this base URL and print every endpoint's response")
@@ -59,11 +57,10 @@ func main() {
 	}
 
 	svc, err := serve.Load(serve.Config{
-		Dir:         *bundleDir,
-		SnapshotDir: *snapshots,
-		Shards:      *shards,
-		Window:      *batchWindow,
-		ListsFor:    canvassing.ListsForSeed,
+		Dir:      *bundleDir,
+		Shards:   *shards,
+		Window:   *batchWindow,
+		ListsFor: canvassing.ListsForSeed,
 	})
 	if err != nil {
 		log.Fatal(err)

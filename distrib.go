@@ -43,7 +43,6 @@ func (s *Study) studySpec() distrib.StudySpec {
 		FaultRate:       s.Options.FaultRate,
 		Retries:         s.Options.Retries,
 		VisitTimeout:    s.Options.VisitTimeout,
-		SnapshotReuse:   s.Options.SnapshotReuse,
 		TraceVisits:     s.Options.TraceVisits,
 		CheckpointEvery: s.Options.CheckpointEvery,
 		Interact:        s.Options.Interact,
@@ -105,9 +104,9 @@ func RunWorkUnit(dir string, stopAfter int) (interrupted bool, err error) {
 // adoptUnits loads and merges one condition's completed partials and
 // replays them into the study's telemetry — metrics summed, events
 // re-recorded in page order (which re-stamps the global sequence),
-// exemplar views absorbed, snapshot deltas merged — and returns the
-// recombined crawl result. The replay order equals the serial
-// pipeline's, so the downstream bundle bytes are identical.
+// exemplar views absorbed — and returns the recombined crawl result.
+// The replay order equals the serial pipeline's, so the downstream
+// bundle bytes are identical.
 func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec, cond string) (*crawler.Result, error) {
 	var parts []*distrib.Partial
 	for _, u := range units {
@@ -131,11 +130,6 @@ func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec, cond string)
 		s.tel.Events.Record(m.Events[i])
 	}
 	s.visits.Absorb(m.Exemplars)
-	if s.Snapshots != nil {
-		for _, st := range m.Snapshots {
-			s.Snapshots.Merge(st)
-		}
-	}
 	return &crawler.Result{
 		Pages:     m.Pages,
 		Machine:   m.Machine,

@@ -22,30 +22,27 @@ import (
 // and visit.outcome events crossing unit boundaries.
 
 // distribCase is one oracle configuration. The clean seed also turns
-// on snapshot reuse and the M1 crawl so the store-delta merge and all
-// four conditions are exercised; the faulted seed keeps the fault
-// model as its axis.
+// on the M1 crawl so all four conditions are exercised; the faulted
+// seed keeps the fault model as its axis.
 type distribCase struct {
-	seed      uint64
-	fault     float64
-	snapshots bool
-	m1        bool
+	seed  uint64
+	fault float64
+	m1    bool
 }
 
 var distribCases = []distribCase{
-	{seed: 1, fault: 0, snapshots: true, m1: true},
-	{seed: 7, fault: 0.5, snapshots: false, m1: false},
+	{seed: 1, fault: 0, m1: true},
+	{seed: 7, fault: 0.5, m1: false},
 }
 
 func (c distribCase) options(workers int) Options {
 	return Options{
-		Seed:          c.seed,
-		Scale:         0.02,
-		Workers:       workers,
-		WithAdblock:   true,
-		WithM1:        c.m1,
-		FaultRate:     c.fault,
-		SnapshotReuse: c.snapshots,
+		Seed:        c.seed,
+		Scale:       0.02,
+		Workers:     workers,
+		WithAdblock: true,
+		WithM1:      c.m1,
+		FaultRate:   c.fault,
 		// Exemplar capture must stay invisible in bundle bytes on the
 		// distributed path too.
 		TraceVisits: true,

@@ -146,7 +146,6 @@ func TestInteractResumeOracle(t *testing.T) {
 	}
 	opts := interactOpts(7, 8, 0.35)
 	opts.CheckpointEvery = 100
-	opts.SnapshotReuse = true
 
 	// Baseline: uninterrupted.
 	base := opts

@@ -21,7 +21,9 @@
 // truncates the file to its last known-good length before every
 // append, so a crash mid-append loses at most that cut.
 // Frames are not fsynced: the journal survives a killed process, not a
-// power loss.
+// power loss. Fields a frame carries that this build does not know are
+// ignored, so journals from builds that wrote the retired
+// "has_snapshots" flag still resume.
 //
 // The crawler's ordered-commit pipeline guarantees the cut is exact:
 // when Config.OnCommit runs, the registry and sink contain writes for
@@ -47,7 +49,6 @@ import (
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
-	"canvassing/internal/snapshot"
 )
 
 // SchemaVersion is the journal frame format version. Bump on any shape
@@ -58,9 +59,6 @@ const SchemaVersion = 3
 
 // FileName is the journal file a Writer maintains under its directory.
 const FileName = "checkpoint.json"
-
-// SnapshotDirName is the snapshot-store subdirectory Save uses.
-const SnapshotDirName = "snapshots"
 
 // CrawlState is one crawl condition's committed progress.
 type CrawlState struct {
@@ -99,8 +97,6 @@ type Checkpoint struct {
 	EventsDropped uint64        `json:"events_dropped,omitempty"`
 	// Faults is the fault model's cursor (nil for fault-free runs).
 	Faults *netsim.FaultState `json:"faults,omitempty"`
-	// HasSnapshots marks a saved snapshot store under SnapshotDirName.
-	HasSnapshots bool `json:"has_snapshots,omitempty"`
 
 	// size is the length of the complete frames Load read, where
 	// Adopt continues the journal.
@@ -149,12 +145,11 @@ type crawlFrame struct {
 // them; in practice they never overlap, since phases and crawls are
 // sequential.
 type Writer struct {
-	// Metrics, Events, Faults, Snapshots are the live state sources the
-	// writer captures at each cut. Set them before the first write.
-	Metrics   *obs.Registry
-	Events    *event.Sink
-	Faults    *netsim.FaultModel
-	Snapshots *snapshot.Store
+	// Metrics, Events, Faults are the live state sources the writer
+	// captures at each cut. Set them before the first write.
+	Metrics *obs.Registry
+	Events  *event.Sink
+	Faults  *netsim.FaultModel
 	// StopAfter, when positive, makes the Hook request a crawl stop
 	// after that many checkpoint writes — the interruption lever the
 	// resume oracle and `make resume-smoke` pull. 0 never stops.
@@ -332,7 +327,6 @@ func (w *Writer) writeLocked() error {
 		st := w.Faults.Export()
 		f.Faults = &st
 	}
-	f.HasSnapshots = w.Snapshots != nil
 	for _, c := range w.crawls {
 		if c.dirty {
 			f.Crawls = append(f.Crawls, c.crawlFrame)
@@ -340,11 +334,6 @@ func (w *Writer) writeLocked() error {
 	}
 	if err := os.MkdirAll(w.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if w.Snapshots != nil {
-		if err := w.Snapshots.Save(filepath.Join(w.dir, SnapshotDirName)); err != nil {
-			return err
-		}
 	}
 	data, err := json.Marshal(&f)
 	if err != nil {
@@ -479,9 +468,4 @@ func (cp *Checkpoint) fold(line []byte) error {
 	*cp = f.Checkpoint
 	cp.Crawls, cp.Events = crawls, events[k:]
 	return nil
-}
-
-// LoadSnapshots reads the snapshot store saved next to a checkpoint.
-func LoadSnapshots(dir string) (*snapshot.Store, error) {
-	return snapshot.Load(filepath.Join(dir, SnapshotDirName))
 }

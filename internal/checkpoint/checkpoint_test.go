@@ -11,7 +11,6 @@ import (
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
-	"canvassing/internal/snapshot"
 )
 
 // testWriter builds a writer with live telemetry sources and a few
@@ -215,42 +214,33 @@ func TestAtomicSidecar(t *testing.T) {
 	}
 }
 
-// TestSnapshotSidecar: a writer with a snapshot store saves it next to
-// the sidecar and flags it, and LoadSnapshots gets it back.
-func TestSnapshotSidecar(t *testing.T) {
+// TestLoadToleratesRetiredSnapshotFlag: builds that had a page-body
+// snapshot store wrote schema-3 frames carrying "has_snapshots":true.
+// Nothing reads the flag any more, and the frame shape is otherwise
+// unchanged, so such a journal must still load: a strict decoder would
+// strand it without a schema bump.
+func TestLoadToleratesRetiredSnapshotFlag(t *testing.T) {
 	dir := t.TempDir()
-	w, _ := testWriter(t, dir)
-	w.Snapshots = snapshot.New()
-	u, err := netsim.ParseURL("https://cdn.example/fp.js")
-	if err != nil {
+	frame := fmt.Sprintf(`{"schema":%d,"seq":4,`, SchemaVersion) +
+		`"opts":{"Seed":11,"Scale":0.02,"WithAdblock":true,"CheckpointEvery":100},` +
+		`"metrics":{"counters":{"crawl.visits.failed":1,"crawl.visits.ok":1},"gauges":{"crawl.workers":2}},` +
+		`"events_seq":0,"has_snapshots":true,` +
+		`"crawls":[{"from":0,"condition":"control","total":800,"frontier":2,"machine":"intel-ubuntu","pages":[` +
+		`{"Domain":"site-000001.com","Rank":1,"OK":false,"FailReason":"unreachable"},` +
+		`{"Domain":"site-000002.com","Rank":2,"OK":true}]}]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(frame), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Snapshots.Fetch(u, func() (string, error) { return "var x;", nil }); err != nil {
-		t.Fatal(err)
-	}
-	w.Snapshots.Account([]string{u.String()})
-	w.Hook("intel-mac", "")(commitState(64, 600, false))
-
 	cp, err := Load(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Load refused a frame with the retired has_snapshots flag: %v", err)
 	}
-	if !cp.HasSnapshots {
-		t.Fatal("HasSnapshots not flagged")
+	cs := cp.Crawl("control")
+	if cs == nil || cs.Frontier != 2 || cs.Total != 800 || len(cs.Pages) != 2 || cs.Pages[1].Domain != "site-000002.com" {
+		t.Fatalf("control crawl = %+v, want 2 of 800 pages ending at site-000002.com", cs)
 	}
-	snaps, err := LoadSnapshots(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snaps.Len() != 1 {
-		t.Fatalf("loaded snapshot store has %d blobs, want 1", snaps.Len())
-	}
-	hits, misses := snaps.Counts()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("accounting cursor = %d/%d, want 0/1", hits, misses)
-	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotDirName, "index.json")); err != nil {
-		t.Fatal(err)
+	if cp.Sequence != 4 || cp.Metrics.Counters["crawl.visits.ok"] != 1 || len(cp.Opts) == 0 {
+		t.Fatalf("head = seq %d, counters %v, opts %s", cp.Sequence, cp.Metrics.Counters, cp.Opts)
 	}
 }
 

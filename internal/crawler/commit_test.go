@@ -8,7 +8,6 @@ import (
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
-	"canvassing/internal/snapshot"
 	"canvassing/internal/web"
 )
 
@@ -44,8 +43,8 @@ func deterministicTelemetry(t *testing.T, tel *obs.Telemetry) []byte {
 
 // TestCrawlTelemetryWidthInvariant is the crawl-side determinism
 // oracle: the ordered-commit pipeline must make every deterministic
-// telemetry artifact — counters, evidence events with their sequence numbers, snapshot-store
-// accounting, and the page results themselves — byte-identical at any
+// telemetry artifact — counters, evidence events with their sequence
+// numbers, and the page results themselves — byte-identical at any
 // worker-pool width. The golden telemetry report and the resume
 // machinery both lean on this invariance.
 func TestCrawlTelemetryWidthInvariant(t *testing.T) {
@@ -54,29 +53,23 @@ func TestCrawlTelemetryWidthInvariant(t *testing.T) {
 
 	type run struct {
 		pages, telemetry, events []byte
-		snapHits, snapMisses     int64
 	}
 	exec := func(workers int) run {
 		tel := obs.NewTelemetry()
-		snaps := snapshot.New()
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		cfg.Telemetry = tel
 		cfg.Condition = "control"
 		cfg.Faults = netsim.NewFaultModel(5, 0.25)
-		cfg.Snapshots = snaps
 		res := Crawl(w, sites, cfg)
 		evs, err := json.Marshal(tel.Events.Events())
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, misses := snaps.Counts()
 		return run{
-			pages:      marshalPages(t, res),
-			telemetry:  deterministicTelemetry(t, tel),
-			events:     evs,
-			snapHits:   hits,
-			snapMisses: misses,
+			pages:     marshalPages(t, res),
+			telemetry: deterministicTelemetry(t, tel),
+			events:    evs,
 		}
 	}
 
@@ -93,13 +86,6 @@ func TestCrawlTelemetryWidthInvariant(t *testing.T) {
 		if string(got.events) != string(ref.events) {
 			t.Errorf("width %d: evidence events differ from serial", workers)
 		}
-		if got.snapHits != ref.snapHits || got.snapMisses != ref.snapMisses {
-			t.Errorf("width %d: snapshot accounting %d/%d differs from serial %d/%d",
-				workers, got.snapHits, got.snapMisses, ref.snapHits, ref.snapMisses)
-		}
-	}
-	if ref.snapMisses == 0 {
-		t.Fatal("snapshot store never accounted a miss; the invariance check is vacuous")
 	}
 }
 
@@ -181,7 +167,7 @@ func TestConnectAttemptSemantics(t *testing.T) {
 			}
 			// Apply the buffered delta and check the retry counter obeys
 			// retries == attempts-1 in every row of the table.
-			pd.apply(nil, nil)
+			pd.apply(nil)
 			if got, want := reg.Counter("crawl.retry").Value(), int64(attempts-1); got != want {
 				t.Fatalf("crawl.retry = %d, want attempts-1 = %d", got, want)
 			}

@@ -197,13 +197,6 @@ type Config struct {
 	// recorded, never slept), so faulted crawls run at full speed; a
 	// real deployment would pass time.Sleep.
 	Sleep func(time.Duration)
-	// Snapshots, when non-nil, is the content-addressed snapshot store
-	// page resources are fetched through: the first crawl to see a URL
-	// populates it, later crawls (ABP/uBO/M1 re-crawls of the same web)
-	// reuse the stored body instead of re-fetching. Hit/miss accounting
-	// happens at commit time, in page order, so the counters are
-	// independent of worker scheduling.
-	Snapshots SnapshotStore
 	// Memo, when non-nil, is the display-list memo every page's
 	// canvases share: a drawing one page has extracted with a hook-free
 	// toDataURL is served to the next without rasterising or encoding
@@ -223,11 +216,10 @@ type Config struct {
 	CommitEvery int
 	// Visits, when non-nil, receives one per-visit span tree per
 	// committed page — connect/fetch/parse/exec/canvas children with
-	// retry/fault/degraded/snapshot-hit labels. Trees are offered from
-	// the committer in page order, so the reservoir's deterministic
-	// selection is identical at any worker width. Lives entirely
-	// outside the metrics registry and event sink: enabling it changes
-	// zero bundle bytes.
+	// retry/fault/degraded labels. Trees are offered from the committer
+	// in page order, so the reservoir's deterministic selection is
+	// identical at any worker width. Lives entirely outside the metrics
+	// registry and event sink: enabling it changes zero bundle bytes.
 	Visits *tracez.Reservoir
 	// OnCommit, when non-nil, observes the crawl's committed frontier:
 	// it is called from the committer goroutine every CommitEvery pages
@@ -250,18 +242,6 @@ type Config struct {
 	// the same deterministic sampling hash and tie-break rank — as the
 	// single-process crawl. Zero for ordinary crawls.
 	PageIndexOffset int
-}
-
-// SnapshotStore is the content-addressed body cache a crawl reads
-// page resources through (implemented by internal/snapshot.Store).
-type SnapshotStore interface {
-	// Fetch returns the body stored for u, reading through to fetch on
-	// first sight.
-	Fetch(u netsim.URL, fetch func() (string, error)) (string, error)
-	// Account records one page's fetched URLs in commit order; the
-	// store's hit/miss counters move here, not in Fetch, so they are
-	// deterministic under any worker interleaving.
-	Account(urls []string)
 }
 
 // CommitState is the snapshot-able progress of a crawl, handed to
@@ -363,17 +343,14 @@ func newCrawlMetrics(reg *obs.Registry) *crawlMetrics {
 // pageDelta is everything one page visit wants to write to shared
 // telemetry, buffered privately in the visiting worker and applied by
 // the committer in page-index order. The indirection is what makes
-// crawl-side metrics, evidence events, and snapshot accounting byte-
-// identical at any worker width — and gives checkpoints an exact cut:
-// at a commit boundary the registry and sink contain page [0, n)'s
-// writes, all of them, and nothing else.
+// crawl-side metrics and evidence events byte-identical at any worker
+// width — and gives checkpoints an exact cut: at a commit boundary the
+// registry and sink contain page [0, n)'s writes, all of them, and
+// nothing else.
 type pageDelta struct {
 	counts []counterDelta
 	obsv   []histObs
 	events []event.Event
-	// snapURLs are the URLs fetched through the snapshot store, for
-	// commit-time hit/miss accounting.
-	snapURLs []string
 	// trace is the visit's span tree when Config.Visits is set; the
 	// committer offers it to the reservoir in page order.
 	trace *tracez.VisitTrace
@@ -409,7 +386,7 @@ func (d *pageDelta) record(e event.Event) { d.events = append(d.events, e) }
 
 // apply replays the delta into the shared telemetry. Runs only on the
 // committer goroutine, one page at a time, in page order.
-func (d *pageDelta) apply(evs *event.Sink, snaps SnapshotStore) {
+func (d *pageDelta) apply(evs *event.Sink) {
 	for _, cd := range d.counts {
 		cd.c.Add(cd.n)
 	}
@@ -418,9 +395,6 @@ func (d *pageDelta) apply(evs *event.Sink, snaps SnapshotStore) {
 	}
 	for _, e := range d.events {
 		evs.Record(e)
-	}
-	if snaps != nil && len(d.snapURLs) > 0 {
-		snaps.Account(d.snapURLs)
 	}
 }
 
@@ -442,8 +416,8 @@ type visitDone struct {
 //
 // Workers only compute: each visit buffers its telemetry into a
 // private pageDelta. A single committer goroutine applies results in
-// page-index order — metrics, evidence events and snapshot accounting
-// all land as if the crawl had run serially, at any pool width.
+// page-index order — metrics and evidence events all land as if the
+// crawl had run serially, at any pool width.
 // Config.OnCommit observes the committed frontier for checkpointing
 // and may stop the crawl; Config.Resume restarts one from a committed
 // prefix.
@@ -548,7 +522,7 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 				}
 				delete(pending, next)
 				res.Pages[next] = nr.pr
-				nr.d.apply(evs, cfg.Snapshots)
+				nr.d.apply(evs)
 				// Exemplar offers ride the ordered-commit point too, so
 				// the reservoir sees visits in page order at any width.
 				if cfg.Visits != nil && nr.d.trace != nil {
@@ -829,14 +803,11 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 		if ssp != nil {
 			fetchSp = vb.Open(ssp, "fetch")
 		}
-		body, snapHit, err := fetchBody(w, ps.URL, cfg.Snapshots, d)
+		r, err := w.Store.Fetch(ps.URL)
 		if fetchSp != nil {
 			// Body bytes are the fetch's deterministic cost.
-			fetchSp.Cost = int64(len(body))
-			if cfg.Snapshots != nil && err == nil {
-				// Whether THIS crawl's worker hit the snapshot store is
-				// scheduling-dependent: label only, never selection.
-				fetchSp.SetLabel("snapshot", map[bool]string{true: "hit", false: "miss"}[snapHit])
+			if err == nil {
+				fetchSp.Cost = int64(len(r.Body))
 			}
 			vb.Close(fetchSp)
 		}
@@ -851,6 +822,7 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 			closeScript()
 			return
 		}
+		body := r.Body
 		var parseStart time.Time
 		if mx != nil {
 			parseStart = time.Now()
@@ -978,36 +950,6 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 	}
 	finishTrace(outcome)
 	return pr, d
-}
-
-// fetchBody retrieves one script body, through the snapshot store when
-// one is configured. Successful snapshot reads are noted in the delta
-// so the committer can account hits/misses in page order. The hit flag
-// reports whether the store already held the body (always false
-// without a store); it annotates exemplar spans only — commit-time
-// accounting stays the deterministic authority.
-func fetchBody(w *web.Web, u netsim.URL, snaps SnapshotStore, d *pageDelta) (string, bool, error) {
-	if snaps == nil {
-		r, err := w.Store.Fetch(u)
-		if err != nil {
-			return "", false, err
-		}
-		return r.Body, false, nil
-	}
-	fetched := false
-	body, err := snaps.Fetch(u, func() (string, error) {
-		fetched = true
-		r, err := w.Store.Fetch(u)
-		if err != nil {
-			return "", err
-		}
-		return r.Body, nil
-	})
-	if err != nil {
-		return "", false, err
-	}
-	d.snapURLs = append(d.snapURLs, u.String())
-	return body, !fetched, nil
 }
 
 // recordVisitOutcome buffers the visit.outcome evidence event: how the

@@ -1,9 +1,8 @@
 // Package distrib partitions a study's crawl across worker processes
 // and deterministically recombines the partial results — the
 // coordinator/worker split ROADMAP item 2 names, built on the
-// primitives PRs 4–7 landed: the crawler's ordered-commit pipeline,
-// the checkpoint sidecar, the content-addressed snapshot store, and
-// the byte-stable bundle discipline.
+// crawler's ordered-commit pipeline, the checkpoint journal and the
+// byte-stable bundle discipline.
 //
 // The shape of a distributed study:
 //
@@ -11,13 +10,13 @@
 //     into contiguous work-units (Partition) and records them in a
 //     file-based ledger (Ledger);
 //   - N workers each run their unit as a normal checkpointed crawl
-//     slice (RunUnit) and emit a partial bundle + snapshot delta
-//     (WritePartial) into the unit directory;
+//     slice (RunUnit) and emit a partial bundle (WritePartial) into
+//     the unit directory;
 //   - a deterministic merge (MergeCrawl) recombines the partials of
 //     one condition: pages concatenated in range order, events
 //     re-sequenced by page ordinal, counters summed, histograms added
-//     bucket-wise, snapshot blobs deduped by content hash, and trace
-//     exemplar reservoirs re-selected from the union.
+//     bucket-wise, and trace exemplar reservoirs re-selected from the
+//     union.
 //
 // Partition-invariance is the package's contract, extending the
 // width-invariance the commit-order rules already guarantee: the
@@ -77,9 +76,6 @@ type StudySpec struct {
 	FaultRate    float64       `json:"fault_rate,omitempty"`
 	Retries      int           `json:"retries,omitempty"`
 	VisitTimeout time.Duration `json:"visit_timeout,omitempty"`
-	// SnapshotReuse gives each unit a private content-addressed body
-	// store whose delta is merged back by content hash.
-	SnapshotReuse bool `json:"snapshot_reuse,omitempty"`
 	// TraceVisits captures per-visit exemplars into a per-unit
 	// reservoir; the merge re-selects from the union of the partial
 	// reservoirs.

@@ -8,7 +8,6 @@ import (
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
 	"canvassing/internal/obs/tracez"
-	"canvassing/internal/snapshot"
 )
 
 // MergedCrawl is one condition's recombined crawl: exactly what the
@@ -29,9 +28,6 @@ type MergedCrawl struct {
 	// Exemplars holds every unit's reservoir view in page-range order,
 	// ready for Reservoir.Absorb.
 	Exemplars []tracez.CondExemplars
-	// Snapshots holds each unit's store delta in page-range order, ready
-	// for Store.Merge.
-	Snapshots []*snapshot.Store
 }
 
 // MergeCrawl recombines one condition's unit partials. It refuses —
@@ -49,9 +45,8 @@ type MergedCrawl struct {
 //     page order, thanks to the crawler's ordered committer);
 //   - counters sum;
 //   - histograms add bucket-wise (layout mismatches are errors);
-//   - exemplar views and snapshot deltas are collected in range order
-//     for the caller to Absorb/Merge, which re-selects and re-accounts
-//     exactly as the unified stream would.
+//   - exemplar views are collected in range order for the caller to
+//     Absorb, which re-selects exactly as the unified stream would.
 func MergeCrawl(parts []*Partial) (*MergedCrawl, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("distrib: merge of zero partials")
@@ -105,9 +100,6 @@ func MergeCrawl(parts []*Partial) (*MergedCrawl, error) {
 		m.Pages = append(m.Pages, p.Pages...)
 		m.Events = append(m.Events, p.Events...)
 		m.Exemplars = append(m.Exemplars, p.Exemplars...)
-		if p.Snapshots != nil {
-			m.Snapshots = append(m.Snapshots, p.Snapshots)
-		}
 	}
 	m.Metrics = scratch.Snapshot()
 	return m, nil

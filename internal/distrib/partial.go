@@ -12,13 +12,11 @@ import (
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
 	"canvassing/internal/obs/tracez"
-	"canvassing/internal/snapshot"
 )
 
 // Partial is one work-unit's completed output: a partial bundle
 // (manifest, metrics snapshot, events) plus the unit's page results
-// and the optional sidecars (exemplar reservoir view, snapshot-store
-// delta).
+// and the optional exemplar reservoir view.
 type Partial struct {
 	Dir      string
 	Spec     UnitSpec
@@ -38,9 +36,6 @@ type Partial struct {
 	// Exemplars is the unit reservoir's per-condition view (nil unless
 	// the study traces visits).
 	Exemplars []tracez.CondExemplars
-	// Snapshots is the unit's content-addressed store delta (nil unless
-	// the study reuses snapshots).
-	Snapshots *snapshot.Store
 }
 
 // unitPages is the pages.json wire form.
@@ -53,11 +48,10 @@ type unitPages struct {
 }
 
 // WritePartial writes p's bundle files into dir: manifest.json,
-// metrics.json, events.jsonl, and pages.json. Exemplar and snapshot
-// sidecars are written by the unit runner (they have their own
-// writers); the checkpoint sidecar, if any, must be removed by the
-// caller AFTER this returns — its presence is what marks the partial
-// half-finished.
+// metrics.json, events.jsonl, and pages.json. The exemplar sidecar is
+// written by the unit runner (it has its own writer); the checkpoint
+// sidecar, if any, must be removed by the caller AFTER this returns —
+// its presence is what marks the partial half-finished.
 func WritePartial(dir string, p *Partial) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("distrib: %w", err)
@@ -176,13 +170,6 @@ func LoadPartial(dir string) (*Partial, error) {
 			return nil, fmt.Errorf("distrib: unit %s: %w", spec.ID, err)
 		}
 		p.Exemplars = ex.Conditions
-	}
-	if spec.Study.SnapshotReuse {
-		st, err := snapshot.Load(filepath.Join(dir, "snapshots"))
-		if err != nil {
-			return nil, fmt.Errorf("distrib: unit %s: %w", spec.ID, err)
-		}
-		p.Snapshots = st
 	}
 	return p, nil
 }

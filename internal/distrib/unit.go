@@ -13,7 +13,6 @@ import (
 	"canvassing/internal/netsim"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/tracez"
-	"canvassing/internal/snapshot"
 	"canvassing/internal/web"
 )
 
@@ -32,8 +31,8 @@ type Env struct {
 	// Config is the exact crawler configuration the single-process study
 	// would use for this condition (profile, extension, consent, faults,
 	// seed). RunUnit overrides the distribution-specific fields:
-	// telemetry, snapshots, exemplar reservoir, commit cadence, resume
-	// state, and the page-index offset.
+	// telemetry, exemplar reservoir, commit cadence, resume state, and
+	// the page-index offset.
 	Config crawler.Config
 }
 
@@ -76,11 +75,6 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 		visits = tracez.NewReservoir(spec.Study.Seed, 0, 0)
 		cfg.Visits = visits
 	}
-	var snaps *snapshot.Store
-	cfg.Snapshots = nil
-	if spec.Study.SnapshotReuse {
-		snaps = snapshot.New()
-	}
 
 	ckpt := checkpoint.NewWriter(dir, spec.Study.CheckpointEvery)
 	ckpt.StopAfter = stopAfter
@@ -107,14 +101,6 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 			// seeded plans are pure functions of (seed, site) either way.
 			cfg.Faults = netsim.RestoreFaultModel(*cp.Faults)
 		}
-		if snaps != nil {
-			if !cp.HasSnapshots {
-				return false, true, fmt.Errorf("distrib: unit %s checkpoint has no snapshot store but the study reuses snapshots", spec.ID)
-			}
-			if snaps, err = checkpoint.LoadSnapshots(dir); err != nil {
-				return false, true, err
-			}
-		}
 		if cs := cp.Crawl(spec.Condition); cs != nil {
 			rs = &crawler.ResumeState{Pages: cs.Pages}
 		}
@@ -124,13 +110,9 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 	default:
 		return false, false, lerr
 	}
-	if snaps != nil {
-		cfg.Snapshots = snaps
-	}
 	ckpt.Metrics = tel.Metrics
 	ckpt.Events = tel.Events
 	ckpt.Faults = cfg.Faults
-	ckpt.Snapshots = snaps
 	cfg.CommitEvery = ckpt.Every()
 	cfg.Resume = rs
 
@@ -161,11 +143,6 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 	if visits != nil {
 		if err := tracez.WriteExemplars(filepath.Join(dir, tracez.ExemplarsFile), visits); err != nil {
 			return false, resumed, fmt.Errorf("distrib: unit %s: %w", spec.ID, err)
-		}
-	}
-	if snaps != nil {
-		if err := snaps.Save(filepath.Join(dir, checkpoint.SnapshotDirName)); err != nil {
-			return false, resumed, err
 		}
 	}
 	// Only now is the partial complete: drop the sidecar so merges stop

@@ -74,7 +74,7 @@ type StatusSnapshot struct {
 // Status lives entirely OUTSIDE the metrics registry: nothing here is
 // snapshotted into bundles or checkpoints, so enabling the ops plane
 // can never change a deterministic artifact byte — the same discipline
-// the snapshot store's counters follow. All methods are safe on a nil
+// the exemplar reservoir follows. All methods are safe on a nil
 // receiver (they no-op), so bare Telemetry literals keep working.
 type Status struct {
 	mu        sync.Mutex

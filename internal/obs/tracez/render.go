@@ -23,7 +23,7 @@ func fmtShare(part, total time.Duration) string {
 
 // flagKeys are the exemplar labels worth surfacing in the slow-visit
 // table — the fault/degradation annotations.
-var flagKeys = []string{"fault", "retries", "degraded", "truncated", "blocked", "snapshot", "error", "consent"}
+var flagKeys = []string{"fault", "retries", "degraded", "truncated", "blocked", "error", "consent"}
 
 // flags collects notable labels across a tree as "k=v" pairs in
 // flagKeys order (first value seen per key wins).

@@ -11,7 +11,7 @@
 // never enter the tracer or the metrics registry: the Reservoir keeps
 // only the slowest-N trees per condition plus a seeded head sample,
 // and everything it retains lives outside the run bundle (the exemplar
-// export is a sidecar file, like the checkpoint and snapshot store),
+// export is a sidecar file, like the checkpoint journal),
 // so enabling visit tracing changes zero bundle bytes.
 //
 // Determinism: exemplar *selection* keys on Cost — a deterministic

@@ -31,11 +31,6 @@ func Banner(s *Service) string {
 	} else {
 		sb.WriteString("  lists:     unavailable (/v1/block disabled)\n")
 	}
-	if s.Snapshots != nil {
-		fmt.Fprintf(&sb, "  snapshots: %d content-addressed bodies\n", s.Snapshots.Len())
-	} else {
-		sb.WriteString("  snapshots: none\n")
-	}
 	fmt.Fprintf(&sb, "  batching:  %s window, singleflight per key\n", s.batch.Window())
 	sb.WriteString("  endpoints: POST /v1/classify[/batch] · GET /v1/cluster/{hash} · GET /v1/block · GET /v1/site/{domain} · GET /v1/stats\n")
 	return sb.String()

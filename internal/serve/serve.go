@@ -1,9 +1,8 @@
 // Package serve is the detection-as-a-service layer: it loads a
-// finished study's run bundle (manifest + evidence event log) and
-// optional content-addressed snapshot store, builds sharded in-memory
-// read indexes over the recorded verdicts, cluster assignments,
-// attributions, and blocklist decisions, and answers JSON lookups at
-// production rates:
+// finished study's run bundle (manifest + evidence event log), builds
+// sharded in-memory read indexes over the recorded verdicts, cluster
+// assignments, attributions, and blocklist decisions, and answers JSON
+// lookups at production rates:
 //
 //	POST /v1/classify        canvas hash or data-URL → verdict + heuristic breakdown
 //	POST /v1/classify/batch  bulk hash lookup: one round trip, many verdicts
@@ -31,16 +30,12 @@ import (
 	"canvassing/internal/detect"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/ops"
-	"canvassing/internal/snapshot"
 )
 
 // Config configures service construction.
 type Config struct {
 	// Dir is the bundle directory to load (Load only).
 	Dir string
-	// SnapshotDir overrides the snapshot-store location. Empty means
-	// autodetect <Dir>/snapshots and serve without a store when absent.
-	SnapshotDir string
 	// Shards is the index shard count (DefaultShards when <= 0).
 	Shards int
 	// Window is the lookup-batching window (DefaultWindow when <= 0).
@@ -62,9 +57,6 @@ type Service struct {
 	Memo *analysis.Cache
 	// Lists is the reconstructed blocklist set (nil without ListsFor).
 	Lists *blocklist.StandardLists
-	// Snapshots is the content-addressed body store (nil when the
-	// bundle shipped without one).
-	Snapshots *snapshot.Store
 	// Tel is the service's own telemetry (request counters and the
 	// latency histogram) — deliberately separate from the bundle's
 	// recorded metrics, which stay frozen on disk.
@@ -78,8 +70,7 @@ type Service struct {
 	latency *obs.Histogram
 }
 
-// Load reads the bundle (and snapshot store, if present) from disk and
-// builds the service. It uses bundle.Load, so a directory holding a
+// Load reads the bundle from disk and builds the service. It uses bundle.Load, so a directory holding a
 // checkpoint.json sidecar — a half-finished study — is refused rather
 // than served as stale verdicts.
 func Load(cfg Config) (*Service, error) {
@@ -87,23 +78,7 @@ func Load(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc, err := New(b, cfg)
-	if err != nil {
-		return nil, err
-	}
-	snapDir := cfg.SnapshotDir
-	optional := snapDir == ""
-	if optional {
-		snapDir = cfg.Dir + "/snapshots"
-	}
-	store, err := snapshot.Load(snapDir)
-	switch {
-	case err == nil:
-		svc.Snapshots = store
-	case !optional:
-		return nil, fmt.Errorf("serve: snapshot store: %w", err)
-	}
-	return svc, nil
+	return New(b, cfg)
 }
 
 // New builds a service over an already-loaded bundle — the in-memory

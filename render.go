@@ -129,29 +129,18 @@ func (s *Study) analysisSection() string {
 	return sb.String()
 }
 
-// checkpointSection renders the "Checkpoint & snapshots" block of
+// checkpointSection renders the "Checkpoint" block of
 // TelemetryReport. Always present — a disabled subsystem says so
 // explicitly rather than vanishing, so report diffs across
 // configurations stay aligned.
 func (s *Study) checkpointSection() string {
 	var sb strings.Builder
-	sb.WriteString("Checkpoint & snapshots\n")
+	sb.WriteString("Checkpoint\n")
 	if s.ckpt != nil {
 		fmt.Fprintf(&sb, "checkpointing: every %d pages, %d checkpoint(s) written\n",
 			s.ckpt.Every(), s.ckpt.Writes())
 	} else {
 		sb.WriteString("checkpointing: disabled\n")
-	}
-	if s.Snapshots != nil {
-		hits, misses := s.Snapshots.Counts()
-		if hits+misses > 0 {
-			fmt.Fprintf(&sb, "snapshot store: %d hits / %d misses (%.1f%% hit rate, %d distinct bodies)\n",
-				hits, misses, 100*float64(hits)/float64(hits+misses), s.Snapshots.Len())
-		} else {
-			fmt.Fprintf(&sb, "snapshot store: no lookups (%d distinct bodies)\n", s.Snapshots.Len())
-		}
-	} else {
-		sb.WriteString("snapshot store: disabled\n")
 	}
 	sb.WriteByte('\n')
 	return sb.String()

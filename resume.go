@@ -13,14 +13,14 @@ import (
 
 // Resume continues a checkpointed study from dir. The study's options
 // come from the checkpoint itself; the web regenerates from the seed;
-// metrics, evidence events, fault plans, and the snapshot store are
-// restored to the checkpoint cut; completed crawls are replayed
-// verbatim from their committed pages; a partially committed crawl
-// continues its worker pool from the frontier; and completed analysis
-// phases are re-derived silently (no counters, no events — those are
-// already in the restored state). The result: bundle artifacts from a
-// resumed run are byte-identical to an uninterrupted run's, at any
-// worker width — the resume oracle in resume_test.go enforces it.
+// metrics, evidence events and fault plans are restored to the
+// checkpoint cut; completed crawls are replayed verbatim from their
+// committed pages; a partially committed crawl continues its worker
+// pool from the frontier; and completed analysis phases are re-derived
+// silently (no counters, no events — those are already in the
+// restored state). The result: bundle artifacts from a resumed run are
+// byte-identical to an uninterrupted run's, at any worker width — the
+// resume oracle in resume_test.go enforces it.
 func Resume(dir string) (*Study, error) {
 	cp, err := checkpoint.Load(dir)
 	if err != nil {
@@ -37,22 +37,14 @@ func Resume(dir string) (*Study, error) {
 	s := New(opts)
 
 	// Restore the cut: registry, event log (with its seq high-water
-	// mark), fault cursor, snapshot store.
+	// mark), fault cursor.
 	s.tel.Metrics.Restore(cp.Metrics)
 	s.tel.Events.Restore(cp.Events, cp.EventsSeq, cp.EventsDropped)
 	if cp.Faults != nil {
 		s.Faults = netsim.RestoreFaultModel(*cp.Faults)
 	}
-	if cp.HasSnapshots {
-		snaps, err := checkpoint.LoadSnapshots(dir)
-		if err != nil {
-			return nil, err
-		}
-		s.Snapshots = snaps
-	}
 	s.ckpt.Adopt(cp)
 	s.ckpt.Faults = s.Faults
-	s.ckpt.Snapshots = s.Snapshots
 
 	// Walk the cohort crawls in Run order: replay finished work,
 	// continue the rest. A fresh interruption (an armed StopAfter on the

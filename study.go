@@ -35,7 +35,6 @@ import (
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
 	"canvassing/internal/obs/tracez"
-	"canvassing/internal/snapshot"
 	"canvassing/internal/stats"
 	"canvassing/internal/web"
 )
@@ -78,13 +77,6 @@ type Options struct {
 	// CheckpointEvery is the checkpoint cadence in committed pages
 	// (<=0 selects 256).
 	CheckpointEvery int
-	// SnapshotReuse routes cohort-crawl page fetches through a shared
-	// content-addressed snapshot store, so the ABP/uBO/M1 re-crawls
-	// reuse bodies the control crawl already fetched instead of
-	// re-generating them. The store's hit/miss counters live outside
-	// the metrics registry, so enabling reuse leaves deterministic
-	// bundle artifacts byte-identical.
-	SnapshotReuse bool
 	// TraceVisits captures per-visit span trees from every crawl and
 	// per-shard batch spans from the analysis executor into a bounded
 	// deterministic exemplar reservoir (internal/obs/tracez). The
@@ -148,9 +140,6 @@ type Study struct {
 	// is positive); every cohort crawl shares it so conditions see the
 	// same per-site fault plans and stay comparable.
 	Faults *netsim.FaultModel
-	// Snapshots is the content-addressed body store shared by every
-	// cohort crawl (nil unless Options.SnapshotReuse).
-	Snapshots *snapshot.Store
 	// Halted reports that the checkpoint writer interrupted the run
 	// (its StopAfter fired): later phases were skipped, and the
 	// checkpoint on disk holds the committed progress for Resume.
@@ -206,15 +195,11 @@ func New(opts Options) *Study {
 	if opts.FaultRate > 0 {
 		s.Faults = netsim.NewFaultModel(opts.Seed, opts.FaultRate)
 	}
-	if opts.SnapshotReuse {
-		s.Snapshots = snapshot.New()
-	}
 	if opts.CheckpointDir != "" {
 		s.ckpt = checkpoint.NewWriter(opts.CheckpointDir, opts.CheckpointEvery)
 		s.ckpt.Metrics = tel.Metrics
 		s.ckpt.Events = tel.Events
 		s.ckpt.Faults = s.Faults
-		s.ckpt.Snapshots = s.Snapshots
 		s.ckpt.Status = tel.Status
 		if err := s.ckpt.SetOpts(opts); err != nil {
 			panic(err) // Options is a plain struct; marshal cannot fail
@@ -352,10 +337,6 @@ func (s *Study) crawlConfig(condition string) crawler.Config {
 		cfg.Faults = s.Faults
 		cfg.Retries = s.Options.Retries
 		cfg.VisitTimeout = s.Options.VisitTimeout
-		// Typed-nil guard: only assign the interface when a store exists.
-		if s.Snapshots != nil {
-			cfg.Snapshots = s.Snapshots
-		}
 	}
 	// Every crawl — including the demo harvest — feeds the exemplar
 	// reservoir; it lives outside the registry, so this is invisible

@@ -7,21 +7,28 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"canvassing/internal/obs"
+	"canvassing/internal/obs/tracez"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate golden files")
 
 // Volatile fragments of the telemetry report: wall-clock durations,
 // histogram summaries, percentages, and the table rules/padding whose
-// widths follow the duration strings. Masking them leaves the stable
-// skeleton — section order, metric names, counter values, crawl
-// stats — which is exactly what the golden test should pin.
+// widths follow the duration and percentage strings (a table pads its
+// last column too, so how many blanks end a row depends on timing).
+// Masking them leaves the stable skeleton — section order, metric
+// names, counter values, crawl stats — which is exactly what the
+// golden test should pin.
 var (
 	histSummaryRe = regexp.MustCompile(`mean=\S+ p50=\S+ p95=\S+ max=\S+`)
 	durationRe    = regexp.MustCompile(`\b[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s|m|h)\b`)
 	percentRe     = regexp.MustCompile(`[0-9]+(\.[0-9]+)?%`)
 	spaceRunRe    = regexp.MustCompile(`  +`)
 	dashRunRe     = regexp.MustCompile(`--+`)
+	trailBlankRe  = regexp.MustCompile(`(?m) +$`)
 )
 
 // normalizeVolatile masks timing-dependent substrings so the report
@@ -32,7 +39,29 @@ func normalizeVolatile(s string) string {
 	s = percentRe.ReplaceAllString(s, "PCT")
 	s = spaceRunRe.ReplaceAllString(s, "  ")
 	s = dashRunRe.ReplaceAllString(s, "--")
+	s = trailBlankRe.ReplaceAllString(s, "")
 	return s
+}
+
+// TestNormalizePhaseTablePadding: two phase tables whose only
+// difference is how wide a share is (5.0% against 15.0%, so the row is
+// padded with two blanks or one) must normalize to the same text, or
+// the golden above flips whenever a phase crosses 10% of the run.
+func TestNormalizePhaseTablePadding(t *testing.T) {
+	table := func(webgen time.Duration) string {
+		t0 := time.Unix(0, 0)
+		return tracez.PhaseTimings([]obs.SpanRecord{
+			{ID: 1, Name: "webgen", Start: t0, Duration: webgen},
+			{ID: 2, Name: "crawl.control", Start: t0.Add(webgen), Duration: 100*time.Millisecond - webgen},
+		})
+	}
+	narrow, wide := table(5*time.Millisecond), table(15*time.Millisecond)
+	if !strings.Contains(narrow, "5.0%  \n") || !strings.Contains(wide, "15.0% \n") {
+		t.Fatalf("fixture no longer pads the share column:\n%s\n%s", narrow, wide)
+	}
+	if a, b := normalizeVolatile(narrow), normalizeVolatile(wide); a != b {
+		t.Errorf("phase tables differing only in share width normalize apart:\n%q\n%q", a, b)
+	}
 }
 
 // TestTelemetryReportGolden pins the shape of Study.TelemetryReport():
