@@ -75,11 +75,17 @@ fmt-check:
 # detect.classify details to detect.ParseEventDetail, which `serve`
 # runs over every such event of a bundle it loads, and requires a
 # rejection or non-negative dimensions in a detail EventDetail would
-# write back field for field.
+# write back field for field. FuzzListMatch parses arbitrary list text
+# and requires List.Match to return the very rule a linear scan of the
+# block rules returns, and ShouldBlock the linear scans' verdict, so the
+# host index never changes an answer. Its seeds are whole generated
+# lists, tens of kilobytes, so it caps minimising each new input at 1 s;
+# at the default 60 s one minimisation takes the whole smoke budget.
 # Longer sessions: go test -fuzz FuzzParseRule -fuzztime 5m ./internal/blocklist
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParseURL -fuzztime 10s ./internal/netsim
 	$(GO) test -run XXX -fuzz FuzzParseRule -fuzztime 10s ./internal/blocklist
+	$(GO) test -run XXX -fuzz FuzzListMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/blocklist
 	$(GO) test -run XXX -fuzz FuzzClassifyRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run XXX -fuzz FuzzBlockQuery -fuzztime 10s ./internal/serve
 	$(GO) test -run XXX -fuzz FuzzMergePartialBundles -fuzztime 10s ./internal/distrib

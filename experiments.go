@@ -523,9 +523,11 @@ type RandomizationResult struct {
 // per sample size: the defense re-crawls are expensive and several
 // reports request the same sample, and caching also keeps the evidence
 // log free of duplicate verdict events. The re-crawls share the study's
-// canvas memo: every extraction still rasterises and runs the defense's
-// hook, but pixels the study has already encoded are not encoded again,
-// which per-session noise, keyed by canvas content, makes common.
+// canvas memo, so each distinct drawing of the sample is rasterised once
+// and every later hooked element copies its pixels from the memo. The
+// defense's hook still runs on every extraction, and hooked pixels the
+// study has already encoded are not encoded again, which per-session
+// noise, keyed by canvas content, makes common.
 func (s *Study) Randomization(sampleSize int) RandomizationResult {
 	if r, ok := s.randCache[sampleSize]; ok {
 		return r

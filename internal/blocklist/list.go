@@ -10,69 +10,52 @@ type List struct {
 	// Name identifies the list ("EasyList", "EasyPrivacy", ...).
 	Name string
 
-	block      []*Rule
-	exceptions []*Rule
+	block      ruleSet
+	exceptions ruleSet
 }
 
 // ParseList parses a full list text, skipping comments and unsupported
 // rule kinds.
 func ParseList(name, text string) *List {
-	l := &List{Name: name}
+	var block, exceptions []*Rule
 	for _, line := range strings.Split(text, "\n") {
 		r, ok := ParseRule(line)
 		if !ok {
 			continue
 		}
 		if r.Exception {
-			l.exceptions = append(l.exceptions, r)
+			exceptions = append(exceptions, r)
 		} else {
-			l.block = append(l.block, r)
+			block = append(block, r)
 		}
 	}
-	return l
+	return &List{Name: name, block: newRuleSet(block), exceptions: newRuleSet(exceptions)}
 }
 
 // Len returns the number of usable rules (block + exception).
-func (l *List) Len() int { return len(l.block) + len(l.exceptions) }
+func (l *List) Len() int { return len(l.block.rules) + len(l.exceptions.rules) }
 
 // BlockRules returns the block rules (read-only use).
-func (l *List) BlockRules() []*Rule { return l.block }
+func (l *List) BlockRules() []*Rule { return l.block.rules }
 
 // Match returns the first block rule that applies to req, or nil. It is
 // the raw "is this URL covered by the list" primitive the Table 4
 // analysis uses (no exception processing, matching adblockparser's
 // should_block on a single list with one rule set).
-func (l *List) Match(req Request) *Rule { return l.match(lowerRequest(req)) }
-
-func (l *List) match(req Request) *Rule {
-	for _, r := range l.block {
-		if r.matches(req) {
-			return r
-		}
-	}
-	return nil
-}
+func (l *List) Match(req Request) *Rule { return l.block.first(lowerRequest(req)) }
 
 // ShouldBlock applies full ABP semantics: blocked if some block rule
 // matches and no exception rule does.
 func (l *List) ShouldBlock(req Request) bool {
 	req = lowerRequest(req)
-	if l.match(req) == nil {
-		return false
-	}
-	for _, r := range l.exceptions {
-		if r.matches(req) {
-			return false
-		}
-	}
-	return true
+	return l.block.first(req) != nil && l.exceptions.first(req) == nil
 }
 
 // DocumentOnlyRuleCount counts rules that carry a lone $document modifier
 // (the A.6 rule-design failure: EasyList had 828 such rules).
 func (l *List) DocumentOnlyRuleCount() int {
 	n := 0
-	for _, r := range l.block {
+	for _, r := range l.block.rules {
 		if r.DocumentOnly() {
 			n++
 		}

@@ -359,21 +359,24 @@ func matchesEnd(url, last string) bool {
 	return strings.HasSuffix(url, last)
 }
 
-// matchDomainAnchored implements "||" semantics: the first pattern part
-// must match starting at a hostname-label boundary within the URL's host.
-func matchDomainAnchored(url string, parts []string, anchorEnd bool) bool {
-	// Find the host section of the URL.
-	rest := url
+// hostSection returns url after its first "://", and the length of the
+// host at its start: the bytes before the first '/', '?' or ':'.
+func hostSection(url string) (rest string, hostEnd int) {
+	rest = url
 	if i := strings.Index(rest, "://"); i >= 0 {
 		rest = rest[i+3:]
 	}
-	hostEnd := len(rest)
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == '/' || rest[i] == '?' || rest[i] == ':' {
-			hostEnd = i
-			break
-		}
+	hostEnd = len(rest)
+	if i := strings.IndexAny(rest, "/?:"); i >= 0 {
+		hostEnd = i
 	}
+	return rest, hostEnd
+}
+
+// matchDomainAnchored implements "||" semantics: the first pattern part
+// must match starting at a hostname-label boundary within the URL's host.
+func matchDomainAnchored(url string, parts []string, anchorEnd bool) bool {
+	rest, hostEnd := hostSection(url)
 	first := parts[0]
 	// Candidate start offsets: 0 or just after a '.' within the host.
 	for start := 0; start <= hostEnd; start++ {

@@ -1,8 +1,10 @@
 package canvas
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -107,8 +109,8 @@ func TestMemoStaysWithinBound(t *testing.T) {
 			t.Fatalf("after %d qualities the memo holds %d bytes, over its %d bound", i+1, m.size, m.limit)
 		}
 	}
-	if len(m.urls) == 0 || len(m.urls) > 10000 {
-		t.Fatalf("memo holds %d entries", len(m.urls))
+	if len(m.entries) == 0 || len(m.entries) > 10000 {
+		t.Fatalf("memo holds %d entries", len(m.entries))
 	}
 }
 
@@ -141,7 +143,9 @@ func noisy(img *raster.Image, seed uint64) *raster.Image {
 // TestMemoConcurrent: 8 goroutines extract overlapping drawings through
 // one memo, on two profiles, without a hook, with contentNoise and with
 // a fresh callNoise, and every URL equals a serial render without the
-// memo.
+// memo. A worker's renders cycle through 6 of the 12 (profile, drawing)
+// pairs, so of its 24 hooked renders at most 6 miss a bitmap entry and
+// the rest take their pixels from one.
 func TestMemoConcurrent(t *testing.T) {
 	profiles := []*machine.Profile{machine.Intel(), machine.AppleM1()}
 	render := func(m *Memo, p, i int, format string, hook int) string {
@@ -177,21 +181,26 @@ func TestMemoConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if d, h := countKeys(m); d == 0 || h == 0 || d+h > len(want) {
-		t.Fatalf("memo holds %d drawings and %d hooked canvases for %d distinct extractions", d, h, len(want))
+	if d, h, b := countKeys(m); d == 0 || h == 0 || d+h > len(want) || b == 0 || b > 2*6 {
+		t.Fatalf("memo holds %d drawings, %d hooked canvases and %d bitmaps for %d distinct extractions of 12 drawings",
+			d, h, b, len(want))
 	}
 }
 
-// countKeys counts the drawings and the hooked canvases m holds.
-func countKeys(m *Memo) (drawings, hooked int) {
-	for k := range m.urls {
-		if k[0] == pixelsTag {
-			hooked++
-		} else {
+// countKeys counts the drawings, the hooked canvases and the bitmaps m
+// holds.
+func countKeys(m *Memo) (drawings, hooked, bitmaps int) {
+	for k := range m.entries {
+		switch k[0] {
+		case drawingTag:
 			drawings++
+		case pixelsTag:
+			hooked++
+		case bitmapTag:
+			bitmaps++
 		}
 	}
-	return drawings, hooked
+	return drawings, hooked, bitmaps
 }
 
 // TestMemoHitSkipsRaster: a drawing the memo holds is served without
@@ -253,7 +262,8 @@ func TestMemoHitSkipsRaster(t *testing.T) {
 // extractions through a shared memo, cold and then warm, returns the
 // URLs the same run returns on eager, memo-less elements. Each round
 // draws one of three scenes and extracts it twice, so contentNoise
-// repeats URLs and callNoise never does.
+// repeats URLs and callNoise never does, and the memo holds one bitmap
+// per scene.
 func TestHookedMemo(t *testing.T) {
 	run := func(m *Memo, eager bool, hook ExtractHook) []string {
 		var urls []string
@@ -287,11 +297,88 @@ func TestHookedMemo(t *testing.T) {
 		for _, u := range want {
 			distinct[u] = true
 		}
-		if d, h := countKeys(m); h != len(distinct) || d != 0 {
-			t.Fatalf("%s: memo holds %d hooked URLs and %d drawings for %d distinct hooked URLs", name, h, d, len(distinct))
+		if d, h, b := countKeys(m); h != len(distinct) || d != 0 || b != 3 {
+			t.Fatalf("%s: memo holds %d hooked URLs, %d drawings and %d bitmaps for %d distinct hooked URLs of 3 scenes",
+				name, h, d, b, len(distinct))
 		}
 		if name == "contentNoise" && len(distinct) != 6 || name == "callNoise" && len(distinct) != len(want) {
 			t.Fatalf("%s: %d distinct URLs in %d extractions", name, len(distinct), len(want))
 		}
+	}
+}
+
+// TestBitmapHitDrawsLive: an element whose pixels came from a bitmap
+// entry is live: drawing after the hooked extraction, with a gradient
+// it creates then, reads back what an eager element reads. The hit
+// copies the stored pixels, so drawing on the element leaves the entry
+// for the next element.
+func TestBitmapHitDrawsLive(t *testing.T) {
+	draw := func(e *Element) []byte {
+		drawScene(e, 1)
+		e.ToDataURL("", 0)
+		drawScene(e, 2)
+		return e.GetContext("2d").GetImageData(0, 0, e.width, e.height).Pix
+	}
+	eager := New(nil)
+	eager.SetExtractHook(contentNoise)
+	eager.bitmap()
+	want := draw(eager)
+
+	m := NewMemo()
+	for round := 0; round < 3; round++ {
+		e := New(nil)
+		e.SetMemo(m)
+		e.SetExtractHook(contentNoise)
+		if got := draw(e); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: getImageData after drawing on a materialised element differs from an eager one's", round)
+		}
+		if _, _, b := countKeys(m); b != 1 {
+			t.Fatalf("round %d: memo holds %d bitmaps for one drawing", round, b)
+		}
+	}
+
+	// A hit reads the entry: an element whose entry holds other pixels
+	// gets those.
+	e := New(nil)
+	e.SetMemo(m)
+	e.SetExtractHook(contentNoise)
+	drawScene(e, 1)
+	key := string(e.drawingKey([]byte{bitmapTag}))
+	planted := strings.Repeat("\x7f", len(m.entries[key]))
+	m.entries[key] = planted
+	if got := e.Image().Pix; string(got) != planted || e.ops != nil || e.ctx.grads != nil {
+		t.Fatal("a bitmap hit must copy the stored pixels and drop the display list")
+	}
+}
+
+// TestHookFreeSkipsBitmaps: a hook-free element neither stores nor
+// reads a bitmap entry, whatever reads its pixels: it replays its list
+// even when the memo holds other pixels under its drawing's key.
+func TestHookFreeSkipsBitmaps(t *testing.T) {
+	m := NewMemo()
+	for _, read := range []func(e *Element){
+		func(e *Element) { e.ToDataURL("", 0) },
+		func(e *Element) { e.GetContext("2d").GetImageData(0, 0, 4, 4) },
+		func(e *Element) { e.Image() },
+	} {
+		e := New(nil)
+		e.SetMemo(m)
+		drawScene(e, 3)
+		read(e)
+		read(e)
+	}
+	if _, _, b := countKeys(m); b != 0 {
+		t.Fatalf("hook-free elements stored %d bitmaps", b)
+	}
+
+	eager := New(nil)
+	eager.bitmap()
+	drawScene(eager, 1)
+	e := New(nil)
+	e.SetMemo(m)
+	drawScene(e, 1)
+	m.entries[string(e.drawingKey([]byte{bitmapTag}))] = strings.Repeat("\x7f", len(eager.img.Pix))
+	if !bytes.Equal(e.Image().Pix, eager.img.Pix) {
+		t.Fatal("a hook-free element read a bitmap entry")
 	}
 }

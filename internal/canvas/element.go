@@ -87,10 +87,10 @@ func New(profile *machine.Profile) *Element {
 }
 
 // bitmap returns the canvas pixels. On a recording element it
-// allocates them transparent black, replays the display list onto them
-// and leaves the element live. Every pixel access goes through it. A
-// canvas over the size limits gets a 0×0 image: draws on it are no-ops
-// and reads see transparent black.
+// allocates them transparent black, draws the display list onto them
+// (materialise) and leaves the element live. Every pixel access goes
+// through it. A canvas over the size limits gets a 0×0 image: draws on
+// it are no-ops and reads see transparent black.
 func (e *Element) bitmap() *raster.Image {
 	if e.img == nil {
 		if e.width <= maxSide && e.height <= maxSide && fitsArea(e.width, e.height) {
@@ -98,7 +98,7 @@ func (e *Element) bitmap() *raster.Image {
 		} else {
 			e.img = &raster.Image{}
 		}
-		e.replay()
+		e.materialise()
 	}
 	return e.img
 }
@@ -110,7 +110,8 @@ func (e *Element) SetTracer(t Tracer) { e.tracer = t }
 // SetExtractHook installs a pixel-extraction hook (randomization defense).
 func (e *Element) SetExtractHook(h ExtractHook) { e.extractHook = h }
 
-// SetMemo shares m's data URLs with this element's toDataURL calls.
+// SetMemo shares m's data URLs with this element's toDataURL calls and,
+// while it has an extraction hook, m's pixels with its materialising.
 // Nil, the default, shares nothing.
 func (e *Element) SetMemo(m *Memo) { e.memo = m }
 

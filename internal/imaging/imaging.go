@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"image"
 	"image/jpeg"
 	"image/png"
 	"strings"
@@ -80,12 +81,49 @@ func Encode(img *raster.Image, f Format, quality float64) ([]byte, error) {
 		return encodeWebPSim(img, quality), nil
 	default:
 		var buf bytes.Buffer
-		if err := pngEncoder.Encode(&buf, img.ToStdImage()); err != nil {
+		if err := pngEncoder.Encode(&buf, pngImage(img)); err != nil {
 			return nil, fmt.Errorf("imaging: png encode: %w", err)
 		}
 		return buf.Bytes(), nil
 	}
 }
+
+// pngImage returns img as an *image.NRGBA that png.Encoder encodes to
+// the bytes of img.ToStdImage(). That premultiplies each channel by
+// alpha and the encoder divides alpha back out, which loses low bits of
+// translucent pixels; unpremul holds what the round trip gives, and the
+// encoder copies an NRGBA's rows as they are.
+func pngImage(img *raster.Image) *image.NRGBA {
+	out := image.NewNRGBA(image.Rect(0, 0, img.W, img.H))
+	for i := 0; i+3 < len(img.Pix); i += 4 {
+		a := img.Pix[i+3]
+		t := &unpremul[a]
+		out.Pix[i] = t[img.Pix[i]]
+		out.Pix[i+1] = t[img.Pix[i+1]]
+		out.Pix[i+2] = t[img.Pix[i+2]]
+		out.Pix[i+3] = a
+	}
+	return out
+}
+
+// unpremul[a][c] is the channel png.Encoder writes for channel c at
+// alpha a of an *image.RGBA from raster.Image.ToStdImage: the
+// premultiplied round(c*a/255), then divided back out exactly as
+// image/png does for 0 < a < 255. Alpha 0 gives 0 and alpha 255 gives c.
+var unpremul = func() (t [256][256]uint8) {
+	for a := 1; a < 256; a++ {
+		for c := 0; c < 256; c++ {
+			if a == 255 {
+				t[a][c] = uint8(c)
+				continue
+			}
+			p := uint32(c*a + 128)
+			p = (p + p>>8) >> 8
+			t[a][c] = uint8((p * (0x101 * 0xffff) / (uint32(a) * 0x101)) >> 8)
+		}
+	}
+	return t
+}()
 
 // pngEncoder is png.Encode with its compressor state pooled: png.Encode
 // builds a new zlib writer, about half a megabyte, on every call. The

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"image/png"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -134,6 +135,45 @@ func TestPooledPNGMatchesStdlib(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestPNGMatchesPremultipliedEncode: Encode writes PNGs from
+// non-premultiplied pixels through unpremul, and the bytes must equal
+// png.Encode of ToStdImage's premultiplied copy, the encoding every
+// canvas fingerprint was pinned with. A 256×256 image holds every
+// (channel, alpha) pair, once opaque and translucent alike; random
+// images follow, a third of them opaque, since png.Encoder writes
+// opaque images without their alpha.
+func TestPNGMatchesPremultipliedEncode(t *testing.T) {
+	check := func(name string, img *raster.Image) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := png.Encode(&want, img.ToStdImage()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Encode(img, PNG, 0)
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: Encode differs from png.Encode(ToStdImage()) (err %v)", name, err)
+		}
+	}
+	all := raster.NewImage(256, 256)
+	for a := 0; a < 256; a++ {
+		for c := 0; c < 256; c++ {
+			all.Set(c, a, raster.RGBA{R: uint8(c), G: uint8(255 - c), B: uint8(c * 37), A: uint8(a)})
+		}
+	}
+	check("every (channel, alpha) pair", all)
+	rng := rand.New(rand.NewPCG(3, 5))
+	for i := 0; i < 60; i++ {
+		img := raster.NewImage(1+rng.IntN(90), 1+rng.IntN(40))
+		for j := range img.Pix {
+			img.Pix[j] = uint8(rng.IntN(256))
+			if j%4 == 3 && i%3 == 0 {
+				img.Pix[j] = 255
+			}
+		}
+		check(fmt.Sprintf("random image %d (%dx%d)", i, img.W, img.H), img)
 	}
 }
 

@@ -3,6 +3,8 @@ package canvassing
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"canvassing/internal/attrib"
 	"canvassing/internal/checkpoint"
@@ -20,10 +22,15 @@ import (
 // silently (no counters, no events — those are already in the
 // restored state). The result: bundle artifacts from a resumed run are
 // byte-identical to an uninterrupted run's, at any worker width — the
-// resume oracle in resume_test.go enforces it.
+// resume oracle in resume_test.go enforces it. A page-body snapshot
+// store that older builds saved beside the journal is removed: nothing
+// reads it any more.
 func Resume(dir string) (*Study, error) {
 	cp, err := checkpoint.Load(dir)
 	if err != nil {
+		return nil, err
+	}
+	if err := removeSnapshotStore(dir); err != nil {
 		return nil, err
 	}
 	var opts Options
@@ -73,6 +80,21 @@ func Resume(dir string) (*Study, error) {
 		}
 	}
 	return s, nil
+}
+
+// removeSnapshotStore deletes the snapshot store that builds run with
+// the retired -snapshots flag saved under dir/snapshots: an index.json
+// and a blobs/ tree. A snapshots directory without an index.json is not
+// one and stays.
+func removeSnapshotStore(dir string) error {
+	store := filepath.Join(dir, "snapshots")
+	if _, err := os.Stat(filepath.Join(store, "index.json")); err != nil {
+		return nil
+	}
+	if err := os.RemoveAll(store); err != nil {
+		return fmt.Errorf("canvassing: removing the retired snapshot store: %w", err)
+	}
+	return nil
 }
 
 // restoreResult rebuilds a completed crawl's Result from its

@@ -2,7 +2,9 @@ package canvassing
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -156,5 +158,62 @@ func TestResumeOracle(t *testing.T) {
 				t.Errorf("deterministic metrics differ after resume\n got: %s\nwant: %s", got, ref.metrics)
 			}
 		})
+	}
+}
+
+// TestResumeRemovesSnapshotStore: builds with a page-body snapshot store
+// cut journals whose frames carry "has_snapshots":true and saved the
+// store beside them as snapshots/index.json and snapshots/blobs/. Such a
+// journal resumes to the uninterrupted run's bundle, and the store is
+// gone afterwards.
+func TestResumeRemovesSnapshotStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the pipeline twice")
+	}
+	c := resumeCases[2]
+	ref := writeBundleDir(t, checkpointedRun(resumeOpts(c, t.TempDir()), 0))
+
+	dir := t.TempDir()
+	if s := checkpointedRun(resumeOpts(c, dir), c.stopAfter); !s.Halted {
+		t.Fatalf("StopAfter %d did not interrupt the study", c.stopAfter)
+	}
+	journal := filepath.Join(dir, "checkpoint.json")
+	frames := readFile(t, dir, "checkpoint.json")
+	frames = bytes.ReplaceAll(frames, []byte("{\"schema\":"), []byte("{\"has_snapshots\":true,\"schema\":"))
+	if bytes.Count(frames, []byte("has_snapshots")) != c.stopAfter {
+		t.Fatalf("marked %d of %d frames", bytes.Count(frames, []byte("has_snapshots")), c.stopAfter)
+	}
+	store := filepath.Join(dir, "snapshots")
+	for name, data := range map[string]string{
+		journal:                            string(frames),
+		filepath.Join(store, "index.json"): `{"schema":1,"entries":{}}`,
+		filepath.Join(store, "blobs", "ab", "abcdef"): strings.Repeat("x", 1024),
+	} {
+		if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resumed, err := Resume(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Halted {
+		t.Fatal("resumed study halted again without a StopAfter")
+	}
+	got := writeBundleDir(t, resumed)
+	for _, name := range []string{"manifest.json", "events.jsonl", "report.txt"} {
+		if !bytes.Equal(readFile(t, got, name), readFile(t, ref, name)) {
+			t.Errorf("%s differs from the uninterrupted run's", name)
+		}
+	}
+	if !bytes.Equal(deterministicMetrics(t, got), deterministicMetrics(t, ref)) {
+		t.Error("deterministic metrics differ from the uninterrupted run's")
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Fatalf("the snapshot store is still there after Resume (stat: %v)", err)
 	}
 }
