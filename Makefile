@@ -28,12 +28,17 @@ test:
 # display-list memo in internal/canvas (TestMemoConcurrent: 8 goroutines
 # extract overlapping drawings through one memo, without a hook and
 # through the two kinds of noise hook E8 installs) and the call memo in
-# internal/jsvm (TestCallMemoConcurrent: 8 interpreters call a pure
-# function with overlapping arguments through one memo).
+# internal/jsvm, which holds pure-call results and compiled programs
+# (TestCallMemoConcurrent: 8 interpreters call a pure function with
+# overlapping arguments through one memo; TestProgramMemoConcurrent: 8
+# goroutines parse overlapping valid and broken bodies through one memo
+# and run them on interpreters of their own).
 # internal/imaging pools the PNG encoder's compressors across workers
-# (TestPooledPNGMatchesStdlib).
+# (TestPooledPNGMatchesStdlib). internal/entropy renders EX1's machines
+# on parallel goroutines, each with its own interpreter and document,
+# running one shared program.
 race:
-	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/serve ./internal/distrib
+	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/entropy ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/serve ./internal/distrib
 
 vet:
 	$(GO) vet ./...
@@ -102,8 +107,8 @@ check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-mo
 
 # paper-check reruns the three committed paper reports with the
 # commands EXPERIMENTS.md "Provenance" gives and requires each to be
-# byte-identical to the committed file. It takes about 20 s on a 2-vCPU
-# host; the paper-scale run is the long pole, at 9 s and 500-570 MB of
+# byte-identical to the committed file. It takes about 15 s on a 2-vCPU
+# host; the paper-scale run is the long pole, at 8 s and 530-580 MB of
 # memory.
 PCHECK := .paper-check
 paper-check:

@@ -71,6 +71,48 @@ func TestDomainAnchor(t *testing.T) {
 	}
 }
 
+// TestDomainAnchorHost pins the host "||" rules match in: the bytes
+// after the scheme, when "://" comes before the first '/', '?' or '#',
+// and after any userinfo, up to the first '/', '?', '#' or ':'. Both a
+// bucketed rule and one the host index leaves unbucketed must agree,
+// through Rule.Matches and through List.Match.
+func TestDomainAnchorHost(t *testing.T) {
+	cases := []struct {
+		url  string
+		want bool // the URL's host is a.com or a subdomain of it
+	}{
+		{"https://a.com/x", true},
+		{"https://user@a.com/x", true},
+		{"https://user:pw@a.com/x", true},
+		{"https://user:pw@sub.a.com:8080/x", true},
+		{"https://us@er:pw@a.com/x", true},
+		{"a.com/x", true},
+		{"user:pw@a.com/x", true},
+		{"https://a.com@evil.org/x", false},
+		{"https://user:pw@evil.org/x", false},
+		{"x.org/r?u=http://a.com/x", false},
+		{"x.org/r?u=http://user:pw@a.com/x", false},
+		{"https://x.org/r?u=http://a.com/x", false},
+		{"x.org?u=http://a.com/x", false},
+		{"x.org#http://a.com/x", false},
+		{"https://x.org/p@a.com/x", false},
+		{"https://x.org#.a.com/x", false},
+	}
+	for _, rule := range []string{"||a.com^", "||a.com*/x"} {
+		r := mustRule(t, rule)
+		l := ParseList("t", "||zzz.net^\n"+rule+"\n")
+		for _, c := range cases {
+			req := scriptReq(c.url)
+			if got := r.Matches(req); got != c.want {
+				t.Errorf("%s Matches(%q) = %v, want %v", rule, c.url, got, c.want)
+			}
+			if got := l.Match(req) != nil; got != c.want {
+				t.Errorf("list %s Match(%q) = %v, want %v", rule, c.url, got, c.want)
+			}
+		}
+	}
+}
+
 func TestStartEndAnchors(t *testing.T) {
 	r := mustRule(t, "|https://exact.com/fp.js|")
 	if !r.Matches(scriptReq("https://exact.com/fp.js")) {

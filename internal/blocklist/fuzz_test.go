@@ -79,6 +79,8 @@ func FuzzListMatch(f *testing.F) {
 	// either order, so Match must return the first.
 	urls := []string{
 		"https://user@a.com/x",
+		"https://user:pw@a.com/x",
+		"x.org/r?u=http://a.com/x",
 		"a.com.evil.org",
 		"https://mgid.com/uid/fp.js",
 		"https://cdn.fpnpmcdn.net/v3/loader.js?x=1",

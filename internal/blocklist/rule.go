@@ -359,15 +359,24 @@ func matchesEnd(url, last string) bool {
 	return strings.HasSuffix(url, last)
 }
 
-// hostSection returns url after its first "://", and the length of the
-// host at its start: the bytes before the first '/', '?' or ':'.
+// hostSection returns url from its host on, and the length of the host
+// at its start: the bytes before the first '/', '?', '#' or ':'. A "://"
+// ends the scheme only before the first '/', '?' or '#', so one in the
+// path or query of a scheme-less URL is not taken for it, and userinfo
+// is skipped up to the authority's last '@'.
 func hostSection(url string) (rest string, hostEnd int) {
 	rest = url
-	if i := strings.Index(rest, "://"); i >= 0 {
+	if i := strings.Index(rest, "://"); i >= 0 && !strings.ContainsAny(rest[:i], "/?#") {
 		rest = rest[i+3:]
 	}
 	hostEnd = len(rest)
-	if i := strings.IndexAny(rest, "/?:"); i >= 0 {
+	if i := strings.IndexAny(rest, "/?#"); i >= 0 {
+		hostEnd = i
+	}
+	if i := strings.LastIndexByte(rest[:hostEnd], '@'); i >= 0 {
+		rest, hostEnd = rest[i+1:], hostEnd-i-1
+	}
+	if i := strings.IndexByte(rest[:hostEnd], ':'); i >= 0 {
 		hostEnd = i
 	}
 	return rest, hostEnd

@@ -207,7 +207,8 @@ type Config struct {
 	// Calls, when non-nil, is the call memo every page's interpreter
 	// shares: a pure script function called with the same arguments on
 	// an earlier page (the copy-pasted hash over a data URL the memo
-	// above served) returns its result without running again.
+	// above served) returns its result without running again, and a
+	// script body an earlier page parsed is not parsed again.
 	// DefaultConfig makes a fresh one; nil shares nothing. It changes
 	// no value and no step count.
 	Calls *jsvm.CallMemo
@@ -680,11 +681,12 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 	if mx != nil {
 		d.inc(mx.visitsOK)
 	}
-	in := jsvm.New(jsvm.Options{
-		MaxSteps: cfg.MaxStepsPerScript,
-		RandSeed: cfg.Seed ^ stats.HashString("page:"+site.Domain),
-		Calls:    cfg.Calls,
-	})
+	// The page's interpreter is built, and the document installed in
+	// it, just before its first script runs: most pages run none (no
+	// tags, or every tag blocked, gated, truncated or unparsable), and
+	// with no interpreter their event loop runs no callbacks, as it
+	// would with one, since no script registered any.
+	var in *jsvm.Interp
 	doc := dom.NewDocument(cfg.Profile, site.Domain)
 	doc.Memo = cfg.Memo
 	if cfg.ExtractHookFor != nil {
@@ -719,7 +721,6 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 			})
 		}
 	})
-	doc.Install(in)
 
 	// A truncated load serves only the first `served` of the page's
 	// script tags; the rest never arrive. The page is NOT dropped — the
@@ -832,7 +833,7 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 			parseSp = vb.Open(ssp, "parse")
 			parseSp.Cost = int64(len(body))
 		}
-		prog, err := jsvm.Parse(body)
+		prog, err := cfg.Calls.Parse(body)
 		if parseSp != nil {
 			vb.Close(parseSp)
 		}
@@ -852,6 +853,14 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 		// Handlers and timers this script registers attribute back to
 		// it when they fire at settle or under interaction.
 		doc.SetScriptOwner(req.URL)
+		if in == nil {
+			in = jsvm.New(jsvm.Options{
+				MaxSteps: cfg.MaxStepsPerScript,
+				RandSeed: cfg.Seed ^ stats.HashString("page:"+site.Domain),
+				Calls:    cfg.Calls,
+			})
+			doc.Install(in)
+		}
 		in.ResetSteps()
 		seqBefore := seq
 		var execSp *tracez.Span

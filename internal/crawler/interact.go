@@ -150,8 +150,11 @@ func settlePage(doc *dom.Document, in *jsvm.Interp, site *web.Site, cfg *Config,
 	before := func(owner string) { setScript(owner) }
 	defer setScript("")
 	// Fresh step budget for the callback phase: the last load-time
-	// script's spent steps must not starve the drains.
-	in.ResetSteps()
+	// script's spent steps must not starve the drains. A page that ran
+	// no script has no interpreter, and its loop no callbacks.
+	if in != nil {
+		in.ResetSteps()
+	}
 	settled := doc.Loop.RunTimers(before)
 	callbacks = settled
 	if !cfg.Interact {

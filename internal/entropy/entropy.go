@@ -13,7 +13,9 @@ package entropy
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"canvassing/internal/detect"
 	"canvassing/internal/dom"
@@ -55,7 +57,9 @@ func (r Result) Uniqueness() float64 {
 // Measure renders the script on n synthetic machines (plus the two
 // built-in profiles) and computes the distribution statistics. The
 // fingerprint of a machine is the ordered concatenation of its
-// fingerprintable canvas hashes.
+// fingerprintable canvas hashes. The script is parsed once, and the
+// machines render on GOMAXPROCS goroutines, each on its own interpreter
+// and document.
 func Measure(label, script string, n int, seed uint64) Result {
 	res := Result{Label: label}
 	profiles := make([]*machine.Profile, 0, n)
@@ -65,18 +69,36 @@ func Measure(label, script string, n int, seed uint64) Result {
 	}
 	profiles = profiles[:n]
 	res.Machines = len(profiles)
+	res.MaxBits = math.Log2(float64(res.Machines))
+	prog, err := jsvm.Parse(script)
+	if err != nil {
+		res.Errors = res.Machines
+		return res
+	}
 
+	fps := make([]string, len(profiles))
+	errs := make([]error, len(profiles))
+	workers := min(runtime.GOMAXPROCS(0), len(profiles))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(profiles); i += workers {
+				fps[i], errs[i] = fingerprintOn(profiles[i], prog)
+			}
+		}()
+	}
+	wg.Wait()
 	counts := map[string]int{}
-	for _, p := range profiles {
-		fp, err := fingerprintOn(p, script)
-		if err != nil {
+	for i, fp := range fps {
+		if errs[i] != nil {
 			res.Errors++
 			continue
 		}
 		counts[fp]++
 	}
 	res.Distinct = len(counts)
-	res.MaxBits = math.Log2(float64(res.Machines))
 	total := float64(res.Machines - res.Errors)
 	for _, c := range counts {
 		if c > res.LargestAnonymitySet {
@@ -93,7 +115,7 @@ func Measure(label, script string, n int, seed uint64) Result {
 
 // fingerprintOn runs the script on one machine and returns the canvas
 // fingerprint: the concatenated hashes of all extracted canvases.
-func fingerprintOn(p *machine.Profile, script string) (string, error) {
+func fingerprintOn(p *machine.Profile, prog *jsvm.Program) (string, error) {
 	in := jsvm.New(jsvm.Options{RandSeed: 1})
 	doc := dom.NewDocument(p, "entropy.local")
 	var hashes []string
@@ -103,7 +125,7 @@ func fingerprintOn(p *machine.Profile, script string) (string, error) {
 		}
 	})
 	doc.Install(in)
-	if _, err := in.RunSource(script); err != nil {
+	if _, err := in.Run(prog); err != nil {
 		return "", err
 	}
 	out := ""

@@ -81,13 +81,23 @@ var fuzzCalls = jsvm.NewCallMemo()
 // the compiled code agrees with the reference walker on value, error
 // text, Steps() and console output. The compiled code runs three more
 // times with call memos: cold and then warm on a memo of its own, and
-// on the memo every input shares; each must agree too.
+// on the memo every input shares; each must agree too. Each input is
+// also parsed twice through the shared memo, cold and then warm: both
+// must fail as Parse does, or give a program whose run agrees.
 func FuzzEval(f *testing.F) {
 	for _, src := range evalSeeds() {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := jsvm.Parse(src)
+		var shared []*jsvm.Program
+		for i := 0; i < 2; i++ {
+			p, merr := fuzzCalls.Parse(src)
+			if fmt.Sprint(merr) != fmt.Sprint(err) {
+				t.Fatalf("the memo's parse %d of %q fails with %v, Parse with %v", i, src, merr, err)
+			}
+			shared = append(shared, p)
+		}
 		if err != nil {
 			return
 		}
@@ -99,6 +109,11 @@ func FuzzEval(f *testing.F) {
 		for i, calls := range []*jsvm.CallMemo{own, own, fuzzCalls} {
 			if got := outcome(t, prog, compiled, 20_000, calls); got != want {
 				t.Fatalf("a call memo changes the outcome of %q (run %d):\n memo      %s\n reference %s", src, i, got, want)
+			}
+		}
+		for i, p := range shared {
+			if got := outcome(t, p, compiled, 20_000, nil); got != want {
+				t.Fatalf("the memo's parse %d changes the outcome of %q:\n memo      %s\n reference %s", i, src, got, want)
 			}
 		}
 	})

@@ -212,3 +212,123 @@ func TestCallMemoKeyBudget(t *testing.T) {
 		t.Fatalf("built %d key bytes and stored %d calls for a 16 MB argument", in.keyBytes, len(in.calls.calls))
 	}
 }
+
+// TestProgramMemoConcurrent runs 8 goroutines that parse an overlapping
+// set of valid and broken bodies through one memo, each starting at a
+// different body, and run what parses on interpreters of their own. A
+// program holds no run state, so every value, error text and Steps()
+// count must equal a run of a fresh Parse (make race checks the
+// sharing), and the memo must end holding each body once.
+func TestProgramMemoConcurrent(t *testing.T) {
+	bodies := []string{
+		hashSrc + `__fpHash('data:' + seed);`,
+		`var n = 0; for (var i = 0; i < 50 + seed; i++) { n += i; } n`,
+		`function f(x) { return x * seed; } [1, 2, 3].map(f).join(',')`,
+		`var log = []; try { missing(seed); } catch (e) { log.push(e.message); } log.join()`,
+		`throw 'boom ' + seed;`,
+		`while (true) { seed++; }`,
+		`var x = ;`,
+		`function (`,
+		`'unterminated`,
+	}
+	run := func(body string, seed int, memo *CallMemo) string {
+		prog, err := memo.Parse(body)
+		if err != nil {
+			return "parse error: " + err.Error()
+		}
+		in := New(Options{MaxSteps: 5000})
+		in.SetGlobal("seed", Number(float64(seed)))
+		v, err := in.Run(prog)
+		return fmt.Sprintf("%s err=%v steps=%d", v.Str(), err, in.Steps())
+	}
+	const workers = 8
+	want := make([][]string, workers)
+	for w := range want {
+		for _, b := range bodies {
+			want[w] = append(want[w], run(b, w, nil))
+		}
+	}
+	memo := NewCallMemo()
+	errs := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for k := range bodies {
+					b := (k + w) % len(bodies)
+					if got := run(bodies[b], w, memo); got != want[w][b] {
+						errs[w] = fmt.Sprintf("round %d, body %d: %s, fresh parse %s", round, b, got, want[w][b])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, e := range errs {
+		if e != "" {
+			t.Errorf("worker %d: %s", w, e)
+		}
+	}
+	if n := len(memo.progs); n != len(bodies) {
+		t.Fatalf("memo holds %d programs, want the %d bodies", n, len(bodies))
+	}
+}
+
+// TestProgramMemoByteBound checks that programs count against the same
+// byte bound as calls: each is charged its source times
+// 1+programBytesPerSrcByte, a program larger than the bound is not
+// stored, and one that would pass the bound empties the memo first,
+// call entries included. A parse error is stored too; a nil memo parses
+// every time.
+func TestProgramMemoByteBound(t *testing.T) {
+	m := NewCallMemo()
+	src := func(i int) string { return fmt.Sprintf("var v = %0100d;", i) }
+	entry := len(src(0))*(1+programBytesPerSrcByte) + memoEntryBytes
+	m.limit = 3*entry + entry/2
+	for i := 0; i < 20; i++ {
+		prog, err := m.Parse(src(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.size > m.limit {
+			t.Fatalf("after %d parses: %d bytes held, bound %d", i+1, m.size, m.limit)
+		}
+		if want := (i%3 + 1) * entry; m.size != want {
+			t.Fatalf("after %d parses: %d bytes held, want %d", i+1, m.size, want)
+		}
+		if again, _ := m.Parse(src(i)); again != prog {
+			t.Fatalf("program %d not served from the memo right after its parse", i)
+		}
+	}
+	if _, ok := m.progs[src(0)]; ok {
+		t.Fatal("program 0 survived the memo emptying")
+	}
+	m.put("call", callResult{v: Number(1)})
+	m.Parse(src(20))
+	m.Parse(src(21))
+	if _, ok := m.get([]byte("call")); ok {
+		t.Fatal("a call entry survived the memo emptying for a program")
+	}
+	big := "var s = '" + strings.Repeat("x", m.limit) + "';"
+	before := m.size
+	if _, err := m.Parse(big); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.progs[big]; ok || m.size != before {
+		t.Fatal("stored a program larger than the bound")
+	}
+	_, err1 := m.Parse("var x = ;")
+	_, err2 := m.Parse("var x = ;")
+	if err1 == nil || err1 != err2 {
+		t.Fatalf("a broken body's error is not served from the memo: %v, %v", err1, err2)
+	}
+	var none *CallMemo
+	p1, _ := none.Parse("1")
+	p2, _ := none.Parse("1")
+	if p1 == nil || p1 == p2 {
+		t.Fatal("a nil memo must parse every time")
+	}
+}
