@@ -76,7 +76,12 @@ fmt-check:
 # requires the same outcome. FuzzReadJSONL feeds arbitrary bytes to
 # event.ReadJSONL, which bundle.Load reads every bundle's events.jsonl
 # with, and requires an error or events that read back equal after
-# Sink.WriteJSONL writes them. FuzzParseEventDetail feeds arbitrary
+# Sink.WriteJSONL writes them. FuzzClassifyBatch sends arbitrary bodies
+# to `POST /v1/classify/batch` over the hand-built fuzz bundle, whose
+# batch bodies are copied together from answers rendered once at load,
+# and requires a 200, 400 or 413, a 200 body equal to MarshalIndent of
+# the decoded request's per-request answers, and the same bytes for the
+# same request twice. FuzzParseEventDetail feeds arbitrary
 # detect.classify details to detect.ParseEventDetail, which `serve`
 # runs over every such event of a bundle it loads, and requires a
 # rejection or non-negative dimensions in a detail EventDetail would
@@ -93,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzListMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/blocklist
 	$(GO) test -run XXX -fuzz FuzzClassifyRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run XXX -fuzz FuzzBlockQuery -fuzztime 10s ./internal/serve
+	$(GO) test -run XXX -fuzz FuzzClassifyBatch -fuzztime 10s ./internal/serve
 	$(GO) test -run XXX -fuzz FuzzMergePartialBundles -fuzztime 10s ./internal/distrib
 	$(GO) test -run XXX -fuzz FuzzParseProfile -fuzztime 10s ./internal/crawler
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/checkpoint

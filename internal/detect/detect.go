@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"canvassing/internal/crawler"
 	"canvassing/internal/imaging"
@@ -281,10 +282,14 @@ func VerdictFromEvent(e event.Event) (Verdict, bool) {
 }
 
 // HashDataURL returns the canonical canvas identity: SHA-256 over the
-// full data URL.
+// full data URL. It hashes the string's bytes in place, since
+// sha256.Sum256 only reads its input: converting a data URL of tens of
+// kilobytes to []byte would copy it.
 func HashDataURL(u string) string {
-	sum := sha256.Sum256([]byte(u))
-	return hex.EncodeToString(sum[:])
+	sum := sha256.Sum256(unsafe.Slice(unsafe.StringData(u), len(u)))
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
 }
 
 // Classify applies the three heuristics in order. It is a pure

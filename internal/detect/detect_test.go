@@ -1,6 +1,10 @@
 package detect
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"canvassing/internal/canvas"
@@ -184,6 +188,39 @@ func TestHashDataURLStable(t *testing.T) {
 	}
 	if len(HashDataURL("x")) != 64 {
 		t.Fatal("sha256 hex length")
+	}
+}
+
+// TestHashDataURLDigest pins HashDataURL, which hashes the string's
+// bytes in place, to the digest of a copy of them.
+func TestHashDataURLDigest(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	random := make([]byte, 5000)
+	for i := range random {
+		random[i] = byte(rng.Uint32())
+	}
+	for _, u := range []string{
+		"",
+		"x",
+		strings.Repeat("data:image/png;base64,iVBORw0KGgo", 2048)[:64<<10],
+		string(random),
+		string(random[:1234]),
+	} {
+		sum := sha256.Sum256([]byte(u))
+		if got, want := HashDataURL(u), hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("HashDataURL of %d bytes = %s, want %s", len(u), got, want)
+		}
+	}
+}
+
+// TestHashDataURLAllocs bounds HashDataURL's allocations: the digest
+// string only, however long the URL.
+func TestHashDataURLAllocs(t *testing.T) {
+	for _, n := range []int{1, 16 << 10, 1 << 20} {
+		u := strings.Repeat("a", n)
+		if allocs := testing.AllocsPerRun(20, func() { HashDataURL(u) }); allocs > 1 {
+			t.Fatalf("HashDataURL of %d bytes: %.0f allocations, want at most 1", n, allocs)
+		}
 	}
 }
 

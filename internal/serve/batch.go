@@ -22,8 +22,9 @@ type flight struct {
 // Batcher coalesces concurrent identical lookups: all requests for the
 // same key inside one time window share a single probe (singleflight),
 // and the winner's response is reused for the rest of the window
-// (batching). Responses must be immutable once produced — handlers
-// store fully marshaled bytes, never live pointers into the index.
+// (batching). Responses must be immutable once produced: handlers
+// store rendered bytes that nothing writes again, either their own or
+// a canvas record's stored answer.
 //
 // Rotation is lazy: the first Do after the window elapses clears the
 // flight table under the mutex. No background goroutine, so an idle

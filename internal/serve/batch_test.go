@@ -1,6 +1,9 @@
 package serve_test
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,5 +112,54 @@ func TestBatcherErrorStatusShared(t *testing.T) {
 	})
 	if status2 != 404 || string(body2) != string(body) {
 		t.Fatalf("coalesced result differs: %d %q", status2, body2)
+	}
+}
+
+// TestFlightKeysKeepRequestsApart sends pairs of different requests
+// whose variable parts, joined with NUL, would read the same, through
+// one hour-long window: each request must still get its own answer,
+// the one a fresh service gives it.
+func TestFlightKeysKeepRequestsApart(t *testing.T) {
+	type request struct{ method, target, body string }
+	pairs := [][2]request{
+		{
+			{"POST", "/v1/classify/batch", `{"hashes":["a","b"]}`},
+			{"POST", "/v1/classify/batch", `{"hashes":["a\u0000b"]}`},
+		},
+		{
+			{"GET", "/v1/block?url=https://a.com/x%00script%00", ""},
+			{"GET", "/v1/block?url=https://a.com/x&type=script&page=%00script%00", ""},
+		},
+	}
+	send := func(mux http.Handler, r request) string {
+		req := httptest.NewRequest(r.method, r.target, strings.NewReader(r.body))
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", r.method, r.target, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	newMux := func() http.Handler {
+		svc, err := serve.HandBuiltService(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serve.APIMux(svc)
+	}
+	shared := newMux()
+	for _, pair := range pairs {
+		var want [2]string
+		for i, r := range pair {
+			want[i] = send(newMux(), r)
+		}
+		if want[0] == want[1] {
+			t.Fatalf("%s and %s have the same answer; the pair tests nothing", pair[0].target, pair[1].target)
+		}
+		for i, r := range pair {
+			if got := send(shared, r); got != want[i] {
+				t.Errorf("%s %s %s got another request's answer:\n%s\nwant\n%s", r.method, r.target, r.body, got, want[i])
+			}
+		}
 	}
 }

@@ -2,13 +2,16 @@ package serve_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"canvassing"
 	"canvassing/internal/serve"
@@ -20,6 +23,8 @@ import (
 // loopback port. The fixture is built lazily inside the benchmarks so
 // plain `go test` never pays for it; `make bench` records the rates
 // into the BENCH_<date>.json snapshot via the "lookups/s" metric.
+// BenchmarkServeClassifyBatch alone runs in-process over the test
+// fixture.
 var benchFix struct {
 	once   sync.Once
 	base   string
@@ -194,4 +199,63 @@ func BenchmarkServeMixedQPS(b *testing.B) {
 	rate := float64(lookups) / b.Elapsed().Seconds()
 	b.ReportMetric(rate, "lookups/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lookups), "ns/lookup")
+}
+
+// discardWriter is a ResponseWriter that keeps only the status, so
+// BenchmarkServeClassifyBatch measures the handler rather than a
+// recorder's buffer.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkServeClassifyBatch measures the batch path's own cost, with
+// no network: 64-hash batches sent in-process through the API mux, with
+// every hash one of the test fixture's canvases (known), every other
+// hash a SHA-256 the study never saw (half-unknown), or every hash
+// unseen (unknown). The batching window is 1 ns, so every request
+// probes the index rather than joining an earlier flight.
+func BenchmarkServeClassifyBatch(b *testing.B) {
+	svc := serve.FixtureService(b, 0, time.Nanosecond)
+	known, _ := bundleKeys(b, serve.FixtureDir(b))
+	mux := serve.APIMux(svc)
+	const batchSize = 64
+	for _, mix := range []struct {
+		name        string
+		unknownEach int // every unknownEach-th hash is unseen; 0 for none
+	}{{"known", 0}, {"half-unknown", 2}, {"unknown", 1}} {
+		b.Run(mix.name, func(b *testing.B) {
+			bodies := make([][]byte, len(known))
+			for j := range bodies {
+				hs := make([]string, batchSize)
+				for k := range hs {
+					i := j*batchSize + k
+					if mix.unknownEach > 0 && k%mix.unknownEach == 0 {
+						hs[k] = fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint("unseen canvas ", i))))
+					} else {
+						hs[k] = known[i%len(known)]
+					}
+				}
+				raw, err := json.Marshal(serve.BatchClassifyRequest{Hashes: hs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bodies[j] = raw
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest("POST", "/v1/classify/batch", bytes.NewReader(bodies[i%len(bodies)]))
+				w := &discardWriter{header: http.Header{}, status: http.StatusOK}
+				mux.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+		})
+	}
 }

@@ -9,17 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"canvassing/internal/blocklist"
-	"canvassing/internal/bundle"
-	"canvassing/internal/detect"
-	"canvassing/internal/imaging"
-	"canvassing/internal/obs/event"
 	"canvassing/internal/serve"
 )
 
-// The fuzz fixture is a hand-built in-memory bundle (no study run, no
-// disk): iterations must be cheap, and the interesting surface is the
-// request parsing, not the index contents.
+// fuzzFix is the fuzzers' shared mux over the hand-built bundle.
 var fuzzFix struct {
 	once sync.Once
 	mux  *http.ServeMux
@@ -29,30 +22,10 @@ var fuzzFix struct {
 func fuzzMux(tb testing.TB) *http.ServeMux {
 	tb.Helper()
 	fuzzFix.once.Do(func() {
-		b := &bundle.Bundle{Manifest: bundle.Manifest{Seed: 1, Scale: 0.01, Conditions: []string{"control"}}}
-		b.Events = []event.Event{
-			{Kind: event.DetectClassify, Crawl: "control", Site: "a.example", Subject: "hash-fp",
-				Verdict: "fingerprintable", Detail: detect.EventDetail("https://t.example/fp.js", 240, 60, imaging.PNG)},
-			{Kind: event.DetectClassify, Crawl: "control", Site: "b.example", Subject: "hash-small",
-				Verdict: "excluded", Evidence: "small-canvas", Detail: detect.EventDetail("https://t.example/px.js", 4, 4, imaging.PNG)},
-			{Kind: event.ClusterAssign, Site: "a.example", Subject: "hash-fp", Detail: "popular"},
-			{Kind: event.AttribEvidence, Subject: "hash-fp", Verdict: "acme", Evidence: "demo-hash"},
-			{Kind: event.BlocklistMatch, Crawl: "abp", Site: "a.example", Subject: "https://t.example/fp.js",
-				Verdict: "blocked", Evidence: "||t.example^", Detail: "EasyList"},
+		var svc *serve.Service
+		if svc, fuzzFix.err = serve.HandBuiltService(time.Microsecond); fuzzFix.err == nil {
+			fuzzFix.mux = serve.APIMux(svc)
 		}
-		svc, err := serve.New(b, serve.Config{
-			Window:   time.Microsecond,
-			ListsFor: func(uint64) *blocklist.StandardLists { return blocklist.NewStandardLists(1) },
-		})
-		if err != nil {
-			fuzzFix.err = err
-			return
-		}
-		mux := http.NewServeMux()
-		for _, r := range svc.Routes() {
-			mux.Handle(r.Pattern, r.Handler)
-		}
-		fuzzFix.mux = mux
 	})
 	if fuzzFix.err != nil {
 		tb.Fatal(fuzzFix.err)

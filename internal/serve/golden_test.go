@@ -41,12 +41,12 @@ func TestSiteResponseGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a real study bundle")
 	}
-	svc := fixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0, 0)
 	top := svc.Index.Stats().TopSite
 	if top == "" {
 		t.Fatal("fixture has no top fingerprinting site")
 	}
-	status, body := hit(apiMux(svc), "GET", "/v1/site/"+top, nil)
+	status, body := hit(serve.APIMux(svc), "GET", "/v1/site/"+top, nil)
 	if status != http.StatusOK {
 		t.Fatalf("GET /v1/site/%s: %d", top, status)
 	}
@@ -59,6 +59,6 @@ func TestBannerGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a real study bundle")
 	}
-	svc := fixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0, 0)
 	golden(t, "banner.golden", serve.Banner(svc))
 }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -222,6 +225,27 @@ func marshal(v any) ([]byte, int) {
 	return append(body, '\n'), http.StatusOK
 }
 
+// flightKey joins a route name and a request's variable parts into a
+// Batcher key. Each part is prefixed with its length, so two different
+// requests never share a flight, even when a part holds the NUL a plain
+// join would separate parts with: JSON strings and query values may.
+func flightKey(route string, parts ...string) string {
+	n := len(route) + 1
+	for _, p := range parts {
+		n += binary.MaxVarintLen64 + len(p)
+	}
+	var k strings.Builder
+	k.Grow(n)
+	k.WriteString(route)
+	k.WriteByte(0)
+	var length [binary.MaxVarintLen64]byte
+	for _, p := range parts {
+		k.Write(binary.AppendUvarint(length[:0], uint64(len(p))))
+		k.WriteString(p)
+	}
+	return k.String()
+}
+
 // writeResponse emits a batched probe result.
 func writeResponse(w http.ResponseWriter, body []byte, status int) {
 	if status == http.StatusOK {
@@ -262,11 +286,11 @@ func (s *Service) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var probe func() ([]byte, int)
 	if req.DataURL != "" {
 		hash := detect.HashDataURL(req.DataURL)
-		key = fmt.Sprintf("classify\x00data\x00%s\x00%v", hash, req.Anim)
+		key = flightKey("classify.data", hash, strconv.FormatBool(req.Anim))
 		probe = func() ([]byte, int) { return marshal(s.classifyData(hash, req.DataURL, req.Anim)) }
 	} else {
-		key = "classify\x00hash\x00" + req.Hash
-		probe = func() ([]byte, int) { return marshal(s.classifyHash(req.Hash)) }
+		key = flightKey("classify.hash", req.Hash)
+		probe = func() ([]byte, int) { return s.hashAnswer(req.Hash), http.StatusOK }
 	}
 	body, status := s.batch.Do(key, probe)
 	writeResponse(w, body, status)
@@ -295,25 +319,88 @@ func (s *Service) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("batch exceeds %d hashes", maxBatchItems), http.StatusBadRequest)
 		return
 	}
-	key := "classify.batch\x00" + strings.Join(req.Hashes, "\x00")
-	body, status := s.batch.Do(key, func() ([]byte, int) {
-		resp := BatchClassifyResponse{Results: make([]ClassifyResponse, len(req.Hashes))}
-		for i, h := range req.Hashes {
-			resp.Results[i] = s.classifyHash(h)
-		}
-		return marshal(resp)
+	body, status := s.batch.Do(flightKey("classify.batch", req.Hashes...), func() ([]byte, int) {
+		return s.batchAnswer(req.Hashes), http.StatusOK
 	})
 	writeResponse(w, body, status)
 }
 
-// classifyHash answers a hash-only query from the index record.
-func (s *Service) classifyHash(hash string) ClassifyResponse {
-	rec := s.Index.Canvas(hash)
-	if rec == nil {
-		return ClassifyResponse{Hash: hash}
+// A batch body is what MarshalIndent writes for a BatchClassifyResponse:
+// batchOpen, the answers as items of the results array separated by
+// batchSep, then batchClose.
+const (
+	batchOpen  = "{\n  \"results\": [\n    "
+	batchSep   = ",\n    "
+	batchClose = "\n  ]\n}\n"
+)
+
+// batchAnswer assembles the batch body for hashes from their answers.
+// Each answer becomes an item of the results array: its final newline
+// is dropped, and each of its other newlines gets four more spaces of
+// indent after it. encoding/json escapes newlines inside strings, so
+// every newline in an answer is a line break.
+func (s *Service) batchAnswer(hashes []string) []byte {
+	answers := make([][]byte, len(hashes))
+	n := len(batchOpen) + len(batchSep)*(len(hashes)-1) + len(batchClose)
+	for i, h := range hashes {
+		answers[i] = s.hashAnswer(h)
+		n += len(answers[i]) - 1 + 4*(bytes.Count(answers[i], []byte("\n"))-1)
 	}
+	body := make([]byte, 0, n)
+	body = append(body, batchOpen...)
+	for i, answer := range answers {
+		if i > 0 {
+			body = append(body, batchSep...)
+		}
+		answer = answer[:len(answer)-1]
+		for {
+			nl := bytes.IndexByte(answer, '\n')
+			if nl < 0 {
+				break
+			}
+			body = append(append(body, answer[:nl+1]...), "    "...)
+			answer = answer[nl+1:]
+		}
+		body = append(body, answer...)
+	}
+	return append(body, batchClose...)
+}
+
+// hashAnswer is the hash-mode classify answer for hash: the stored
+// bytes of a hash the index knows, else the unknown-hash answer.
+func (s *Service) hashAnswer(hash string) []byte {
+	if rec := s.Index.Canvas(hash); rec != nil {
+		return rec.answer
+	}
+	return unknownAnswer(hash)
+}
+
+// unknownHead and unknownTail surround the hash's JSON string in the
+// answer for a hash the index does not know: marshal of a
+// ClassifyResponse that holds only the hash. Hash is the one string
+// field without omitempty, so the first "" is its value.
+var unknownHead, unknownTail = func() (string, string) {
+	body, _ := marshal(ClassifyResponse{})
+	head, tail, _ := strings.Cut(string(body), `""`)
+	return head, tail
+}()
+
+// unknownAnswer renders the answer for a hash the index does not know.
+// The hash is client text, so this renders per request, but only the
+// hash: json.Marshal escapes it as marshal would, and the fields
+// around it are fixed.
+func unknownAnswer(hash string) []byte {
+	quoted, _ := json.Marshal(hash) // cannot fail: every string encodes
+	body := make([]byte, 0, len(unknownHead)+len(quoted)+len(unknownTail))
+	body = append(body, unknownHead...)
+	body = append(body, quoted...)
+	return append(body, unknownTail...)
+}
+
+// classifyRecord is a known canvas's hash-mode classify answer.
+func classifyRecord(rec *CanvasRecord) ClassifyResponse {
 	resp := ClassifyResponse{
-		Hash:            hash,
+		Hash:            rec.Hash,
 		Known:           true,
 		Source:          "index",
 		Fingerprintable: rec.Fingerprintable,
@@ -381,7 +468,7 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing cluster hash", http.StatusBadRequest)
 		return
 	}
-	body, status := s.batch.Do("cluster\x00"+hash, func() ([]byte, int) {
+	body, status := s.batch.Do(flightKey("cluster", hash), func() ([]byte, int) {
 		rec := s.Index.Canvas(hash)
 		if rec == nil || len(rec.ClusterSites) == 0 {
 			return []byte("unknown cluster\n"), http.StatusNotFound
@@ -430,8 +517,7 @@ func (s *Service) handleBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad url: %v", err), http.StatusBadRequest)
 		return
 	}
-	key := "block\x00" + rawURL + "\x00" + string(typ) + "\x00" + page
-	body, status := s.batch.Do(key, func() ([]byte, int) {
+	body, status := s.batch.Do(flightKey("block", rawURL, string(typ), page), func() ([]byte, int) {
 		req := blocklist.Request{
 			URL:      rawURL,
 			Type:     typ,
@@ -471,7 +557,7 @@ func (s *Service) handleSite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing site domain", http.StatusBadRequest)
 		return
 	}
-	body, status := s.batch.Do("site\x00"+domain, func() ([]byte, int) {
+	body, status := s.batch.Do(flightKey("site", domain), func() ([]byte, int) {
 		rec := s.Index.Site(domain)
 		if rec == nil {
 			return []byte("unknown site\n"), http.StatusNotFound

@@ -43,6 +43,10 @@ type CanvasRecord struct {
 	// Vendor and Mechanism carry the attrib.evidence group resolution
 	// ("" when the group is unidentified).
 	Vendor, Mechanism string
+
+	// answer is the hash-mode classify answer as marshal renders it.
+	// The finalize pass renders it once, so classify requests copy it.
+	answer []byte
 }
 
 // BlockedScript is one blocklist.match decision on a site.
@@ -286,6 +290,8 @@ func BuildIndex(b *bundle.Bundle, shards int) *Index {
 		r.Sites = sortedKeys(cb.sites)
 		r.ScriptURLs = sortedKeys(cb.scripts)
 		sort.Strings(r.ClusterSites)
+		// Cannot fail: nothing in a ClassifyResponse can fail to encode.
+		r.answer, _ = marshal(classifyRecord(r))
 		ix.canvas[ix.shardOf(h)][h] = r
 		ix.stats.Canvases++
 		if r.Fingerprintable {

@@ -1,8 +1,6 @@
-// The serve tests run against a real (small) study: the fixture runs
-// the full control+abp pipeline once per test binary, writes the
-// bundle, and every test loads services over it. External test package
-// so the fixture can use the root canvassing package like the binaries
-// do.
+// The serve tests run against a real (small) study: the fixture
+// (fixture_test.go) runs the full control+abp pipeline once per test
+// binary, writes the bundle, and every test loads services over it.
 package serve_test
 
 import (
@@ -22,8 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"canvassing"
-	"canvassing/internal/blocklist"
 	"canvassing/internal/bundle"
 	"canvassing/internal/canvas"
 	"canvassing/internal/machine"
@@ -32,71 +28,10 @@ import (
 	"canvassing/internal/web"
 )
 
-var fixture struct {
-	once  sync.Once
-	dir   string
-	lists *blocklist.StandardLists
-	err   error
-}
-
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if fixture.dir != "" {
-		os.RemoveAll(fixture.dir)
-	}
+	serve.RemoveFixture()
 	os.Exit(code)
-}
-
-// fixtureDir runs the shared study (seed 11, the serve-smoke
-// parameters) and returns its bundle directory.
-func fixtureDir(tb testing.TB) string {
-	tb.Helper()
-	fixture.once.Do(func() {
-		dir, err := os.MkdirTemp("", "serve-fixture")
-		if err != nil {
-			fixture.err = err
-			return
-		}
-		st := canvassing.Run(canvassing.Options{
-			Seed: 11, Scale: 0.02, Workers: 2, AnalysisWorkers: 4, WithAdblock: true,
-		})
-		if err := st.WriteBundle(dir); err != nil {
-			fixture.err = err
-			return
-		}
-		fixture.dir = dir
-		fixture.lists = canvassing.ListsForSeed(11)
-	})
-	if fixture.err != nil {
-		tb.Fatal(fixture.err)
-	}
-	return fixture.dir
-}
-
-// fixtureService loads a service over the shared bundle. The blocklists
-// are built once and shared: they are read-only after construction.
-func fixtureService(tb testing.TB, shards int, window time.Duration) *serve.Service {
-	tb.Helper()
-	svc, err := serve.Load(serve.Config{
-		Dir:      fixtureDir(tb),
-		Shards:   shards,
-		Window:   window,
-		ListsFor: func(uint64) *blocklist.StandardLists { return fixture.lists },
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return svc
-}
-
-// apiMux mounts just the verdict API routes (no ops plane, no listener)
-// for in-process request tests.
-func apiMux(s *serve.Service) *http.ServeMux {
-	mux := http.NewServeMux()
-	for _, r := range s.Routes() {
-		mux.Handle(r.Pattern, r.Handler)
-	}
-	return mux
 }
 
 // hit issues one in-process request and returns status and body.
@@ -144,7 +79,7 @@ func bundleKeys(tb testing.TB, dir string) (hashes, sites []string) {
 // the invariance tests compare across configurations.
 func renderAll(tb testing.TB, svc *serve.Service, hashes, sites []string) map[string]string {
 	tb.Helper()
-	mux := apiMux(svc)
+	mux := serve.APIMux(svc)
 	out := map[string]string{}
 	record := func(key string, status int, body string) {
 		out[key] = fmt.Sprintf("%d\n%s", status, body)
@@ -186,7 +121,7 @@ func TestServeShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-surface sweep over a real study bundle")
 	}
-	dir := fixtureDir(t)
+	dir := serve.FixtureDir(t)
 	hashes, sites := bundleKeys(t, dir)
 	if len(hashes) == 0 || len(sites) == 0 {
 		t.Fatal("fixture bundle has no keys to sweep")
@@ -198,7 +133,7 @@ func TestServeShardInvariance(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 8} {
 			label := fmt.Sprintf("procs=%d shards=%d", procs, shards)
-			svc := fixtureService(t, shards, 0)
+			svc := serve.FixtureService(t, shards, 0)
 			if svc.Index.Shards() != shards {
 				t.Fatalf("%s: index built with %d shards", label, svc.Index.Shards())
 			}
@@ -229,10 +164,10 @@ func TestServeBundleInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-HTTP hammer over a real study bundle")
 	}
-	dir := fixtureDir(t)
+	dir := serve.FixtureDir(t)
 	before := hashTree(t, dir)
 
-	svc := fixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0, 0)
 	plane, err := svc.Start("127.0.0.1:0", false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -279,10 +214,10 @@ func TestServeChurnRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency hammer over a real study bundle")
 	}
-	dir := fixtureDir(t)
+	dir := serve.FixtureDir(t)
 	hashes, sites := bundleKeys(t, dir)
-	svc := fixtureService(t, 0, 100*time.Microsecond)
-	mux := apiMux(svc)
+	svc := serve.FixtureService(t, 0, 100*time.Microsecond)
+	mux := serve.APIMux(svc)
 	fresh := freshDataURL(t)
 
 	var wg sync.WaitGroup
@@ -334,7 +269,7 @@ func TestServeMemoSeeded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a real study bundle")
 	}
-	svc := fixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0, 0)
 	if svc.SeededVerdicts() == 0 {
 		t.Fatal("no verdicts seeded from the event log")
 	}
@@ -342,7 +277,7 @@ func TestServeMemoSeeded(t *testing.T) {
 	if st.TopCluster == "" || st.TopSite == "" {
 		t.Fatalf("stats missing deterministic probes: %+v", st)
 	}
-	mux := apiMux(svc)
+	mux := serve.APIMux(svc)
 	status, body := hit(mux, "POST", "/v1/classify", []byte(fmt.Sprintf(`{"hash":%q}`, st.TopCluster)))
 	if status != http.StatusOK {
 		t.Fatalf("classify top cluster: %d %s", status, body)
