@@ -76,7 +76,15 @@ fmt-check:
 # requires the same outcome. FuzzReadJSONL feeds arbitrary bytes to
 # event.ReadJSONL, which bundle.Load reads every bundle's events.jsonl
 # with, and requires an error or events that read back equal after
-# Sink.WriteJSONL writes them. FuzzClassifyBatch sends arbitrary bodies
+# Sink.WriteJSONL writes them. FuzzSink drives random Record, Restore,
+# Since, Events and WriteJSONL sequences, with random count and byte
+# bounds and field lengths, through event.Sink, which keeps events
+# encoded in one byte ring, and through a test-only copy of the ring of
+# Event slots it replaced, and requires the sink to keep the newest
+# events that fit its byte bound and, while they all fit, to answer
+# every call as the slot ring does. Each input runs a whole call
+# sequence, so it caps minimising at 1 s, as FuzzListMatch does.
+# FuzzClassifyBatch sends arbitrary bodies
 # to `POST /v1/classify/batch` over the hand-built fuzz bundle, whose
 # batch bodies are copied together from answers rendered once at load,
 # and requires a 200, 400 or 413, a 200 body equal to MarshalIndent of
@@ -107,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzBundleLoad -fuzztime 10s ./internal/bundle
 	$(GO) test -run XXX -fuzz FuzzDecodeDataURL -fuzztime 10s ./internal/imaging
 	$(GO) test -run XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/event
+	$(GO) test -run XXX -fuzz FuzzSink -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/event
 	$(GO) test -run XXX -fuzz FuzzParseEventDetail -fuzztime 10s ./internal/detect
 
 check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-module paper-check resume-smoke trace-smoke serve-smoke distrib-smoke interact-smoke
@@ -114,7 +123,7 @@ check: build test race vet fmt-check fuzz-smoke bench-smoke bench-check bench-mo
 # paper-check reruns the three committed paper reports with the
 # commands EXPERIMENTS.md "Provenance" gives and requires each to be
 # byte-identical to the committed file. It takes about 15 s on a 2-vCPU
-# host; the paper-scale run is the long pole, at 8 s and 530-580 MB of
+# host; the paper-scale run is the long pole, at 6.5 s and 470-490 MB of
 # memory.
 PCHECK := .paper-check
 paper-check:

@@ -40,6 +40,7 @@ type Document struct {
 	Loop *Loop
 
 	byID map[string]jsvm.Value
+	body jsvm.Value // document.body, made on first read
 }
 
 // NewDocument returns an empty document rendered on the given profile.
@@ -65,11 +66,47 @@ func (d *Document) SetScriptOwner(url string) { d.Loop.SetOwner(url) }
 
 // --- document -------------------------------------------------------------
 
+// methods keeps the one native a host hands out per method name, so a
+// method read twice is the same function, as in a browser
+// (ctx.fillText === ctx.fillText).
+type methods map[string]jsvm.Value
+
+// get returns the native for name, made by method on first use.
+func (m *methods) get(name string, method func(string) (jsvm.Value, bool)) (jsvm.Value, bool) {
+	if v, ok := (*m)[name]; ok {
+		return v, true
+	}
+	v, ok := method(name)
+	if ok {
+		if *m == nil {
+			*m = methods{}
+		}
+		(*m)[name] = v
+	}
+	return v, ok
+}
+
 type documentHost struct {
-	doc *Document
+	doc     *Document
+	natives methods
 }
 
 func (h *documentHost) HostGet(name string) (jsvm.Value, bool) {
+	switch name {
+	case "body":
+		if h.doc.body.IsUndefined() {
+			h.doc.body = jsvm.NewHost(&genericElementHost{tag: "body", doc: h.doc})
+		}
+		return h.doc.body, true
+	case "domain":
+		return jsvm.String(h.doc.Domain), true
+	case "__string__":
+		return jsvm.String("[object HTMLDocument]"), true
+	}
+	return h.natives.get(name, h.method)
+}
+
+func (h *documentHost) method(name string) (jsvm.Value, bool) {
 	switch name {
 	case "createElement":
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
@@ -89,14 +126,8 @@ func (h *documentHost) HostGet(name string) (jsvm.Value, bool) {
 			}
 			return jsvm.Null(), nil
 		}), true
-	case "body":
-		return jsvm.NewHost(&genericElementHost{tag: "body", doc: h.doc}), true
-	case "domain":
-		return jsvm.String(h.doc.Domain), true
 	case "addEventListener", "removeEventListener":
 		return listenerNatives(h.doc.Loop, "document", name)
-	case "__string__":
-		return jsvm.String("[object HTMLDocument]"), true
 	}
 	return jsvm.Undefined(), false
 }
@@ -116,7 +147,9 @@ func (d *Document) createElement(tag string) jsvm.Value {
 			el.SetExtractHook(d.ExtractHook)
 		}
 		d.Canvases = append(d.Canvases, el)
-		return jsvm.NewHost(&CanvasHost{doc: d, El: el})
+		h := &CanvasHost{doc: d, El: el}
+		h.self = jsvm.NewHost(h)
+		return h.self
 	default:
 		return jsvm.NewHost(&genericElementHost{tag: tag, doc: d})
 	}
@@ -128,9 +161,11 @@ func (d *Document) RegisterByID(id string, v jsvm.Value) { d.byID[id] = v }
 // --- generic elements -------------------------------------------------------
 
 type genericElementHost struct {
-	tag   string
-	doc   *Document
-	props map[string]jsvm.Value
+	tag     string
+	doc     *Document
+	props   map[string]jsvm.Value
+	style   jsvm.Value
+	natives methods
 }
 
 func (h *genericElementHost) HostGet(name string) (jsvm.Value, bool) {
@@ -138,20 +173,33 @@ func (h *genericElementHost) HostGet(name string) (jsvm.Value, bool) {
 	case "tagName":
 		return jsvm.String(h.tag), true
 	case "style":
-		return jsvm.NewObject(), true
+		return styleOf(&h.style), true
+	case "__string__":
+		return jsvm.String("[object HTMLElement]"), true
+	}
+	if v, ok := h.natives.get(name, h.method); ok {
+		return v, true
+	}
+	v, ok := h.props[name]
+	return v, ok
+}
+
+func (h *genericElementHost) method(name string) (jsvm.Value, bool) {
+	switch name {
 	case "addEventListener", "removeEventListener":
 		return listenerNatives(h.doc.Loop, "element:"+h.tag, name)
 	case "appendChild", "removeChild", "setAttribute", "remove":
 		return noopNative(), true
-	case "__string__":
-		return jsvm.String("[object HTMLElement]"), true
-	}
-	if h.props != nil {
-		if v, ok := h.props[name]; ok {
-			return v, true
-		}
 	}
 	return jsvm.Undefined(), false
+}
+
+// styleOf returns an element's style object, made on first read.
+func styleOf(style *jsvm.Value) jsvm.Value {
+	if style.IsUndefined() {
+		*style = jsvm.NewObject()
+	}
+	return *style
 }
 
 func (h *genericElementHost) HostSet(name string, v jsvm.Value) bool {
@@ -174,7 +222,11 @@ func noopNative() jsvm.Value {
 type CanvasHost struct {
 	doc *Document
 	El  *canvas.Element
-	ctx *ctxHost
+	// self is the value scripts hold for this element, ctx and gl its
+	// 2D and WebGL contexts, each made on first use.
+	self, ctx, gl jsvm.Value
+	style         jsvm.Value
+	natives       methods
 }
 
 // HostGet implements jsvm.HostObject.
@@ -184,6 +236,16 @@ func (h *CanvasHost) HostGet(name string) (jsvm.Value, bool) {
 		return jsvm.Number(float64(h.El.Width())), true
 	case "height":
 		return jsvm.Number(float64(h.El.Height())), true
+	case "style":
+		return styleOf(&h.style), true
+	case "__string__":
+		return jsvm.String("[object HTMLCanvasElement]"), true
+	}
+	return h.natives.get(name, h.method)
+}
+
+func (h *CanvasHost) method(name string) (jsvm.Value, bool) {
+	switch name {
 	case "getContext":
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
 			kind := ""
@@ -191,16 +253,20 @@ func (h *CanvasHost) HostGet(name string) (jsvm.Value, bool) {
 				kind = args[0].Str()
 			}
 			if kind == "webgl" || kind == "experimental-webgl" {
-				return jsvm.NewHost(&webglHost{gl: h.El.GetWebGL()}), nil
+				gl := h.El.GetWebGL() // traces every call
+				if h.gl.IsUndefined() {
+					h.gl = jsvm.NewHost(&webglHost{gl: gl})
+				}
+				return h.gl, nil
 			}
 			ctx := h.El.GetContext(kind)
 			if ctx == nil {
 				return jsvm.Null(), nil
 			}
-			if h.ctx == nil {
-				h.ctx = &ctxHost{ctx: ctx, canvasVal: jsvm.NewHost(h)}
+			if h.ctx.IsUndefined() {
+				h.ctx = jsvm.NewHost(&ctxHost{ctx: ctx, canvasVal: h.self})
 			}
-			return jsvm.NewHost(h.ctx), nil
+			return h.ctx, nil
 		}), true
 	case "toDataURL":
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
@@ -214,14 +280,10 @@ func (h *CanvasHost) HostGet(name string) (jsvm.Value, bool) {
 			}
 			return jsvm.String(h.El.ToDataURL(format, quality)), nil
 		}), true
-	case "style":
-		return jsvm.NewObject(), true
 	case "addEventListener", "removeEventListener":
 		return listenerNatives(h.doc.Loop, "canvas", name)
 	case "setAttribute", "remove":
 		return noopNative(), true
-	case "__string__":
-		return jsvm.String("[object HTMLCanvasElement]"), true
 	}
 	return jsvm.Undefined(), false
 }
@@ -252,6 +314,7 @@ type ctxHost struct {
 	shadowBlur     float64
 	fillStyleVal   jsvm.Value
 	strokeStyleVal jsvm.Value
+	natives        methods
 }
 
 func (h *ctxHost) HostGet(name string) (jsvm.Value, bool) {
@@ -272,6 +335,14 @@ func (h *ctxHost) HostGet(name string) (jsvm.Value, bool) {
 		return jsvm.String(h.ctx.Font()), true
 	case "globalCompositeOperation":
 		return jsvm.String(h.ctx.GlobalCompositeOperation()), true
+	case "__string__":
+		return jsvm.String("[object CanvasRenderingContext2D]"), true
+	}
+	return h.natives.get(name, h.method)
+}
+
+func (h *ctxHost) method(name string) (jsvm.Value, bool) {
+	switch name {
 	case "measureText":
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
 			text := ""
@@ -342,17 +413,12 @@ func (h *ctxHost) HostGet(name string) (jsvm.Value, bool) {
 			}
 			return jsvm.Undefined(), nil
 		}), true
-	case "__string__":
-		return jsvm.String("[object CanvasRenderingContext2D]"), true
 	}
-	if fn, ok := h.methodFor(name); ok {
-		return fn, true
-	}
-	return jsvm.Undefined(), false
+	return h.drawMethod(name)
 }
 
-// methodFor returns void drawing methods as native functions.
-func (h *ctxHost) methodFor(name string) (jsvm.Value, bool) {
+// drawMethod returns void drawing methods as native functions.
+func (h *ctxHost) drawMethod(name string) (jsvm.Value, bool) {
 	num := func(args []jsvm.Value, i int) float64 {
 		if i < len(args) {
 			return args[i].Num()
@@ -547,17 +613,21 @@ func (h *ctxHost) applyShadow() {
 // --- gradient -------------------------------------------------------------------
 
 type gradientHost struct {
-	g *canvas.Gradient
+	g            *canvas.Gradient
+	addColorStop jsvm.Value
 }
 
 func (h *gradientHost) HostGet(name string) (jsvm.Value, bool) {
 	if name == "addColorStop" {
-		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
-			if len(args) >= 2 {
-				h.g.AddColorStop(args[0].Num(), args[1].Str())
-			}
-			return jsvm.Undefined(), nil
-		}), true
+		if h.addColorStop.IsUndefined() {
+			h.addColorStop = jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
+				if len(args) >= 2 {
+					h.g.AddColorStop(args[0].Num(), args[1].Str())
+				}
+				return jsvm.Undefined(), nil
+			})
+		}
+		return h.addColorStop, true
 	}
 	if name == "__string__" {
 		return jsvm.String("[object CanvasGradient]"), true
@@ -668,15 +738,14 @@ func (h *navigatorHost) HostGet(name string) (jsvm.Value, bool) {
 func (h *navigatorHost) HostSet(name string, v jsvm.Value) bool { return false }
 
 type windowHost struct {
-	doc   *Document
-	props map[string]jsvm.Value
+	doc     *Document
+	props   map[string]jsvm.Value
+	natives methods
 }
 
 func (h *windowHost) HostGet(name string) (jsvm.Value, bool) {
-	if h.props != nil {
-		if v, ok := h.props[name]; ok {
-			return v, true
-		}
+	if v, ok := h.props[name]; ok {
+		return v, true
 	}
 	switch name {
 	case "innerWidth":
@@ -685,6 +754,19 @@ func (h *windowHost) HostGet(name string) (jsvm.Value, bool) {
 		return jsvm.Number(1080), true
 	case "devicePixelRatio":
 		return jsvm.Number(1), true
+	case "location":
+		loc := jsvm.NewObject()
+		loc.Object().Props["hostname"] = jsvm.String(h.doc.Domain)
+		loc.Object().Props["href"] = jsvm.String("https://" + h.doc.Domain + "/")
+		return loc, true
+	case "__string__":
+		return jsvm.String("[object Window]"), true
+	}
+	return h.natives.get(name, h.method)
+}
+
+func (h *windowHost) method(name string) (jsvm.Value, bool) {
+	switch name {
 	case "addEventListener", "removeEventListener":
 		return listenerNatives(h.doc.Loop, "window", name)
 	case "setTimeout", "setInterval":
@@ -728,13 +810,6 @@ func (h *windowHost) HostGet(name string) (jsvm.Value, bool) {
 			}
 			return jsvm.Undefined(), nil
 		}), true
-	case "location":
-		loc := jsvm.NewObject()
-		loc.Object().Props["hostname"] = jsvm.String(h.doc.Domain)
-		loc.Object().Props["href"] = jsvm.String("https://" + h.doc.Domain + "/")
-		return loc, true
-	case "__string__":
-		return jsvm.String("[object Window]"), true
 	}
 	return jsvm.Undefined(), false
 }

@@ -539,3 +539,44 @@ func TestDeferredFingerprintOnlyUnderDispatch(t *testing.T) {
 		t.Fatalf("canvas count after dispatch = %d, want 1", len(doc.Canvases))
 	}
 }
+
+// TestHostIdentity checks that reading the same DOM object or method
+// twice yields the same value, as in a browser: one body per document,
+// one context per kind and one style object per element, and one
+// native per method name on every host.
+func TestHostIdentity(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`document.body === document.body`, "true"},
+		{`var c = document.createElement('canvas'); c.getContext('2d') === c.getContext('2d')`, "true"},
+		{`var c = document.createElement('canvas'); c.getContext('webgl') === c.getContext('experimental-webgl')`, "true"},
+		{`var c = document.createElement('canvas'); var ctx = c.getContext('2d'); ctx.fillText === ctx.fillText`, "true"},
+		{`var c = document.createElement('canvas'); var ctx = c.getContext('2d'); ctx.canvas === c`, "true"},
+		{`document.createElement === document.createElement`, "true"},
+		{`var c = document.createElement('canvas'); c.style === c.style`, "true"},
+		{`var d = document.createElement('div'); d.style === d.style && d.appendChild === d.appendChild`, "true"},
+		{`document.body.foo = 1; document.body.foo`, "1"},
+		{`window.setTimeout === window.setTimeout`, "true"},
+		{`var g = document.createElement('canvas').getContext('2d').createLinearGradient(0, 0, 1, 1); g.addColorStop === g.addColorStop`, "true"},
+		{`var c = document.createElement('canvas'); var gl = c.getContext('webgl'); gl.clear === gl.clear`, "true"},
+		{`document.createElement('canvas') === document.createElement('canvas')`, "false"},
+		{`var c = document.createElement('canvas'); var d = document.createElement('canvas'); c.getContext('2d').fillRect === d.getContext('2d').fillRect`, "false"},
+	} {
+		in, _ := newVM(t)
+		if got := mustRun(t, in, c.src).Str(); got != c.want {
+			t.Errorf("%s = %s, want %s", c.src, got, c.want)
+		}
+	}
+	// A context read again is the same value, but every getContext call
+	// is still traced.
+	in, doc := newVM(t)
+	calls := 0
+	doc.Tracer = canvas.TracerFunc(func(iface, member string, args []string, ret string) {
+		if member == "getContext" {
+			calls++
+		}
+	})
+	mustRun(t, in, `var c = document.createElement('canvas'); c.getContext('2d'); c.getContext('2d'); c.getContext('webgl'); c.getContext('webgl')`)
+	if calls != 4 {
+		t.Fatalf("traced %d getContext calls, want 4", calls)
+	}
+}

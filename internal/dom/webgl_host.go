@@ -9,7 +9,8 @@ import (
 // properties, the fingerprint-relevant getters, and the fixed-pipeline
 // drawing subset.
 type webglHost struct {
-	gl *canvas.WebGLContext
+	gl      *canvas.WebGLContext
+	natives methods
 }
 
 // glConstants maps the property names scripts use to enum values.
@@ -43,6 +44,13 @@ func (h *webglHost) HostGet(name string) (jsvm.Value, bool) {
 	if c, ok := glConstants[name]; ok {
 		return jsvm.Number(float64(c)), true
 	}
+	if name == "__string__" {
+		return jsvm.String("[object WebGLRenderingContext]"), true
+	}
+	return h.natives.get(name, h.method)
+}
+
+func (h *webglHost) method(name string) (jsvm.Value, bool) {
 	switch name {
 	case "getParameter":
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {
@@ -108,8 +116,6 @@ func (h *webglHost) HostGet(name string) (jsvm.Value, bool) {
 			}
 			return jsvm.Undefined(), nil
 		}), true
-	case "__string__":
-		return jsvm.String("[object WebGLRenderingContext]"), true
 	}
 	if noopMembers[name] {
 		return jsvm.NewNative(func(this jsvm.Value, args []jsvm.Value) (jsvm.Value, error) {

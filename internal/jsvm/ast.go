@@ -152,7 +152,17 @@ type FuncLit struct {
 	// ("" for an arrow function): the call memo's key for a pure
 	// function (compile.go).
 	src string
+	// nest is how many levels its body's syntax tree nests below the
+	// call, as the parser counts them (maxNesting); calls charge the
+	// call-depth budget by it (callCost).
+	nest int
 }
+
+// callCost is what one call of x charges the budget of maxCallDepth
+// nested calls: 1, and 1 more per callNestUnit levels its body nests.
+// The Go stack a call holds grows with that nesting, so the budget
+// bounds the stack of the whole call chain, not only its length.
+func (x *FuncLit) callCost() int { return 1 + x.nest/callNestUnit }
 
 // Unary is prefix !x, -x, +x, typeof x, ++x, --x.
 type Unary struct {

@@ -57,6 +57,7 @@ type funcCode struct {
 	// text, length-prefixed. It is "" for every other function, and
 	// those never consult the memo (memo.go).
 	memo string
+	cost int // FuncLit.callCost
 }
 
 // scope is the compile-time view of a frame: the names it may bind.
@@ -580,7 +581,7 @@ func compileTry(x *TryStmt, s *scope) stmtFn {
 func compileFunc(x *FuncLit, outer *scope) *funcCode {
 	s := newScope(outer, nil)
 	s.fn = s
-	code := &funcCode{params: make([]int, len(x.Params)), selfSlot: -1}
+	code := &funcCode{params: make([]int, len(x.Params)), selfSlot: -1, cost: x.callCost()}
 	for i, p := range x.Params {
 		code.params[i] = s.slot(p)
 	}

@@ -45,6 +45,7 @@ func isControlFlow(err error) bool {
 // above anything the crawled corpus builds.
 const (
 	maxCallDepth = 10_000  // nested calls of compiled functions
+	callNestUnit = 32      // body nesting levels per extra call charged
 	maxArrayLen  = 1 << 20 // array elements
 	maxStringLen = 1 << 24 // string bytes
 )
@@ -67,7 +68,8 @@ type Interp struct {
 	maxSteps int
 	steps    int
 	rands    uint64
-	// depth counts the compiled-function calls in progress.
+	// depth is what the compiled-function calls in progress charge
+	// (FuncLit.callCost).
 	depth int
 	// ret carries a return statement's value to the call it ends.
 	ret Value
@@ -324,7 +326,7 @@ func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
 	if o.Native != nil {
 		return o.Native(this, args)
 	}
-	if in.depth >= maxCallDepth {
+	if in.depth+o.code.cost > maxCallDepth {
 		return Undefined(), errCallStack
 	}
 	if o.code.memo != "" && in.calls != nil {
@@ -350,9 +352,9 @@ func (in *Interp) call(fn Value, code *funcCode, this Value, args []Value) (Valu
 	if code.selfSlot >= 0 {
 		f.slots[code.selfSlot] = fn
 	}
-	in.depth++
+	in.depth += code.cost
 	_, err := runList(in, f, code.body)
-	in.depth--
+	in.depth -= code.cost
 	if err == errReturn {
 		return in.takeReturn(), nil
 	}

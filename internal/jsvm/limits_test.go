@@ -1,8 +1,13 @@
 package jsvm
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -120,8 +125,9 @@ func TestResourceCaps(t *testing.T) {
 // prefix operators and blocks. Each must fail with a syntax error at the
 // nesting cap, quickly and with bounded allocation, instead of
 // recursing once per level; scripts nested below the cap still parse.
-// Each link of an else-if chain or a chained ?: opens a level, so such
-// chains meet the cap too.
+// Each link of an else-if chain or a chained ?: opens a level, and each
+// link of an operator or comma chain adds one to the chain's height, so
+// such chains meet the cap too.
 func TestParseNesting(t *testing.T) {
 	const n = 1 << 19
 	for name, src := range map[string]string{
@@ -153,6 +159,8 @@ func TestParseNesting(t *testing.T) {
 	for name, link := range map[string]string{
 		"else-if": "if (x) x++; else ",
 		"ternary": "x ? 1 : ",
+		"plus":    "x + ",
+		"comma":   "x, ",
 	} {
 		if v := run(t, "var x = 0; "+strings.Repeat(link, 250)+"x - 1;"); v.Num() != -1 {
 			t.Fatalf("%s: 250 links: %v", name, v.Num())
@@ -160,6 +168,50 @@ func TestParseNesting(t *testing.T) {
 		_, err := Parse("var x = 0; " + strings.Repeat(link, 260) + "x - 1;")
 		if err == nil || !strings.Contains(err.Error(), "nesting too deep") {
 			t.Fatalf("%s: 260 links: err = %v, want the nesting cap", name, err)
+		}
+	}
+}
+
+// chainStackBound is the Go stack a chain of nested script calls stays
+// within (DESIGN §12, "Resource caps").
+const chainStackBound = 128 << 20
+
+// TestChainStackBound puts a recursive call at the deepest operand of
+// chains that nest without parser recursion (operators, members, calls,
+// call arguments) and recurses past the call budget, each in a child
+// process whose Go stack is capped at chainStackBound. A chain past the
+// nesting cap must be a syntax error and every other must end in the
+// call budget's error: a Go stack overflow is fatal, and no recover
+// would keep it from ending a study.
+func TestChainStackBound(t *testing.T) {
+	call := func(pre, chain, post string) string {
+		return pre + "function f(n) { if (n <= 0) return 0; return " + chain + post + "; } f(20000)"
+	}
+	shapes := map[string]struct{ src, want string }{
+		"binary-1000":   {call("", "f(n - 1)", strings.Repeat(" + 1", 1000)), "nesting too deep"},
+		"member-1000":   {call("var o = {}; o.a = o; ", "f(n - 1)", strings.Repeat(".a", 1000)), "nesting too deep"},
+		"binary-240":    {call("", "f(n - 1)", strings.Repeat(" + 1", 240)), "maximum call stack size exceeded"},
+		"call-240":      {call("var g = function() { return g; }; ", "f(n - 1)", strings.Repeat("()", 240)), "maximum call stack size exceeded"},
+		"arguments-120": {call("function h(x) { return x; } ", strings.Repeat("h(1 + ", 120)+"f(n - 1)", strings.Repeat(")", 120)), "maximum call stack size exceeded"},
+		"arguments-12":  {call("function h(x) { return x; } ", strings.Repeat("h(1 + ", 12)+"f(n - 1)", strings.Repeat(")", 12)), "maximum call stack size exceeded"},
+	}
+	if name := os.Getenv("JSVM_CHAIN_CHILD"); name != "" {
+		debug.SetMaxStack(chainStackBound)
+		_, err := New(Options{MaxSteps: 20_000_000}).RunSource(shapes[name].src)
+		fmt.Printf("result: %v\n", err)
+		return
+	}
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestChainStackBound$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "JSVM_CHAIN_CHILD="+name)
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "result: jsvm: ") || !strings.Contains(string(out), shapes[name].want) {
+			t.Errorf("%s: want a jsvm error containing %q, child ended with %v:\n%.600s", name, shapes[name].want, err, out)
 		}
 	}
 }

@@ -58,13 +58,16 @@ const callMemoBytes = 64 << 20
 // and result bytes.
 const memoEntryBytes = 64
 
-// programBytesPerSrcByte estimates the heap a compiled Program holds per
-// byte of its source: the corpus's vendor, deferred and benign scripts
-// measure 10.5 to 19.4 bytes, 13.2 overall. A Program is charged this
-// plus its source, which the memo's key keeps alive. Dense hostile text
-// (`x;x;x;…`, `1+1+1…`) measures up to 68, so a memo of nothing but such
-// programs may hold about four times its bound.
-const programBytesPerSrcByte = 20
+// programBytesPerUnit bounds the heap a compiled Program holds per unit
+// of its size (parse): a token, and two more units for each token that
+// opens a function literal. Measured with runtime.ReadMemStats around
+// parses kept alive, the corpus's vendor, deferred and benign scripts
+// hold 28 to 55 bytes per token, dense hostile text up to 95 (`x++;…`,
+// `;;;…`), and a chain of arrow functions 314 bytes per link of two
+// tokens and one function. A Program is also charged twice its
+// source: once for the memo's key and once for its string literals,
+// which the lexer copies.
+const programBytesPerUnit = 96
 
 // NewCallMemo returns an empty CallMemo.
 func NewCallMemo() *CallMemo {
@@ -109,8 +112,9 @@ func (m *CallMemo) Parse(src string) (*Program, error) {
 	if ok {
 		return p.prog, p.err
 	}
-	p.prog, p.err = Parse(src)
-	n := len(src)*(1+programBytesPerSrcByte) + memoEntryBytes
+	var units int
+	p.prog, units, p.err = parse(src)
+	n := 2*len(src) + units*programBytesPerUnit + memoEntryBytes
 	if n > m.limit {
 		return p.prog, p.err
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"canvassing/internal/services"
 )
 
 // memoised reports whether the function src binds to global f would
@@ -278,15 +280,39 @@ func TestProgramMemoConcurrent(t *testing.T) {
 }
 
 // TestProgramMemoByteBound checks that programs count against the same
-// byte bound as calls: each is charged its source times
-// 1+programBytesPerSrcByte, a program larger than the bound is not
-// stored, and one that would pass the bound empties the memo first,
-// call entries included. A parse error is stored too; a nil memo parses
-// every time.
+// byte bound as calls: each is charged at least the heap it holds,
+// corpus scripts and dense hostile text alike, a program larger than
+// the bound is not stored, and one that would pass the bound empties
+// the memo first, call entries included. A parse error is stored too; a
+// nil memo parses every time.
 func TestProgramMemoByteBound(t *testing.T) {
+	charge := func(src string) int {
+		m := NewCallMemo()
+		m.Parse(src)
+		return m.size
+	}
+	const n = 2000
+	for _, b := range []struct{ name, src string }{
+		{"vendor fingerprintjs", services.BySlug("fingerprintjs").Source(services.ScriptParams{SiteDomain: "a.example"})},
+		{"deferred datadome", services.DeferredBySlug("datadome").Source(services.ScriptParams{SiteDomain: "a.example"})},
+		{"x;x;…", strings.Repeat("x;", n)},
+		{"1+1+…", strings.Repeat("v = "+strings.Repeat("1+", 200)+"1;", n/200)},
+		{"a.b.b…", strings.Repeat("v = a"+strings.Repeat(".b", 200)+";", n/200)},
+		{"f(1,2,3);…", strings.Repeat("f(1,2,3);", n)},
+		{"x++;…", strings.Repeat("x++;", n)},
+		{";;;…", strings.Repeat(";", n)},
+		{"x=>x;…", strings.Repeat("x=>x;", n)},
+		{"x=>x=>…", strings.Repeat(strings.Repeat("x=>", 50)+"x;", n/50)},
+		{"'…\\n…'", "var s = '" + strings.Repeat("\\n", n) + "';"},
+	} {
+		if held, c := programHeap(t, b.src), charge(b.src); held > c {
+			t.Errorf("%s: a %d-byte program holds %d heap bytes, charged %d", b.name, len(b.src), held, c)
+		}
+	}
+
 	m := NewCallMemo()
 	src := func(i int) string { return fmt.Sprintf("var v = %0100d;", i) }
-	entry := len(src(0))*(1+programBytesPerSrcByte) + memoEntryBytes
+	entry := charge(src(0))
 	m.limit = 3*entry + entry/2
 	for i := 0; i < 20; i++ {
 		prog, err := m.Parse(src(i))
@@ -331,4 +357,25 @@ func TestProgramMemoByteBound(t *testing.T) {
 	if p1 == nil || p1 == p2 {
 		t.Fatal("a nil memo must parse every time")
 	}
+}
+
+// programHeap returns the heap bytes one compiled program of src holds,
+// measured over copies kept alive at once.
+func programHeap(t *testing.T, src string) int {
+	t.Helper()
+	const copies = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	progs := make([]*Program, copies)
+	for i := range progs {
+		var err error
+		if progs[i], err = Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(progs)
+	return (int(after.HeapAlloc) - int(before.HeapAlloc)) / copies
 }

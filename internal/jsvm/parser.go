@@ -8,23 +8,37 @@ import (
 
 // Parse turns source text into a Program and compiles it (compile.go).
 func Parse(src string) (*Program, error) {
+	prog, _, err := parse(src)
+	return prog, err
+}
+
+// parse is Parse that also returns the size of src in the units the
+// program memo charges by (programBytesPerUnit): one per token, and two
+// more per token that opens a function literal ("function", "=>").
+func parse(src string) (*Program, int, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	units := len(toks)
+	for _, t := range toks {
+		if t.kind == tKeyword && t.text == "function" || t.kind == tPunct && t.text == "=>" {
+			units += 2
+		}
 	}
 	p := &parser{src: src, toks: toks}
 	prog := &Program{}
 	for !p.at(tEOF, "") {
 		st, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, units, err
 		}
 		prog.Body = append(prog.Body, st)
 	}
 	// Top-level statements run in the global scope: a nil scope at
 	// compile time, a nil frame at run time.
 	prog.code = compileList(prog.Body, nil)
-	return prog, nil
+	return prog, units, nil
 }
 
 type parser struct {
@@ -35,6 +49,13 @@ type parser struct {
 	// the current path; every recursion of the parser passes through one
 	// of the three.
 	depth int
+	// h is the height of the expression parsed last: the number of
+	// nodes on the longest path from it down its syntax tree.
+	h int
+	// base is depth where the innermost function body being parsed
+	// begins, and deep the most levels any node of that body has
+	// nested below base so far (FuncLit.nest).
+	base, deep int
 }
 
 // maxNesting caps depth. Past it a script is a syntax error, so a
@@ -42,6 +63,13 @@ type parser struct {
 // million levels. The vendor, deferred and benign scripts nest at most
 // 13 levels. A parenthesised level counts 2, so no chain of unary
 // operators and parentheses runs deeper than 256 closures.
+//
+// Operator, member, index, call, comma and postfix chains are built in
+// loops, so they open no level; each link checks that the levels open
+// above it plus the height of the chain built so far stay within the
+// cap too (link). The compiler and the interpreter recurse once per
+// node on a path, so no statement's code nests more than 256 closures
+// deep, and no function body more than 256 below its call.
 const maxNesting = 256
 
 // nest opens one nesting level; the caller closes it with
@@ -51,10 +79,22 @@ func (p *parser) nest() error {
 		return p.errHere("nesting too deep")
 	}
 	p.depth++
+	p.deep = max(p.deep, p.depth-p.base)
 	return nil
 }
 
 func (p *parser) unnest() { p.depth-- }
+
+// link records h as the height of a chain link just built and fails
+// when the open levels above it plus h pass maxNesting.
+func (p *parser) link(h int) error {
+	p.h = h
+	if p.depth+h > maxNesting {
+		return p.errHere("nesting too deep")
+	}
+	p.deep = max(p.deep, p.depth-p.base+h)
+	return nil
+}
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
@@ -211,11 +251,9 @@ func (p *parser) funcRest(name string) (*FuncLit, error) {
 	if _, err := p.expect(tPunct, ")"); err != nil {
 		return nil, err
 	}
-	body, err := p.block()
-	if err != nil {
+	if err := p.body(fn, false); err != nil {
 		return nil, err
 	}
-	fn.Body = body.(*BlockStmt).Body
 	fn.src = p.src[open.pos : p.toks[p.pos-1].pos+1]
 	return fn, nil
 }
@@ -411,8 +449,12 @@ func (p *parser) expression() (Expr, error) {
 	// Comma operator: evaluate left, yield right.
 	for p.at(tPunct, ",") {
 		p.next()
+		h := p.h
 		r, err := p.assignment()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.link(max(h, p.h) + 1); err != nil {
 			return nil, err
 		}
 		x = &Binary{Op: ",", L: x, R: r}
@@ -443,10 +485,12 @@ func (p *parser) assignment() (Expr, error) {
 				return nil, p.errHere("invalid assignment target")
 			}
 			p.next()
+			h := p.h
 			val, err := p.assignment()
 			if err != nil {
 				return nil, err
 			}
+			p.h = max(h, p.h) + 1
 			return &Assign{Op: op, Target: left, Value: val}, nil
 		}
 	}
@@ -459,13 +503,13 @@ func (p *parser) assignment() (Expr, error) {
 func (p *parser) tryArrow() (Expr, bool, error) {
 	start := p.pos
 	if p.at(tIdent, "") && p.toks[p.pos+1].kind == tPunct && p.toks[p.pos+1].text == "=>" {
-		name := p.next().text
+		fn := &FuncLit{Params: []string{p.next().text}}
 		p.next() // =>
-		body, err := p.arrowBody()
-		if err != nil {
+		if err := p.body(fn, true); err != nil {
 			return nil, false, err
 		}
-		return &FuncLit{Params: []string{name}, Body: body}, true, nil
+		p.h = 1 // the body runs in a call of its own
+		return fn, true, nil
 	}
 	if p.at(tPunct, "(") {
 		i := p.pos + 1
@@ -490,29 +534,39 @@ func (p *parser) tryArrow() (Expr, bool, error) {
 				return nil, false, err
 			}
 			p.next() // =>
-			body, err := p.arrowBody()
-			if err != nil {
+			fn := &FuncLit{Params: params}
+			if err := p.body(fn, true); err != nil {
 				return nil, false, err
 			}
-			return &FuncLit{Params: params, Body: body}, true, nil
+			p.h = 1
+			return fn, true, nil
 		}
 	}
 	return nil, false, nil
 }
 
-func (p *parser) arrowBody() ([]Stmt, error) {
-	if p.at(tPunct, "{") {
+// body parses fn's body: a block, or for an arrow function not followed
+// by "{" the one expression it returns. It records in fn.nest how many
+// levels the body nests below the call.
+func (p *parser) body(fn *FuncLit, arrow bool) error {
+	base, deep := p.base, p.deep
+	p.base, p.deep = p.depth, 0
+	defer func() { p.base, p.deep = base, deep }()
+	if arrow && !p.at(tPunct, "{") {
+		x, err := p.assignment()
+		if err != nil {
+			return err
+		}
+		fn.Body = []Stmt{&ReturnStmt{X: x}}
+	} else {
 		b, err := p.block()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return b.(*BlockStmt).Body, nil
+		fn.Body = b.(*BlockStmt).Body
 	}
-	x, err := p.assignment()
-	if err != nil {
-		return nil, err
-	}
-	return []Stmt{&ReturnStmt{X: x}}, nil
+	fn.nest = p.deep
+	return nil
 }
 
 func (p *parser) ternary() (Expr, error) {
@@ -523,10 +577,12 @@ func (p *parser) ternary() (Expr, error) {
 	if !p.eat(tPunct, "?") {
 		return cond, nil
 	}
+	h := p.h
 	then, err := p.assignment()
 	if err != nil {
 		return nil, err
 	}
+	h = max(h, p.h)
 	if _, err := p.expect(tPunct, ":"); err != nil {
 		return nil, err
 	}
@@ -534,6 +590,7 @@ func (p *parser) ternary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.h = max(h, p.h) + 1
 	return &Cond{Test: cond, Then: then, Else: els}, nil
 }
 
@@ -571,8 +628,12 @@ func (p *parser) binaryExpr(minPrec int) (Expr, error) {
 			return left, nil
 		}
 		p.next()
+		h := p.h
 		right, err := p.binaryExpr(prec + 1)
 		if err != nil {
+			return nil, err
+		}
+		if err := p.link(max(h, p.h) + 1); err != nil {
 			return nil, err
 		}
 		left = &Binary{Op: op, L: left, R: right}
@@ -591,6 +652,7 @@ func (p *parser) unary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.h++
 		return &Unary{Op: t.text, X: x}, nil
 	}
 	if t.kind == tKeyword && t.text == "typeof" {
@@ -599,6 +661,7 @@ func (p *parser) unary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.h++
 		return &Unary{Op: "typeof", X: x}, nil
 	}
 	if t.kind == tKeyword && t.text == "new" {
@@ -607,10 +670,12 @@ func (p *parser) unary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Split a trailing call off the chain for the constructor args.
+		// Split a trailing call off the chain for the constructor args;
+		// the NewExpr takes the call's place and height.
 		if call, ok := callee.(*Call); ok {
 			return p.postfixOps(&NewExpr{Fn: call.Fn, Args: call.Args})
 		}
+		p.h++
 		return p.postfixOps(&NewExpr{Fn: callee})
 	}
 	return p.postfix()
@@ -629,6 +694,9 @@ func (p *parser) postfixOps(x Expr) (Expr, error) {
 		t := p.cur()
 		if t.kind == tPunct && (t.text == "++" || t.text == "--") {
 			p.next()
+			if err := p.link(p.h + 1); err != nil {
+				return nil, err
+			}
 			x = &Postfix{Op: t.text, X: x}
 			continue
 		}
@@ -658,9 +726,13 @@ func (p *parser) memberChain(base Expr) (Expr, error) {
 				return nil, p.errHere("expected property name after '.'")
 			}
 			p.next()
+			if err := p.link(p.h + 1); err != nil {
+				return nil, err
+			}
 			x = &Member{X: x, Name: t.text}
 		case p.at(tPunct, "["):
 			p.next()
+			h := p.h
 			idx, err := p.expression()
 			if err != nil {
 				return nil, err
@@ -668,21 +740,29 @@ func (p *parser) memberChain(base Expr) (Expr, error) {
 			if _, err := p.expect(tPunct, "]"); err != nil {
 				return nil, err
 			}
+			if err := p.link(max(h, p.h) + 1); err != nil {
+				return nil, err
+			}
 			x = &Index{X: x, I: idx}
 		case p.at(tPunct, "("):
 			p.next()
+			h := p.h
 			var args []Expr
 			for !p.at(tPunct, ")") {
 				a, err := p.assignment()
 				if err != nil {
 					return nil, err
 				}
+				h = max(h, p.h)
 				args = append(args, a)
 				if !p.eat(tPunct, ",") {
 					break
 				}
 			}
 			if _, err := p.expect(tPunct, ")"); err != nil {
+				return nil, err
+			}
+			if err := p.link(h + 1); err != nil {
 				return nil, err
 			}
 			x = &Call{Fn: x, Args: args}
@@ -694,6 +774,7 @@ func (p *parser) memberChain(base Expr) (Expr, error) {
 
 func (p *parser) primary() (Expr, error) {
 	t := p.cur()
+	p.h = 1
 	switch {
 	case t.kind == tNumber:
 		p.next()
@@ -728,7 +809,9 @@ func (p *parser) primary() (Expr, error) {
 		if p.at(tIdent, "") {
 			name = p.next().text
 		}
-		return p.funcRest(name)
+		fn, err := p.funcRest(name)
+		p.h = 1 // the body runs in a call of its own
+		return fn, err
 	case t.kind == tIdent:
 		p.next()
 		return &Ident{Name: t.text}, nil
@@ -745,11 +828,13 @@ func (p *parser) primary() (Expr, error) {
 	case t.kind == tPunct && t.text == "[":
 		p.next()
 		arr := &ArrayLit{}
+		h := 0
 		for !p.at(tPunct, "]") {
 			e, err := p.assignment()
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.h)
 			arr.Elems = append(arr.Elems, e)
 			if !p.eat(tPunct, ",") {
 				break
@@ -758,10 +843,12 @@ func (p *parser) primary() (Expr, error) {
 		if _, err := p.expect(tPunct, "]"); err != nil {
 			return nil, err
 		}
+		p.h = h + 1
 		return arr, nil
 	case t.kind == tPunct && t.text == "{":
 		p.next()
 		obj := &ObjectLit{}
+		h := 0
 		for !p.at(tPunct, "}") {
 			kt := p.cur()
 			var key string
@@ -779,6 +866,7 @@ func (p *parser) primary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.h)
 			obj.Keys = append(obj.Keys, key)
 			obj.Values = append(obj.Values, v)
 			if !p.eat(tPunct, ",") {
@@ -788,6 +876,7 @@ func (p *parser) primary() (Expr, error) {
 		if _, err := p.expect(tPunct, "}"); err != nil {
 			return nil, err
 		}
+		p.h = h + 1
 		return obj, nil
 	}
 	return nil, p.errAt(t, fmt.Sprintf("unexpected token %s", t))

@@ -49,7 +49,7 @@ func refControlFlow(err error) bool {
 func (in *Interp) refFunc(def *FuncLit, env *Scope) Value {
 	var fn Value
 	fn = NewNative(func(this Value, args []Value) (Value, error) {
-		if in.depth >= maxCallDepth {
+		if in.depth+def.callCost() > maxCallDepth {
 			return Undefined(), rtErrf("maximum call stack size exceeded")
 		}
 		args = slices.Clone(args) // args belongs to the caller's stack
@@ -66,8 +66,8 @@ func (in *Interp) refFunc(def *FuncLit, env *Scope) Value {
 		if def.Name != "" {
 			frame.declare(def.Name, fn)
 		}
-		in.depth++
-		defer func() { in.depth-- }()
+		in.depth += def.callCost()
+		defer func() { in.depth -= def.callCost() }()
 		for _, st := range def.Body {
 			if _, err := in.execStmt(st, frame); err != nil {
 				if rs, ok := err.(returnSignal); ok {
