@@ -13,16 +13,17 @@ test:
 	$(GO) test ./...
 
 # The crawler worker pool, the obs registry, the evidence event sink,
-# the fault model, the bundle layer, the parallel analysis executor +
-# memo cache (with detect underneath it), the checkpoint writer, the
-# exemplar reservoir (offered from workers, read by /tracez), and the
-# ops plane (status tracker, window sampler, live HTTP handlers) are
-# the places goroutines share state; hammer them under the race
-# detector. internal/dom rides along because every
-# crawl worker drives its own event loop — the race detector proves
-# the loops really are confined to their workers. internal/jsvm and
-# internal/raster run on every crawl worker at once: each worker has its
-# own Interp and method tables (one Program may run on many Interps, as
+# the fault model, the bundle layer, the checkpoint writer, the
+# exemplar reservoir (offered from workers, read by /tracez), the ops
+# plane (status tracker, window sampler, live HTTP handlers) and the
+# verdict service's lookup Batcher are the places goroutines share
+# state; hammer them under the race detector. internal/detect keeps no
+# state between calls since its analysis pass runs serially; it stays
+# here so state it gains later is raced. internal/dom rides along
+# because every crawl worker drives its own event loop — the race
+# detector proves the loops really are confined to their workers.
+# internal/jsvm and internal/raster run on every crawl worker at once:
+# each worker has its own Interp and method tables (one Program may run on many Interps, as
 # TestSharedProgramConcurrent checks), and each canvas context its own
 # Rasterizer. Crawl workers share two structures of a study: the
 # display-list memo in internal/canvas (TestMemoConcurrent: 8 goroutines
@@ -38,7 +39,7 @@ test:
 # on parallel goroutines, each with its own interpreter and document,
 # running one shared program.
 race:
-	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/entropy ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/analysis ./internal/detect ./internal/checkpoint ./internal/serve ./internal/distrib
+	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/entropy ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/detect ./internal/checkpoint ./internal/serve ./internal/distrib
 
 vet:
 	$(GO) vet ./...

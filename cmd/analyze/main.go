@@ -15,16 +15,13 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 
-	"canvassing/internal/analysis"
 	"canvassing/internal/bundle"
 	"canvassing/internal/cluster"
 	"canvassing/internal/crawler"
 	"canvassing/internal/detect"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/ops"
-	"canvassing/internal/obs/tracez"
 	"canvassing/internal/report"
 	"canvassing/internal/web"
 )
@@ -36,13 +33,8 @@ func main() {
 	flag.Parse()
 
 	tel := obs.NewTelemetry()
-	var visits *tracez.Reservoir
-	if cli.Tracez {
-		// Analysis-only binary: the reservoir sees per-shard batch
-		// spans, no visit trees.
-		visits = tracez.NewReservoir(0, 0, 0)
-	}
-	plane, err := ops.Start(cli, tel, visits)
+	// Analysis-only binary: no visits, so no exemplar reservoir.
+	plane, err := ops.Start(cli, tel, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,13 +70,9 @@ func main() {
 	}
 	tel.Metrics.Counter("analyze.pages").Add(int64(len(pages)))
 
-	aw := cli.AnalysisWorkers
-	if aw <= 0 {
-		aw = 8
-	}
-	ex := analysis.NewExecutor(aw, analysis.NewCache(tel.Metrics), tel)
-	ex.SetVisits(visits)
-	sites := ex.AnalyzeAll(pages, tel.Events, "control")
+	sp = tel.Tracer.Start("analyze.control")
+	sites := detect.AnalyzeAllEvents(pages, tel.Events, "control")
+	sp.End()
 	t := report.NewTable("Prevalence", "cohort", "crawled-ok", "fp-sites", "prevalence", "yield")
 	for _, cohort := range []web.Cohort{web.Popular, web.Tail} {
 		var sub []detect.SiteCanvases
@@ -121,9 +109,6 @@ func main() {
 	if cli.OutDir != "" {
 		m := bundle.Manifest{Notes: "cmd/analyze"}
 		if err := bundle.Write(cli.OutDir, m, tel); err != nil {
-			log.Fatal(err)
-		}
-		if err := tracez.WriteExemplars(filepath.Join(cli.OutDir, tracez.ExemplarsFile), visits); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)

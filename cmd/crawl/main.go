@@ -41,7 +41,6 @@ import (
 
 	"canvassing"
 	"canvassing/internal/adblock"
-	"canvassing/internal/analysis"
 	"canvassing/internal/bundle"
 	"canvassing/internal/checkpoint"
 	"canvassing/internal/crawler"
@@ -322,12 +321,7 @@ func runFaultSweep(w *web.Web, sites []*web.Site, base crawler.Config, seed uint
 		}
 		res := crawler.Crawl(w, sites, cfg)
 		st := res.Stats().Total
-		aw := cli.AnalysisWorkers
-		if aw <= 0 {
-			aw = cfg.Workers
-		}
-		ex := analysis.NewExecutor(aw, analysis.NewCache(cfg.Telemetry.Metrics), cfg.Telemetry)
-		ds := detect.ComputeStats(ex.AnalyzeAll(res.Pages, nil, cfg.Condition))
+		ds := detect.ComputeStats(detect.AnalyzeAll(res.Pages))
 		snap := cfg.Telemetry.Metrics.Snapshot()
 		t.AddRow(fmt.Sprintf("%.0f%%", rate*100),
 			fmt.Sprint(st.OK), fmt.Sprint(st.Degraded), fmt.Sprint(st.Failed),

@@ -119,7 +119,6 @@ func main() {
 		Seed:            *seed,
 		Scale:           *scale,
 		Workers:         *workers,
-		AnalysisWorkers: cli.AnalysisWorkers,
 		WithAdblock:     e.adblock,
 		WithM1:          e.m1,
 		FaultRate:       fcli.Rate,

@@ -1,5 +1,5 @@
 // Command serve is the detection-as-a-service binary: it loads a
-// finished study's run bundle, builds the sharded verdict indexes, and
+// finished study's run bundle, builds the verdict indexes, and
 // serves the JSON lookup API plus the full ops plane.
 //
 //	serve -bundle ./run                       # serve on the default address
@@ -38,7 +38,6 @@ func main() {
 	bundleDir := flag.String("bundle", "", "run-bundle directory to serve (required unless -check)")
 	addr := flag.String("addr", "127.0.0.1:8344", "listen address (\":0\" picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound base URL to this file once listening")
-	shards := flag.Int("shards", 0, "index shard count (0 = default 8; any count serves identical bytes)")
 	batchWindow := flag.Duration("batch-window", 0, "lookup coalescing window (0 = default 2ms)")
 	withPprof := flag.Bool("pprof", false, "also serve /debug/pprof on the same address")
 	redWindow := flag.Duration("window", 0, "sliding window for the live RED views (default 1m)")
@@ -58,7 +57,6 @@ func main() {
 
 	svc, err := serve.Load(serve.Config{
 		Dir:      *bundleDir,
-		Shards:   *shards,
 		Window:   *batchWindow,
 		ListsFor: canvassing.ListsForSeed,
 	})

@@ -13,22 +13,17 @@ import (
 	"canvassing/internal/obs/event"
 )
 
-// The determinism oracle: the parallel analysis pipeline must be
-// invisible in every serialized artifact. For each seed the serial
-// pipeline (AnalysisWorkers=1) writes a reference bundle, and the
-// parallel pipeline at widths {2, 8, 32} must reproduce it exactly —
-// manifest.json and events.jsonl byte for byte, and metrics.json in
-// its deterministic projection (counters, gauges, histogram counts;
-// histogram sums/extremes/buckets are wall-clock and vary between ANY
-// two runs, serial ones included — see bundle.DeterministicMetrics).
-// Two of the seeds crawl under fault injection so the oracle covers
-// degraded pages, retries, and visit.outcome events.
-//
-// The crawl pool is pinned to one worker so this oracle isolates the
-// ANALYSIS pool as its axis. (Crawl-side telemetry is now width-
-// independent too — the crawler's ordered-commit pipeline; that axis
-// has its own oracle in resume_test.go and
-// TestCrawlTelemetryWidthInvariant.)
+// The determinism oracle: the crawler's pool width must be invisible
+// in every serialized artifact of a whole study. For each seed the
+// serial crawl (Workers=1) writes a reference bundle, and crawls at
+// widths {2, 8} must reproduce it exactly — events.jsonl and report.txt
+// byte for byte, and manifest.json and metrics.json in their
+// deterministic projection with the width itself masked (maskWidth:
+// the manifest's workers field and the crawl.workers gauge; histogram
+// sums/extremes/buckets are wall-clock and vary between ANY two runs,
+// serial ones included — see bundle.DeterministicMetrics). Two of the
+// seeds crawl under fault injection so the oracle covers degraded
+// pages, retries, and visit.outcome events.
 //
 // This test runs in the default `go test ./...` sweep and therefore
 // joins `make check`.
@@ -50,20 +45,19 @@ var oracleCases = []oracleCase{
 	{seed: 42, fault: 0.35},
 }
 
-var oracleWidths = []int{2, 8, 32}
+var oracleWidths = []int{2, 8}
 
 // oracleBundle runs the full pipeline (control + adblock re-crawls +
 // every experiment the bundle's report.txt triggers) at the given
-// analysis width and writes its bundle to a temp dir.
-func oracleBundle(t *testing.T, c oracleCase, analysisWorkers int) (string, *Study) {
+// crawler width and writes its bundle to a temp dir.
+func oracleBundle(t *testing.T, c oracleCase, workers int) (string, *Study) {
 	t.Helper()
 	s := Run(Options{
-		Seed:            c.seed,
-		Scale:           0.02,
-		Workers:         1,
-		AnalysisWorkers: analysisWorkers,
-		WithAdblock:     true,
-		FaultRate:       c.fault,
+		Seed:        c.seed,
+		Scale:       0.02,
+		Workers:     workers,
+		WithAdblock: true,
+		FaultRate:   c.fault,
 		// Per-visit tracing stays on in the oracle: capturing exemplar
 		// trees must never move a bundle byte.
 		TraceVisits: true,
@@ -97,14 +91,14 @@ func deterministicMetrics(t *testing.T, dir string) []byte {
 
 func TestAnalysisDeterminismOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full pipeline 12 times")
+		t.Skip("runs the full pipeline 9 times")
 	}
 	for _, c := range oracleCases {
 		refDir, refStudy := oracleBundle(t, c, 1)
-		refManifest := readFile(t, refDir, "manifest.json")
+		refManifest := maskWidth(t, readFile(t, refDir, "manifest.json"))
 		refEvents := readFile(t, refDir, "events.jsonl")
 		refReport := readFile(t, refDir, "report.txt")
-		refMetrics := deterministicMetrics(t, refDir)
+		refMetrics := maskWidth(t, deterministicMetrics(t, refDir))
 		if len(refEvents) == 0 {
 			t.Fatalf("seed %d: serial reference recorded no events", c.seed)
 		}
@@ -116,12 +110,9 @@ func TestAnalysisDeterminismOracle(t *testing.T) {
 					c.seed, c.fault, st.Degraded, st.Failed)
 			}
 		}
-		if hits := refStudy.Analysis().Cache().Hits(); hits == 0 {
-			t.Fatalf("seed %d: memo cache never hit across re-analyses", c.seed)
-		}
 		for _, w := range oracleWidths {
-			dir, s := oracleBundle(t, c, w)
-			if got := readFile(t, dir, "manifest.json"); !bytes.Equal(got, refManifest) {
+			dir, _ := oracleBundle(t, c, w)
+			if got := maskWidth(t, readFile(t, dir, "manifest.json")); !bytes.Equal(got, refManifest) {
 				t.Errorf("seed %d width %d: manifest.json differs from serial\n got: %s\nwant: %s",
 					c.seed, w, got, refManifest)
 			}
@@ -129,7 +120,7 @@ func TestAnalysisDeterminismOracle(t *testing.T) {
 				t.Errorf("seed %d width %d: events.jsonl differs from serial (%d vs %d bytes); first divergence at byte %d",
 					c.seed, w, len(got), len(refEvents), firstDiff(got, refEvents))
 			}
-			if got := deterministicMetrics(t, dir); !bytes.Equal(got, refMetrics) {
+			if got := maskWidth(t, deterministicMetrics(t, dir)); !bytes.Equal(got, refMetrics) {
 				t.Errorf("seed %d width %d: deterministic metrics differ from serial\n got: %s\nwant: %s",
 					c.seed, w, got, refMetrics)
 			}
@@ -137,9 +128,6 @@ func TestAnalysisDeterminismOracle(t *testing.T) {
 			// wall-clock content, so it must reproduce too.
 			if got := readFile(t, dir, "report.txt"); !bytes.Equal(got, refReport) {
 				t.Errorf("seed %d width %d: report.txt differs from serial", c.seed, w)
-			}
-			if s.Analysis().Workers() != w {
-				t.Fatalf("width %d: executor reports %d workers", w, s.Analysis().Workers())
 			}
 		}
 	}

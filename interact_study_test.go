@@ -12,8 +12,8 @@ import (
 // The interaction engine's study-level contracts:
 //
 //  1. Width invariance — an interaction-enabled study must produce
-//     byte-identical deterministic bundle artifacts at any crawl and
-//     analysis pool width. The engine runs inside visit(), so its
+//     byte-identical deterministic bundle artifacts at any crawl pool
+//     width. The engine runs inside visit(), so its
 //     telemetry (interact metrics, interact.dispatch events, the EX3
 //     re-crawl's analysis events) rides the same ordered-commit
 //     pipeline the oracle in determinism_test.go pins for load-time
@@ -35,13 +35,12 @@ import (
 // exemplar capture must stay invisible.
 func interactOpts(seed uint64, workers int, fault float64) Options {
 	return Options{
-		Seed:            seed,
-		Scale:           0.02,
-		Workers:         workers,
-		AnalysisWorkers: workers,
-		FaultRate:       fault,
-		TraceVisits:     true,
-		Interact:        true,
+		Seed:        seed,
+		Scale:       0.02,
+		Workers:     workers,
+		FaultRate:   fault,
+		TraceVisits: true,
+		Interact:    true,
 	}
 }
 

@@ -106,10 +106,10 @@ func (s *SiteCanvases) FullyExcluded() bool {
 	return len(s.All) > 0 && !s.HasFingerprinting()
 }
 
-// Verdict is the memoizable product of classification: everything the
-// §3.2 heuristics derive from a canvas payload plus the extracting
-// script's animation flag. It carries no page identity, which is what
-// makes it safe to share across sites, conditions, and cohorts.
+// Verdict is what the §3.2 heuristics derive from a canvas payload
+// plus the extracting script's animation flag. It carries no page
+// identity, so every extraction of one payload under one flag shares
+// it.
 type Verdict struct {
 	Format          imaging.Format
 	W, H            int
@@ -117,45 +117,47 @@ type Verdict struct {
 	Exclude         Reason
 }
 
-// MemoKey identifies one classification by content: the canvas hash
-// (which already encodes any machine- or blocker-induced rendering
-// difference) plus the animation flag the extracting script
-// contributes. Two extractions with equal keys always classify
-// identically.
-type MemoKey struct {
-	// Hash is HashDataURL of the extracted payload.
-	Hash string
-	// Anim is whether the extracting script also used animation
-	// methods (heuristic 3).
-	Anim bool
-}
-
-// Memo is a verdict cache consulted by AnalyzePageMemo. GetOrCompute
-// must return compute()'s result for a key the first time it is asked
-// and the cached verdict afterwards; implementations decide the
-// concurrency story (internal/analysis provides a singleflight one).
-type Memo interface {
-	GetOrCompute(key MemoKey, compute func() Verdict) Verdict
-}
-
 // AnalyzePage classifies every extraction of one crawled page.
 func AnalyzePage(p *crawler.PageResult) SiteCanvases {
-	return AnalyzePageEvents(p, nil, "")
+	return AnalyzeAll([]*crawler.PageResult{p})[0]
 }
 
-// AnalyzePageEvents is AnalyzePage with decision provenance: every
+// AnalyzeAll classifies every page of a crawl.
+func AnalyzeAll(pages []*crawler.PageResult) []SiteCanvases {
+	return AnalyzeAllEvents(pages, nil, "")
+}
+
+// payload is one extraction's input to Classify: its data URL and the
+// extracting script's animation flag.
+type payload struct {
+	dataURL string
+	anim    bool
+}
+
+// classified is one payload's canvas hash and verdict.
+type classified struct {
+	hash string
+	v    Verdict
+}
+
+// AnalyzeAllEvents is AnalyzeAll with decision provenance: every
 // classification verdict is recorded to sink (nil disables) under the
-// given crawl condition label, naming the failing heuristic.
-func AnalyzePageEvents(p *crawler.PageResult, sink event.Recorder, crawl string) SiteCanvases {
-	return AnalyzePageMemo(p, sink, crawl, nil)
+// given crawl condition label, naming the failing heuristic, one event
+// per extraction in page order. Each distinct payload is hashed and
+// classified once per call: a crawl's extractions repeat heavily, and
+// a map lookup by the data URL itself costs far less than its SHA-256.
+func AnalyzeAllEvents(pages []*crawler.PageResult, sink event.Recorder, crawl string) []SiteCanvases {
+	seen := map[payload]classified{}
+	out := make([]SiteCanvases, 0, len(pages))
+	for _, p := range pages {
+		out = append(out, analyzePage(p, sink, crawl, seen))
+	}
+	return out
 }
 
-// AnalyzePageMemo is AnalyzePageEvents with an optional verdict memo:
-// when memo is non-nil, classification of an already-seen (hash, anim)
-// pair reuses the cached verdict instead of re-decoding the payload.
-// Evidence events are recorded either way — the memo dedupes compute,
-// not provenance.
-func AnalyzePageMemo(p *crawler.PageResult, sink event.Recorder, crawl string, memo Memo) SiteCanvases {
+// analyzePage classifies one page's extractions, reusing the payloads
+// seen already holds and adding the ones it does not.
+func analyzePage(p *crawler.PageResult, sink event.Recorder, crawl string, seen map[payload]classified) SiteCanvases {
 	out := SiteCanvases{Domain: p.Domain, Rank: p.Rank, Cohort: p.Cohort, OK: p.OK}
 	animScripts := map[string]bool{}
 	for url, methods := range p.ScriptMethods {
@@ -166,23 +168,23 @@ func AnalyzePageMemo(p *crawler.PageResult, sink event.Recorder, crawl string, m
 		}
 	}
 	for _, e := range p.Extractions {
+		key := payload{e.DataURL, animScripts[e.ScriptURL]}
+		c, ok := seen[key]
+		if !ok {
+			c = classified{HashDataURL(e.DataURL), Classify(e.DataURL, key.anim)}
+			seen[key] = c
+		}
+		v := c.v
 		ci := CanvasInfo{
-			ScriptURL: e.ScriptURL,
-			DataURL:   e.DataURL,
-			Hash:      HashDataURL(e.DataURL),
+			ScriptURL:       e.ScriptURL,
+			DataURL:         e.DataURL,
+			Hash:            c.hash,
+			Format:          v.Format,
+			W:               v.W,
+			H:               v.H,
+			Fingerprintable: v.Fingerprintable,
+			Exclude:         v.Exclude,
 		}
-		anim := animScripts[e.ScriptURL]
-		var v Verdict
-		if memo != nil {
-			dataURL := e.DataURL
-			v = memo.GetOrCompute(MemoKey{Hash: ci.Hash, Anim: anim}, func() Verdict {
-				return Classify(dataURL, anim)
-			})
-		} else {
-			v = Classify(e.DataURL, anim)
-		}
-		ci.Format, ci.W, ci.H = v.Format, v.W, v.H
-		ci.Fingerprintable, ci.Exclude = v.Fingerprintable, v.Exclude
 		out.All = append(out.All, ci)
 		if sink != nil {
 			verdict, evidence := "fingerprintable", ""
@@ -199,21 +201,6 @@ func AnalyzePageMemo(p *crawler.PageResult, sink event.Recorder, crawl string, m
 				Detail:   EventDetail(ci.ScriptURL, ci.W, ci.H, ci.Format),
 			})
 		}
-	}
-	return out
-}
-
-// AnalyzeAll classifies every page of a crawl.
-func AnalyzeAll(pages []*crawler.PageResult) []SiteCanvases {
-	return AnalyzeAllEvents(pages, nil, "")
-}
-
-// AnalyzeAllEvents is AnalyzeAll with decision provenance (see
-// AnalyzePageEvents).
-func AnalyzeAllEvents(pages []*crawler.PageResult, sink event.Recorder, crawl string) []SiteCanvases {
-	out := make([]SiteCanvases, 0, len(pages))
-	for _, p := range pages {
-		out = append(out, AnalyzePageEvents(p, sink, crawl))
 	}
 	return out
 }
@@ -258,29 +245,6 @@ func parseDim(s string) (int, bool) {
 	return n, err == nil
 }
 
-// VerdictFromEvent reconstructs the memoizable Verdict a
-// detect.classify event recorded: the verdict/evidence fields carry
-// fingerprintability and the exclusion reason, the detail carries
-// dimensions and format. ok is false for non-classify events or
-// unparseable details — callers fall back to recomputing from the
-// payload.
-func VerdictFromEvent(e event.Event) (Verdict, bool) {
-	if e.Kind != event.DetectClassify {
-		return Verdict{}, false
-	}
-	_, w, h, format, ok := ParseEventDetail(e.Detail)
-	if !ok {
-		return Verdict{}, false
-	}
-	v := Verdict{Format: format, W: w, H: h}
-	if e.Verdict == "fingerprintable" {
-		v.Fingerprintable = true
-	} else {
-		v.Exclude = Reason(e.Evidence)
-	}
-	return v, true
-}
-
 // HashDataURL returns the canonical canvas identity: SHA-256 over the
 // full data URL. It hashes the string's bytes in place, since
 // sha256.Sum256 only reads its input: converting a data URL of tens of
@@ -293,8 +257,8 @@ func HashDataURL(u string) string {
 }
 
 // Classify applies the three heuristics in order. It is a pure
-// function of the payload and the animation flag — the property the
-// memo cache and the parallel executor both rely on.
+// function of the payload and the animation flag, which is what lets
+// AnalyzeAllEvents classify each distinct payload once.
 func Classify(dataURL string, fromAnimScript bool) Verdict {
 	var v Verdict
 	format, payload, err := imaging.ParseDataURL(dataURL)

@@ -3,6 +3,7 @@ package detect
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -235,7 +236,7 @@ func TestFailedPageSkippedInStats(t *testing.T) {
 // TestEventDetailRoundTrip pins the detect.classify Detail mini-format:
 // what EventDetail writes, ParseEventDetail reads back exactly, and the
 // full verdict survives a trip through an event record. The verdict
-// service's index builder and memo seeding both depend on this.
+// service's index builder depends on this.
 func TestEventDetailRoundTrip(t *testing.T) {
 	cases := []struct {
 		script string
@@ -263,32 +264,67 @@ func TestEventDetailRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVerdictFromEvent rebuilds verdicts from recorded classify events
-// and checks them against the live classification they came from.
-func TestVerdictFromEvent(t *testing.T) {
+// TestAnalyzeAllClassifiesEachExtraction runs one AnalyzeAllEvents call
+// over pages where one payload appears under both animation flags, in
+// both orders, and as separate string copies. Every extraction must get
+// what HashDataURL and Classify give its own data URL and flag, with
+// one event per extraction in page order: a map of verdicts keyed by
+// the data URL alone would hand the second flag the first one's
+// verdict.
+func TestAnalyzeAllClassifiesEachExtraction(t *testing.T) {
 	big := makeDataURL(t, 200, 50, "")
 	jpeg := makeDataURL(t, 64, 64, "image/jpeg")
-	sink := event.NewSink(16)
-	AnalyzePageEvents(pageWith([]crawler.Extraction{
-		{ScriptURL: "https://x.com/fp.js", DataURL: big},
-		{ScriptURL: "https://x.com/ed.js", DataURL: jpeg},
-	}, map[string]map[string]bool{"https://x.com/ed.js": {"save": true}}), sink, "control")
+	const fp, ed = "https://x.com/fp.js", "https://x.com/ed.js"
+	anim := map[string]map[string]bool{ed: {"save": true}}
+	pages := []*crawler.PageResult{
+		pageWith([]crawler.Extraction{{ScriptURL: fp, DataURL: big}, {ScriptURL: ed, DataURL: strings.Clone(big)}}, anim),
+		pageWith([]crawler.Extraction{{ScriptURL: ed, DataURL: big}, {ScriptURL: fp, DataURL: strings.Clone(big)}}, anim),
+		pageWith([]crawler.Extraction{{ScriptURL: fp, DataURL: jpeg}, {ScriptURL: ed, DataURL: jpeg}, {ScriptURL: fp, DataURL: big}}, anim),
+		pageWith(nil, nil),
+	}
+	for i, p := range pages {
+		p.Domain = fmt.Sprintf("site-%d.example", i)
+	}
+	sink := event.NewSink(64)
+	sites := AnalyzeAllEvents(pages, sink, "control")
+	if len(sites) != len(pages) {
+		t.Fatalf("%d results for %d pages", len(sites), len(pages))
+	}
 	events := sink.Events()
-	if len(events) != 2 {
-		t.Fatalf("want 2 classify events, got %d", len(events))
-	}
-	for i, u := range []string{big, jpeg} {
-		anim := i == 1
-		want := Classify(u, anim)
-		got, ok := VerdictFromEvent(events[i])
-		if !ok {
-			t.Fatalf("event %d: VerdictFromEvent failed (detail %q)", i, events[i].Detail)
+	n := 0
+	for i, p := range pages {
+		if sites[i].Domain != p.Domain || len(sites[i].All) != len(p.Extractions) {
+			t.Fatalf("page %d: result %s with %d canvases, want %s with %d",
+				i, sites[i].Domain, len(sites[i].All), p.Domain, len(p.Extractions))
 		}
-		if got != want {
-			t.Fatalf("event %d: verdict %+v, want %+v", i, got, want)
+		for j, e := range p.Extractions {
+			v := Classify(e.DataURL, e.ScriptURL == ed)
+			want := CanvasInfo{
+				ScriptURL: e.ScriptURL, DataURL: e.DataURL, Hash: HashDataURL(e.DataURL),
+				Format: v.Format, W: v.W, H: v.H, Fingerprintable: v.Fingerprintable, Exclude: v.Exclude,
+			}
+			if got := sites[i].All[j]; got != want {
+				t.Errorf("page %d extraction %d: %+v, want %+v", i, j, got, want)
+			}
+			if n >= len(events) {
+				t.Fatalf("only %d events", len(events))
+			}
+			ev := events[n]
+			n++
+			verdict := "fingerprintable"
+			if !v.Fingerprintable {
+				verdict = "excluded"
+			}
+			if ev.Site != p.Domain || ev.Subject != want.Hash || ev.Verdict != verdict || ev.Evidence != string(v.Exclude) ||
+				ev.Detail != EventDetail(e.ScriptURL, v.W, v.H, v.Format) {
+				t.Errorf("event %d: %+v, want page %d extraction %d (%s, %s)", n-1, ev, i, j, verdict, v.Exclude)
+			}
 		}
 	}
-	if _, ok := VerdictFromEvent(event.Event{Kind: event.ClusterAssign}); ok {
-		t.Fatal("non-classify events must not yield verdicts")
+	if n != len(events) {
+		t.Fatalf("%d events for %d extractions", len(events), n)
+	}
+	if sites[0].All[0].Fingerprintable == sites[0].All[1].Fingerprintable {
+		t.Fatal("one payload under both flags classified alike: the case is vacuous")
 	}
 }

@@ -711,7 +711,8 @@ func parseIndex(s string) (int, bool) {
 // --- navigator / window / screen ------------------------------------------------------
 
 type navigatorHost struct {
-	doc *Document
+	doc       *Document
+	languages jsvm.Value // navigator.languages, made on first read
 }
 
 func (h *navigatorHost) HostGet(name string) (jsvm.Value, bool) {
@@ -723,7 +724,10 @@ func (h *navigatorHost) HostGet(name string) (jsvm.Value, bool) {
 	case "language":
 		return jsvm.String("en-US"), true
 	case "languages":
-		return jsvm.NewArray(jsvm.String("en-US"), jsvm.String("en")), true
+		if h.languages.IsUndefined() {
+			h.languages = jsvm.NewArray(jsvm.String("en-US"), jsvm.String("en"))
+		}
+		return h.languages, true
 	case "hardwareConcurrency":
 		return jsvm.Number(8), true
 	case "webdriver":
@@ -738,9 +742,10 @@ func (h *navigatorHost) HostGet(name string) (jsvm.Value, bool) {
 func (h *navigatorHost) HostSet(name string, v jsvm.Value) bool { return false }
 
 type windowHost struct {
-	doc     *Document
-	props   map[string]jsvm.Value
-	natives methods
+	doc      *Document
+	props    map[string]jsvm.Value
+	location jsvm.Value // window.location, made on first read
+	natives  methods
 }
 
 func (h *windowHost) HostGet(name string) (jsvm.Value, bool) {
@@ -755,10 +760,12 @@ func (h *windowHost) HostGet(name string) (jsvm.Value, bool) {
 	case "devicePixelRatio":
 		return jsvm.Number(1), true
 	case "location":
-		loc := jsvm.NewObject()
-		loc.Object().Props["hostname"] = jsvm.String(h.doc.Domain)
-		loc.Object().Props["href"] = jsvm.String("https://" + h.doc.Domain + "/")
-		return loc, true
+		if h.location.IsUndefined() {
+			h.location = jsvm.NewObject()
+			h.location.Object().Props["hostname"] = jsvm.String(h.doc.Domain)
+			h.location.Object().Props["href"] = jsvm.String("https://" + h.doc.Domain + "/")
+		}
+		return h.location, true
 	case "__string__":
 		return jsvm.String("[object Window]"), true
 	}

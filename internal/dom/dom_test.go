@@ -556,6 +556,11 @@ func TestHostIdentity(t *testing.T) {
 		{`var d = document.createElement('div'); d.style === d.style && d.appendChild === d.appendChild`, "true"},
 		{`document.body.foo = 1; document.body.foo`, "1"},
 		{`window.setTimeout === window.setTimeout`, "true"},
+		{`window.location === window.location`, "true"},
+		{`window.location.foo = 1; window.location.foo`, "1"},
+		{`window.location.hostname`, "example.com"},
+		{`navigator.languages === navigator.languages`, "true"},
+		{`navigator.languages[0] + navigator.languages.length`, "en-US2"},
 		{`var g = document.createElement('canvas').getContext('2d').createLinearGradient(0, 0, 1, 1); g.addColorStop === g.addColorStop`, "true"},
 		{`var c = document.createElement('canvas'); var gl = c.getContext('webgl'); gl.clear === gl.clear`, "true"},
 		{`document.createElement('canvas') === document.createElement('canvas')`, "false"},

@@ -30,10 +30,6 @@ type CLI struct {
 	// written as trace_exemplars.jsonl next to the bundle with
 	// -outdir. Never changes bundle bytes.
 	Tracez bool
-	// AnalysisWorkers is the post-crawl analysis pool width (0 =
-	// follow the crawler worker count). Any width yields the same
-	// bundle bytes; the knob only trades wall-clock for cores.
-	AnalysisWorkers int
 }
 
 // BindCLI registers the shared observability flags on fs (use
@@ -46,7 +42,6 @@ func BindCLI(fs *flag.FlagSet) *CLI {
 	fs.DurationVar(&c.Window, "window", 0, "sliding window for the live RED metric views (default 1m)")
 	fs.StringVar(&c.OutDir, "outdir", "", "write a run bundle (manifest, metrics, trace, events, reports) to this directory")
 	fs.BoolVar(&c.Tracez, "tracez", false, "capture per-visit span trees into the bounded exemplar reservoir (/tracez endpoint; trace_exemplars.jsonl with -outdir)")
-	fs.IntVar(&c.AnalysisWorkers, "analysis-workers", 0, "analysis worker pool width (0 = same as crawler workers; output is identical at any width)")
 	return c
 }
 

@@ -14,7 +14,7 @@ func TestBindCLIDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Metrics || c.Pprof != "" || c.Status != "" ||
-		c.Window != 0 || c.OutDir != "" || c.AnalysisWorkers != 0 {
+		c.Window != 0 || c.OutDir != "" || c.Tracez {
 		t.Fatalf("defaults not zero: %+v", c)
 	}
 	if addr, pprof := c.OpsAddr(); addr != "" || pprof {
@@ -31,13 +31,13 @@ func TestBindCLIParses(t *testing.T) {
 		"-status", "127.0.0.1:9000",
 		"-window", "30s",
 		"-outdir", "bundle",
-		"-analysis-workers", "4",
+		"-tracez",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Metrics || c.Status != "127.0.0.1:9000" ||
-		c.Window != 30*time.Second || c.OutDir != "bundle" || c.AnalysisWorkers != 4 {
+		c.Window != 30*time.Second || c.OutDir != "bundle" || !c.Tracez {
 		t.Fatalf("parsed = %+v", c)
 	}
 	if addr, pprof := c.OpsAddr(); addr != "127.0.0.1:9000" || pprof {

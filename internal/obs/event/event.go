@@ -115,10 +115,7 @@ type Event struct {
 }
 
 // Recorder is the write half of an event log. *Sink implements it (a
-// nil *Sink passed through the interface still no-ops on Record), and
-// Buffer implements it for deferred, reordered replay — the parallel
-// analysis executor records each shard into a private Buffer and
-// drains the buffers into the shared Sink in deterministic page order.
+// nil *Sink passed through the interface still no-ops on Record).
 type Recorder interface {
 	Record(Event)
 }
@@ -481,32 +478,6 @@ func field(b []byte, f int) []byte {
 		}
 		b = b[l:]
 	}
-}
-
-// Buffer is a deliberately unsynchronized Recorder: it appends events
-// to a slice without stamping Schema or Seq, so one goroutine can
-// collect a shard's decisions privately and replay them into the
-// shared Sink once ordering is decided. Stamping happens at Drain
-// time, inside the Sink, which is what makes a buffered-then-merged
-// event log byte-identical to one recorded serially.
-type Buffer struct {
-	events []Event
-}
-
-// Record appends one event. Not safe for concurrent use — each shard
-// owns exactly one Buffer.
-func (b *Buffer) Record(e Event) { b.events = append(b.events, e) }
-
-// Len returns the number of buffered events.
-func (b *Buffer) Len() int { return len(b.events) }
-
-// Drain replays the buffered events into dst in record order and
-// empties the buffer.
-func (b *Buffer) Drain(dst Recorder) {
-	for _, e := range b.events {
-		dst.Record(e)
-	}
-	b.events = b.events[:0]
 }
 
 // ReadJSONL parses an events.jsonl stream. Events from a newer schema

@@ -34,13 +34,11 @@ type CrawlStatus struct {
 	Done     bool `json:"done"`
 }
 
-// AnalysisStatus is one completed analysis-executor invocation.
+// AnalysisStatus is one completed analysis pass over a crawl.
 type AnalysisStatus struct {
 	Crawl    string `json:"crawl"`
 	Pages    int    `json:"pages"`
 	Canvases int    `json:"canvases"`
-	Shards   int    `json:"shards"`
-	Workers  int    `json:"workers"`
 }
 
 // CheckpointStatus reports the checkpoint sidecar's live state.
@@ -66,8 +64,8 @@ type StatusSnapshot struct {
 
 // Status is the live run-progress tracker behind /healthz, /readyz,
 // and /statusz. It is fed by the pipeline (lifecycle state), the
-// crawler's ordered-commit point (per-condition frontier), the analysis
-// executor (per-condition run stats) and the checkpoint writer. The
+// crawler's ordered-commit point (per-condition frontier), the study's
+// analysis passes (per-condition totals) and the checkpoint writer. The
 // /statusz phase ledger is not kept here: the ops plane builds it from
 // the tracer's spans at request time.
 //
@@ -168,15 +166,13 @@ func (s *Status) ActiveCrawl() (CrawlStatus, bool) {
 	return CrawlStatus{}, false
 }
 
-// RecordAnalysis appends one completed executor run.
-func (s *Status) RecordAnalysis(crawl string, pages, canvases, shards, workers int) {
+// RecordAnalysis appends one completed analysis pass.
+func (s *Status) RecordAnalysis(crawl string, pages, canvases int) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.analyses = append(s.analyses, AnalysisStatus{
-		Crawl: crawl, Pages: pages, Canvases: canvases, Shards: shards, Workers: workers,
-	})
+	s.analyses = append(s.analyses, AnalysisStatus{Crawl: crawl, Pages: pages, Canvases: canvases})
 	s.mu.Unlock()
 }
 

@@ -32,7 +32,7 @@ func TestStatusNilSafe(t *testing.T) {
 	s.MarkDone()
 	s.MarkFailed()
 	s.CrawlProgress("control", 1, 2, false)
-	s.RecordAnalysis("control", 1, 2, 3, 4)
+	s.RecordAnalysis("control", 1, 2)
 	s.CheckpointWrite("dir", 1, false)
 	if s.State() != StateInit || s.Ready() {
 		t.Fatal("nil status must report init / not ready")
@@ -81,7 +81,7 @@ func TestCheckpointAndAnalysisStatus(t *testing.T) {
 	base := time.Unix(5000, 0)
 	s.now = func() time.Time { return base }
 	s.CheckpointWrite("/tmp/ckpt", 3, false)
-	s.RecordAnalysis("control", 800, 120, 16, 8)
+	s.RecordAnalysis("control", 800, 120)
 
 	snap := s.Snapshot()
 	if snap.Checkpoint == nil || snap.Checkpoint.Writes != 3 || !snap.Checkpoint.LastWrite.Equal(base) {

@@ -202,7 +202,7 @@ func readSpanRecords(path string) ([]obs.SpanRecord, error) {
 }
 
 // VisitForest gathers every retained visit-kind exemplar tree across
-// conditions. Batch exemplars are skipped.
+// conditions. Exemplars of any other kind are skipped.
 func (ex *Export) VisitForest() []*Span {
 	if ex == nil {
 		return nil

@@ -20,7 +20,7 @@ func TestExportRoundTrip(t *testing.T) {
 		r.Offer(vt)
 	}
 	bt := mkVisit("analyze.control", "shard-0000", 0, 7)
-	bt.Kind = KindBatch
+	bt.Kind = "batch"
 	r.Offer(bt)
 
 	dir := t.TempDir()

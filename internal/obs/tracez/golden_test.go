@@ -86,7 +86,7 @@ func goldenReservoir(variant string) *Reservoir {
 		}
 	}
 	bt := &VisitTrace{
-		Kind: KindBatch, Condition: "analyze.control", Domain: "shard-0000", Index: 0,
+		Kind: "batch", Condition: "analyze.control", Domain: "shard-0000", Index: 0,
 		Outcome: "ok", Cost: 37, Wall: 12 * time.Millisecond,
 		Root: &Span{Name: "batch", Wall: 12 * time.Millisecond, Cost: 37,
 			Labels: map[string]string{"pages": "12"}},

@@ -1,7 +1,6 @@
 // Package tracez is the trace-analytics layer: fine-grained per-visit
-// span trees captured by the crawler, per-batch spans from the
-// analysis executor, a bounded deterministic exemplar reservoir, and a
-// critical-path analyzer over span forests.
+// span trees captured by the crawler, a bounded deterministic exemplar
+// reservoir, and a critical-path analyzer over span forests.
 //
 // The main obs.Tracer records pipeline *phases* — tens of spans per
 // study — and this package is what reads them back: BuildForest turns
@@ -36,17 +35,12 @@ import (
 // SchemaVersion gates the trace_exemplars.jsonl format.
 const SchemaVersion = 1
 
-// Exemplar kinds.
-const (
-	// KindVisit is a per-visit span tree from the crawler. Visit
-	// exemplars are deterministic across worker widths.
-	KindVisit = "visit"
-	// KindBatch is a per-shard span from the analysis executor. The
-	// shard fan-out depends on the worker count, so batch exemplars
-	// describe the actual execution and are excluded from
-	// SelectionKey.
-	KindBatch = "batch"
-)
+// KindVisit is the exemplar kind of a per-visit span tree from the
+// crawler. Visit exemplars are deterministic across worker widths.
+// Sidecars written by older builds also hold per-shard "batch"
+// exemplars from a parallel analysis pass; every reader skips kinds
+// other than KindVisit.
+const KindVisit = "visit"
 
 // Span is one node of an exemplar span tree. Off and Wall are real
 // wall-clock measurements (volatile across runs); Cost is the node's
@@ -86,17 +80,17 @@ func (sp *Span) SetLabel(k, v string) {
 	sp.Labels[k] = v
 }
 
-// VisitTrace is one complete exemplar: a visit (or analysis batch)
-// span tree plus the identity and totals the reservoir selects on.
+// VisitTrace is one complete exemplar: a visit span tree plus the
+// identity and totals the reservoir selects on.
 type VisitTrace struct {
 	Kind      string `json:"kind"`
 	Condition string `json:"condition"`
-	// Domain identifies the visited site (or the batch id for
-	// KindBatch exemplars).
+	// Domain identifies the visited site (or the shard id of an older
+	// sidecar's batch exemplar).
 	Domain string `json:"domain"`
 	Rank   int    `json:"rank,omitempty"`
-	// Index is the page index within the condition's crawl (or the
-	// shard index for batches) — the deterministic tie-breaker.
+	// Index is the page index within the condition's crawl — the
+	// deterministic tie-breaker.
 	Index   int    `json:"index"`
 	Outcome string `json:"outcome,omitempty"`
 	// Cost is the tree's total deterministic work measure.
@@ -120,15 +114,6 @@ func NewVisit(condition, domain string, rank, index int) *Builder {
 	return newBuilder(&VisitTrace{
 		Kind: KindVisit, Condition: condition, Domain: domain,
 		Rank: rank, Index: index, Root: &Span{Name: "visit"},
-	})
-}
-
-// NewBatch starts a per-shard analysis batch trace rooted at a
-// "batch" span.
-func NewBatch(condition, id string, shard int) *Builder {
-	return newBuilder(&VisitTrace{
-		Kind: KindBatch, Condition: condition, Domain: id,
-		Index: shard, Root: &Span{Name: "batch"},
 	})
 }
 
@@ -186,7 +171,7 @@ type condRes struct {
 }
 
 // Reservoir is the bounded, deterministic exemplar store. Offer it
-// every committed visit (in page order) and every analysis batch; it
+// every committed visit (in page order); it
 // keeps the slowest-N per condition by deterministic Cost plus a
 // seeded head sample, and discards the rest. All methods are nil-safe
 // and concurrency-safe.
@@ -224,8 +209,8 @@ func outranks(a, b *VisitTrace) bool {
 }
 
 // Offer submits one finished exemplar. Call it from a deterministic
-// sequencing point (the crawler's ordered committer; the executor's
-// post-merge shard loop) — the reservoir itself is order-sensitive
+// sequencing point (the crawler's ordered committer) — the reservoir
+// itself is order-sensitive
 // only through the head sample's fill order.
 func (r *Reservoir) Offer(vt *VisitTrace) {
 	if r == nil || vt == nil {
@@ -387,8 +372,8 @@ func (r *Reservoir) Snapshot() []CondExemplars {
 // cost, outcome) — with every wall-clock field stripped. Costs and
 // outcomes are deterministic functions of the study seed and visits
 // are offered in page order, so this projection is byte-identical
-// across worker widths and runs. Batch exemplars describe the actual
-// shard fan-out (a function of the worker count) and are excluded.
+// across worker widths and runs. Exemplars of any other kind are
+// excluded.
 func (r *Reservoir) SelectionKey() []byte {
 	var out []byte
 	for _, ce := range r.Snapshot() {

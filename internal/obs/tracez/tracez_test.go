@@ -107,14 +107,14 @@ func TestSelectionKeyDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectionKeyExcludesBatches: batch exemplars describe the actual
-// shard fan-out (worker-count dependent), so they must not appear in
-// the deterministic projection.
+// TestSelectionKeyExcludesBatches: batch exemplars, which older builds'
+// parallel analysis offered per shard, must not appear in the
+// deterministic projection.
 func TestSelectionKeyExcludesBatches(t *testing.T) {
 	r := NewReservoir(1, 4, 4)
 	r.Offer(mkVisit("control", "site-a.com", 0, 10))
 	bt := mkVisit("analyze.control", "shard-0001", 1, 99)
-	bt.Kind = KindBatch
+	bt.Kind = "batch"
 	r.Offer(bt)
 	key := r.SelectionKey()
 	if bytes.Contains(key, []byte("analyze.control")) || bytes.Contains(key, []byte("shard-")) {

@@ -166,8 +166,8 @@ type Snapshot struct {
 	// Rates maps counter name to per-second increase over the window.
 	// Counters with zero delta are omitted.
 	Rates map[string]float64 `json:"rates,omitempty"`
-	// Ratios are named error/hit ratios derived from counter deltas
-	// (retry ratio, timeout ratio, degraded ratio, cache hit rates).
+	// Ratios are named ratios derived from counter deltas (error,
+	// retry, timeout and degraded ratios).
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 	// Durations maps histogram name to windowed latency stats.
 	// Histograms with no window observations are omitted.
@@ -261,8 +261,6 @@ func ratios(d map[string]int64) map[string]float64 {
 	frac("crawl.retry_ratio", d["crawl.retry"], visits)
 	frac("crawl.timeout_ratio", d["crawl.timeout"], visits)
 	frac("crawl.degraded_ratio", d["crawl.visits.degraded"], visits)
-	frac("analysis.cache.hit_ratio", d["analysis.cache.hits"],
-		d["analysis.cache.hits"]+d["analysis.cache.misses"])
 	if len(out) == 0 {
 		return nil
 	}

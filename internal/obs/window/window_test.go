@@ -18,8 +18,6 @@ func TestREDRatesAndRatios(t *testing.T) {
 	r.Counter("crawl.retry").Add(25)
 	r.Counter("crawl.timeout").Add(5)
 	r.Counter("crawl.visits.degraded").Add(4)
-	r.Counter("analysis.cache.hits").Add(30)
-	r.Counter("analysis.cache.misses").Add(10)
 	v.SampleAt(t0.Add(10 * time.Second))
 
 	red := v.RED()
@@ -41,9 +39,6 @@ func TestREDRatesAndRatios(t *testing.T) {
 	if got := red.Ratios["crawl.degraded_ratio"]; got != 0.04 {
 		t.Fatalf("degraded ratio = %v, want 0.04", got)
 	}
-	if got := red.Ratios["analysis.cache.hit_ratio"]; got != 0.75 {
-		t.Fatalf("analysis cache hit ratio = %v, want 0.75", got)
-	}
 	if got := v.VisitRate(); got != 10 {
 		t.Fatalf("VisitRate = %v, want 10/s", got)
 	}
@@ -52,10 +47,10 @@ func TestREDRatesAndRatios(t *testing.T) {
 	idle := obs.NewRegistry()
 	iv := New(idle, 10*time.Second)
 	iv.SampleAt(t0)
-	idle.Counter("crawl.visits.ok").Add(5)
+	idle.Counter("crawl.retry").Add(5)
 	iv.SampleAt(t0.Add(10 * time.Second))
-	if _, ok := iv.RED().Ratios["analysis.cache.hit_ratio"]; ok {
-		t.Fatal("analysis cache ratio reported with no lookups in the window")
+	if _, ok := iv.RED().Ratios["crawl.retry_ratio"]; ok {
+		t.Fatal("retry ratio reported with no visits in the window")
 	}
 }
 

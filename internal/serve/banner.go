@@ -19,10 +19,9 @@ func Banner(s *Service) string {
 		fmt.Fprintf(&sb, ", conditions %s", strings.Join(m.Conditions, "+"))
 	}
 	fmt.Fprintf(&sb, ", %d events\n", st.EventsIndexed)
-	fmt.Fprintf(&sb, "  index:     %d canvases (%d fingerprintable), %d sites (%d fingerprinting), %d clusters (%d attributed), %d shards\n",
+	fmt.Fprintf(&sb, "  index:     %d canvases (%d fingerprintable), %d sites (%d fingerprinting), %d clusters (%d attributed)\n",
 		st.Canvases, st.FingerprintableCanvases, st.Sites, st.FingerprintingSites,
-		st.Clusters, st.AttributedClusters, st.Shards)
-	fmt.Fprintf(&sb, "  memo:      %d verdicts seeded from the event log\n", s.seeded)
+		st.Clusters, st.AttributedClusters)
 	if s.Lists != nil {
 		fmt.Fprintf(&sb, "  lists:     %s %d rules, %s %d rules, %s %d domains\n",
 			s.Lists.EasyList.Name, s.Lists.EasyList.Len(),

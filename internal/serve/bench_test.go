@@ -45,7 +45,7 @@ func benchBase(b *testing.B) (string, []string, []string) {
 		// Control-only: clustering/attribution still run in Analyze, and
 		// one condition keeps the fixture build near the benchmark's own
 		// runtime instead of dominating it.
-		st := canvassing.New(canvassing.Options{Seed: 3, Scale: 0.2, Workers: 8, AnalysisWorkers: 8})
+		st := canvassing.New(canvassing.Options{Seed: 3, Scale: 0.2, Workers: 8})
 		st.RunControl()
 		st.Analyze()
 		if err := st.WriteBundle(dir); err != nil {
@@ -220,7 +220,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // unseen (unknown). The batching window is 1 ns, so every request
 // probes the index rather than joining an earlier flight.
 func BenchmarkServeClassifyBatch(b *testing.B) {
-	svc := serve.FixtureService(b, 0, time.Nanosecond)
+	svc := serve.FixtureService(b, time.Nanosecond)
 	known, _ := bundleKeys(b, serve.FixtureDir(b))
 	mux := serve.APIMux(svc)
 	const batchSize = 64

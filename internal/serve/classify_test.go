@@ -80,13 +80,11 @@ func TestClassifyAnswersMatchMarshal(t *testing.T) {
 	}
 	hostile := []string{"unknown", `<script>&"x"`, "a\x00b", "\xff\xfe", "", strings.Repeat("z", 1024)}
 	for _, window := range []time.Duration{time.Nanosecond, time.Hour} {
-		svc := FixtureService(t, 0, window)
+		svc := FixtureService(t, window)
 		mux := APIMux(svc)
 		var hashes []string
-		for _, shard := range svc.Index.canvas {
-			for h := range shard {
-				hashes = append(hashes, h)
-			}
+		for h := range svc.Index.canvas {
+			hashes = append(hashes, h)
 		}
 		sort.Strings(hashes)
 		if len(hashes) == 0 {

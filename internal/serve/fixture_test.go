@@ -21,10 +21,11 @@ import (
 
 // fixture is one real (small) study, run once per test binary.
 var fixture struct {
-	once  sync.Once
-	dir   string
-	lists *blocklist.StandardLists
-	err   error
+	once     sync.Once
+	dir      string
+	lists    *blocklist.StandardLists
+	canvases []detect.CanvasInfo
+	err      error
 }
 
 // FixtureDir runs the shared study (seed 11, the serve-smoke
@@ -38,7 +39,7 @@ func FixtureDir(tb testing.TB) string {
 			return
 		}
 		st := canvassing.Run(canvassing.Options{
-			Seed: 11, Scale: 0.02, Workers: 2, AnalysisWorkers: 4, WithAdblock: true,
+			Seed: 11, Scale: 0.02, Workers: 2, WithAdblock: true,
 		})
 		if err := st.WriteBundle(dir); err != nil {
 			fixture.err = err
@@ -46,6 +47,9 @@ func FixtureDir(tb testing.TB) string {
 		}
 		fixture.dir = dir
 		fixture.lists = canvassing.ListsForSeed(11)
+		for i := range st.Sites {
+			fixture.canvases = append(fixture.canvases, st.Sites[i].All...)
+		}
 	})
 	if fixture.err != nil {
 		tb.Fatal(fixture.err)
@@ -53,14 +57,21 @@ func FixtureDir(tb testing.TB) string {
 	return fixture.dir
 }
 
+// FixtureCanvases returns every extraction the shared study's control
+// crawl recorded, data URL and verdict included, in crawl order.
+func FixtureCanvases(tb testing.TB) []detect.CanvasInfo {
+	tb.Helper()
+	FixtureDir(tb)
+	return fixture.canvases
+}
+
 // FixtureService loads a service over the shared study's bundle. The
 // blocklists are built once and shared: they are read-only after
 // construction.
-func FixtureService(tb testing.TB, shards int, window time.Duration) *Service {
+func FixtureService(tb testing.TB, window time.Duration) *Service {
 	tb.Helper()
 	svc, err := Load(Config{
 		Dir:      FixtureDir(tb),
-		Shards:   shards,
 		Window:   window,
 		ListsFor: func(uint64) *blocklist.StandardLists { return fixture.lists },
 	})

@@ -41,7 +41,7 @@ func TestSiteResponseGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a real study bundle")
 	}
-	svc := serve.FixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0)
 	top := svc.Index.Stats().TopSite
 	if top == "" {
 		t.Fatal("fixture has no top fingerprinting site")
@@ -59,6 +59,6 @@ func TestBannerGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a real study bundle")
 	}
-	svc := serve.FixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0)
 	golden(t, "banner.golden", serve.Banner(svc))
 }

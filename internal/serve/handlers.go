@@ -153,8 +153,9 @@ type SiteResponse struct {
 
 // StatsResponse answers GET /v1/stats: the deterministic index summary
 // serve -check probes for stable identifiers. Deliberately excludes
-// anything configuration-dependent (shard count, batch window) so the
-// payload is byte-identical across serving configurations.
+// anything configuration-dependent (the batch window) so the payload
+// is byte-identical across serving configurations. SeededVerdicts
+// counts the detect.classify events whose detail parses.
 type StatsResponse struct {
 	Seed                    uint64   `json:"seed"`
 	Scale                   float64  `json:"scale"`
@@ -419,13 +420,11 @@ func classifyRecord(rec *CanvasRecord) ClassifyResponse {
 	return resp
 }
 
-// classifyData classifies a full data URL through the seeded memo:
-// canvases the study saw answer from the cache, fresh ones compute
-// once and stay cached.
+// classifyData classifies a full data URL. Classify is a pure function
+// of the payload and the flag, so a canvas the study recorded gets the
+// verdict the bundle holds for it, and nothing is kept per request.
 func (s *Service) classifyData(hash, dataURL string, anim bool) ClassifyResponse {
-	v := s.Memo.GetOrCompute(detect.MemoKey{Hash: hash, Anim: anim}, func() detect.Verdict {
-		return detect.Classify(dataURL, anim)
-	})
+	v := detect.Classify(dataURL, anim)
 	resp := ClassifyResponse{
 		Hash:            hash,
 		Known:           true,
@@ -612,7 +611,7 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 			FingerprintingSites:     st.FingerprintingSites,
 			Clusters:                st.Clusters,
 			AttributedClusters:      st.AttributedClusters,
-			SeededVerdicts:          s.seeded,
+			SeededVerdicts:          st.Verdicts,
 			TopCluster:              st.TopCluster,
 			TopSite:                 st.TopSite,
 		})

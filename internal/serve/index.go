@@ -6,13 +6,12 @@ import (
 	"canvassing/internal/bundle"
 	"canvassing/internal/detect"
 	"canvassing/internal/obs/event"
-	"canvassing/internal/stats"
 )
 
 // CanvasRecord is the read index's view of one canvas identity: every
 // fact the evidence log recorded about a hash, flattened for O(1)
 // lookup. Records are immutable after Build, which is what makes the
-// shard maps safe for lock-free concurrent reads.
+// index maps safe for lock-free concurrent reads.
 type CanvasRecord struct {
 	// Hash is the SHA-256 canvas identity (detect.HashDataURL).
 	Hash string
@@ -112,8 +111,10 @@ type IndexStats struct {
 	FingerprintingSites     int
 	Clusters                int
 	AttributedClusters      int
-	Shards                  int
-	Conditions              []string
+	// Verdicts counts the detect.classify events whose detail
+	// ParseEventDetail accepts.
+	Verdicts   int
+	Conditions []string
 	// TopCluster is the hash with the most cluster members (ties broken
 	// by hash); TopSite the fingerprinting site with the most
 	// fingerprintable extractions (ties broken by domain). Both are ""
@@ -122,37 +123,25 @@ type IndexStats struct {
 	TopSite    string
 }
 
-// Index holds the sharded read-only lookup structures over one loaded
-// bundle. Shard assignment is a pure function of the key (FNV hash mod
-// shard count), and every slice inside a record is sorted during the
-// deterministic finalize pass — so responses are byte-identical for any
-// shard count and any GOMAXPROCS (TestServeShardInvariance pins this).
+// Index holds the read-only lookup maps over one loaded bundle. It is
+// built once and only read afterwards, so concurrent lookups need no
+// lock. Every slice inside a record is sorted during the deterministic
+// finalize pass, so responses are byte-identical at any GOMAXPROCS
+// (TestServeShardInvariance pins this).
 type Index struct {
-	shards int
-	canvas []map[string]*CanvasRecord
-	sites  []map[string]*SiteRecord
+	canvas map[string]*CanvasRecord
+	sites  map[string]*SiteRecord
 	stats  IndexStats
 }
 
-// DefaultShards is the index shard count when Config.Shards <= 0.
-const DefaultShards = 8
-
-// BuildIndex constructs the sharded indexes from a loaded bundle's
-// event log. Construction iterates events in record order and
-// finalizes over sorted key slices — never over Go map iteration — so
-// the result is deterministic.
-func BuildIndex(b *bundle.Bundle, shards int) *Index {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
+// BuildIndex constructs the indexes from a loaded bundle's event log.
+// Construction iterates events in record order and finalizes over
+// sorted key slices — never over Go map iteration — so the result is
+// deterministic.
+func BuildIndex(b *bundle.Bundle) *Index {
 	ix := &Index{
-		shards: shards,
-		canvas: make([]map[string]*CanvasRecord, shards),
-		sites:  make([]map[string]*SiteRecord, shards),
-	}
-	for i := 0; i < shards; i++ {
-		ix.canvas[i] = map[string]*CanvasRecord{}
-		ix.sites[i] = map[string]*SiteRecord{}
+		canvas: map[string]*CanvasRecord{},
+		sites:  map[string]*SiteRecord{},
 	}
 
 	// Accumulate into builder maps first; set semantics live here so
@@ -200,6 +189,7 @@ func BuildIndex(b *bundle.Bundle, shards int) *Index {
 				cb.sites[e.Site] = true
 			}
 			if script, w, h, format, ok := detect.ParseEventDetail(e.Detail); ok {
+				ix.stats.Verdicts++
 				if script != "" {
 					cb.scripts[script] = true
 				}
@@ -280,8 +270,8 @@ func BuildIndex(b *bundle.Bundle, shards int) *Index {
 		ix.stats.EventsIndexed++
 	}
 
-	// Finalize over sorted keys: shard assignment and every record
-	// slice are derived here, never from map iteration order.
+	// Finalize over sorted keys: every record slice is derived here,
+	// never from map iteration order.
 	hashes := sortedKeys(canvases)
 	for _, h := range hashes {
 		cb := canvases[h]
@@ -292,7 +282,7 @@ func BuildIndex(b *bundle.Bundle, shards int) *Index {
 		sort.Strings(r.ClusterSites)
 		// Cannot fail: nothing in a ClassifyResponse can fail to encode.
 		r.answer, _ = marshal(classifyRecord(r))
-		ix.canvas[ix.shardOf(h)][h] = r
+		ix.canvas[h] = r
 		ix.stats.Canvases++
 		if r.Fingerprintable {
 			ix.stats.FingerprintableCanvases++
@@ -326,7 +316,7 @@ func BuildIndex(b *bundle.Bundle, shards int) *Index {
 			r.Vendors = append(r.Vendors, VendorRef{Vendor: slug, Mechanism: sb.vendors[slug]})
 		}
 		r.Clusters = sortedKeys(sb.clusters)
-		ix.sites[ix.shardOf(d)][d] = r
+		ix.sites[d] = r
 		ix.stats.Sites++
 		if r.Fingerprinting() {
 			ix.stats.FingerprintingSites++
@@ -337,7 +327,6 @@ func BuildIndex(b *bundle.Bundle, shards int) *Index {
 		}
 	}
 	ix.stats.Conditions = sortedKeys(condSet)
-	ix.stats.Shards = shards
 	return ix
 }
 
@@ -362,25 +351,16 @@ func (s *SiteRecord) fingerprintableTotal() int {
 
 // Canvas returns the record for a canvas hash, or nil.
 func (ix *Index) Canvas(hash string) *CanvasRecord {
-	return ix.canvas[ix.shardOf(hash)][hash]
+	return ix.canvas[hash]
 }
 
 // Site returns the record for a domain, or nil.
 func (ix *Index) Site(domain string) *SiteRecord {
-	return ix.sites[ix.shardOf(domain)][domain]
+	return ix.sites[domain]
 }
 
 // Stats returns the index summary.
 func (ix *Index) Stats() IndexStats { return ix.stats }
-
-// Shards returns the shard count the index was built with.
-func (ix *Index) Shards() int { return ix.shards }
-
-// shardOf spreads keys over the shards: a pure function of the key, so
-// the record a lookup finds never depends on the shard count.
-func (ix *Index) shardOf(key string) int {
-	return int(stats.HashString(key) % uint64(ix.shards))
-}
 
 type canvasBuild struct {
 	rec        *CanvasRecord

@@ -1,6 +1,6 @@
 // Package serve is the detection-as-a-service layer: it loads a
 // finished study's run bundle (manifest + evidence event log), builds
-// sharded in-memory read indexes over the recorded verdicts, cluster
+// in-memory read indexes over the recorded verdicts, cluster
 // assignments, attributions, and blocklist decisions, and answers JSON
 // lookups at production rates:
 //
@@ -14,20 +14,17 @@
 // Serving is strictly read-only over the bundle: loading builds
 // immutable indexes and never rewrites an artifact byte
 // (TestServeBundleInvariance), and every response is a pure function
-// of the bundle regardless of shard count or GOMAXPROCS
-// (TestServeShardInvariance). Concurrent identical lookups coalesce
-// through a windowed singleflight Batcher so hot keys cost one index
-// probe per window.
+// of the bundle regardless of GOMAXPROCS (TestServeShardInvariance).
+// Concurrent identical lookups coalesce through a windowed singleflight
+// Batcher so hot keys cost one index probe per window.
 package serve
 
 import (
 	"fmt"
 	"time"
 
-	"canvassing/internal/analysis"
 	"canvassing/internal/blocklist"
 	"canvassing/internal/bundle"
-	"canvassing/internal/detect"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/ops"
 )
@@ -36,8 +33,6 @@ import (
 type Config struct {
 	// Dir is the bundle directory to load (Load only).
 	Dir string
-	// Shards is the index shard count (DefaultShards when <= 0).
-	Shards int
 	// Window is the lookup-batching window (DefaultWindow when <= 0).
 	Window time.Duration
 	// ListsFor rebuilds the blocklists for the bundle's seed —
@@ -51,10 +46,6 @@ type Config struct {
 type Service struct {
 	Bundle *bundle.Bundle
 	Index  *Index
-	// Memo is the verdict cache, pre-seeded from the bundle's
-	// detect.classify events; data-URL classifications the crawl never
-	// saw compute once and cache here.
-	Memo *analysis.Cache
 	// Lists is the reconstructed blocklist set (nil without ListsFor).
 	Lists *blocklist.StandardLists
 	// Tel is the service's own telemetry (request counters and the
@@ -62,8 +53,7 @@ type Service struct {
 	// recorded metrics, which stay frozen on disk.
 	Tel *obs.Telemetry
 
-	batch  *Batcher
-	seeded int
+	batch *Batcher
 
 	reqs    *obs.Counter
 	errs    *obs.Counter
@@ -82,8 +72,8 @@ func Load(cfg Config) (*Service, error) {
 }
 
 // New builds a service over an already-loaded bundle — the in-memory
-// entry point tests and fuzz fixtures use. Index construction and memo
-// seeding are deterministic: one ordered pass over the event log.
+// entry point tests and fuzz fixtures use. Index construction is
+// deterministic: one ordered pass over the event log.
 func New(b *bundle.Bundle, cfg Config) (*Service, error) {
 	if b == nil {
 		return nil, fmt.Errorf("serve: nil bundle")
@@ -91,8 +81,7 @@ func New(b *bundle.Bundle, cfg Config) (*Service, error) {
 	tel := obs.NewTelemetry()
 	svc := &Service{
 		Bundle:  b,
-		Index:   BuildIndex(b, cfg.Shards),
-		Memo:    analysis.NewCache(tel.Metrics),
+		Index:   BuildIndex(b),
 		Tel:     tel,
 		batch:   NewBatcher(cfg.Window),
 		reqs:    tel.Metrics.Counter("serve.requests"),
@@ -102,47 +91,9 @@ func New(b *bundle.Bundle, cfg Config) (*Service, error) {
 	if cfg.ListsFor != nil {
 		svc.Lists = cfg.ListsFor(b.Manifest.Seed)
 	}
-	svc.seeded = seedMemo(svc.Memo, b)
 	tel.Status.MarkDone()
 	return svc, nil
 }
-
-// seedMemo replays the bundle's detect.classify events into the verdict
-// cache so /v1/classify answers for known payloads without recomputing.
-// The event log does not record the extracting script's animation flag
-// directly, but the verdict pins it down:
-//
-//   - "fingerprintable" implies heuristic 3 did not fire → anim=false;
-//   - exclusion "animation-script" implies it did → anim=true;
-//   - every other exclusion (lossy-format, small-canvas, undecodable)
-//     fires before the animation check, so the verdict holds for both
-//     flag values and both keys are seeded.
-//
-// Returns the number of events that seeded at least one key.
-func seedMemo(memo *analysis.Cache, b *bundle.Bundle) int {
-	n := 0
-	for i := range b.Events {
-		v, ok := detect.VerdictFromEvent(b.Events[i])
-		if !ok {
-			continue
-		}
-		hash := b.Events[i].Subject
-		switch {
-		case v.Fingerprintable:
-			memo.Seed(detect.MemoKey{Hash: hash, Anim: false}, v)
-		case v.Exclude == detect.AnimationScript:
-			memo.Seed(detect.MemoKey{Hash: hash, Anim: true}, v)
-		default:
-			memo.Seed(detect.MemoKey{Hash: hash, Anim: false}, v)
-			memo.Seed(detect.MemoKey{Hash: hash, Anim: true}, v)
-		}
-		n++
-	}
-	return n
-}
-
-// SeededVerdicts returns how many classify events seeded the memo.
-func (s *Service) SeededVerdicts() int { return s.seeded }
 
 // Batcher exposes the lookup batcher (tests observe its counters).
 func (s *Service) Batcher() *Batcher { return s.batch }

@@ -6,6 +6,8 @@ package serve_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,14 +16,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"canvassing/internal/bundle"
 	"canvassing/internal/canvas"
+	"canvassing/internal/detect"
 	"canvassing/internal/machine"
 	"canvassing/internal/obs/event"
 	"canvassing/internal/serve"
@@ -113,10 +118,9 @@ func renderAll(tb testing.TB, svc *serve.Service, hashes, sites []string) map[st
 }
 
 // TestServeShardInvariance is the determinism oracle for the read
-// indexes: every response must be byte-identical whether the index has
-// 1 shard or 8, and whatever GOMAXPROCS the process runs at. A map
-// iteration leaking into shard assignment or record finalization shows
-// up here as a diff.
+// indexes: every response must be byte-identical whatever GOMAXPROCS
+// the process builds and serves the index at. A map iteration leaking
+// into record finalization shows up here as a diff.
 func TestServeShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-surface sweep over a real study bundle")
@@ -131,34 +135,28 @@ func TestServeShardInvariance(t *testing.T) {
 	var refLabel string
 	for _, procs := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 8} {
-			label := fmt.Sprintf("procs=%d shards=%d", procs, shards)
-			svc := serve.FixtureService(t, shards, 0)
-			if svc.Index.Shards() != shards {
-				t.Fatalf("%s: index built with %d shards", label, svc.Index.Shards())
-			}
-			got := renderAll(t, svc, hashes, sites)
-			if ref == nil {
-				ref, refLabel = got, label
-				continue
-			}
-			if len(got) != len(ref) {
-				t.Fatalf("%s: %d responses, %s had %d", label, len(got), refLabel, len(ref))
-			}
-			for key, want := range ref {
-				if got[key] != want {
-					t.Fatalf("%s: response for %q differs from %s:\n--- %s\n%s\n--- %s\n%s",
-						label, key, refLabel, refLabel, want, label, got[key])
-				}
+		label := fmt.Sprintf("procs=%d", procs)
+		got := renderAll(t, serve.FixtureService(t, 0), hashes, sites)
+		runtime.GOMAXPROCS(prev)
+		if ref == nil {
+			ref, refLabel = got, label
+			continue
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("%s: %d responses, %s had %d", label, len(got), refLabel, len(ref))
+		}
+		for key, want := range ref {
+			if got[key] != want {
+				t.Fatalf("%s: response for %q differs from %s:\n--- %s\n%s\n--- %s\n%s",
+					label, key, refLabel, refLabel, want, label, got[key])
 			}
 		}
-		runtime.GOMAXPROCS(prev)
 	}
 }
 
 // TestServeBundleInvariance hammers a live server — all endpoints,
-// including data-URL classifications that exercise the memo's compute
-// path — and requires every on-disk bundle byte to survive untouched.
+// data-URL classifications included — and requires every on-disk
+// bundle byte to survive untouched.
 // Serving is read-only; this is the proof.
 func TestServeBundleInvariance(t *testing.T) {
 	if testing.Short() {
@@ -167,7 +165,7 @@ func TestServeBundleInvariance(t *testing.T) {
 	dir := serve.FixtureDir(t)
 	before := hashTree(t, dir)
 
-	svc := serve.FixtureService(t, 0, 0)
+	svc := serve.FixtureService(t, 0)
 	plane, err := svc.Start("127.0.0.1:0", false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +214,7 @@ func TestServeChurnRace(t *testing.T) {
 	}
 	dir := serve.FixtureDir(t)
 	hashes, sites := bundleKeys(t, dir)
-	svc := serve.FixtureService(t, 0, 100*time.Microsecond)
+	svc := serve.FixtureService(t, 100*time.Microsecond)
 	mux := serve.APIMux(svc)
 	fresh := freshDataURL(t)
 
@@ -262,35 +260,90 @@ func TestServeChurnRace(t *testing.T) {
 	t.Logf("churn: %d probes, %d coalesced", probes, coalesced)
 }
 
-// TestServeMemoSeeded checks the classify fast path: a hash the study
-// recorded answers from the index, and re-presenting its exact payload
-// as a data URL hits the seeded memo rather than recomputing.
-func TestServeMemoSeeded(t *testing.T) {
+// TestServeClassifiesRecordedDataURL posts the data URL of every
+// distinct extraction the fixture study recorded, under the animation
+// flag its verdict implies. Each must answer with the verdict the study
+// recorded for it, "source": "index", and the index fields the
+// hash-mode answer for its hash carries.
+func TestServeClassifiesRecordedDataURL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a real study bundle")
 	}
-	svc := serve.FixtureService(t, 0, 0)
-	if svc.SeededVerdicts() == 0 {
-		t.Fatal("no verdicts seeded from the event log")
-	}
-	st := svc.Index.Stats()
-	if st.TopCluster == "" || st.TopSite == "" {
-		t.Fatalf("stats missing deterministic probes: %+v", st)
-	}
+	svc := serve.FixtureService(t, 0)
 	mux := serve.APIMux(svc)
-	status, body := hit(mux, "POST", "/v1/classify", []byte(fmt.Sprintf(`{"hash":%q}`, st.TopCluster)))
-	if status != http.StatusOK {
-		t.Fatalf("classify top cluster: %d %s", status, body)
-	}
-	for _, want := range []string{`"known": true`, `"source": "index"`} {
-		if !bytes.Contains([]byte(body), []byte(want)) {
-			t.Fatalf("classify response missing %s:\n%s", want, body)
+	classify := func(req serve.ClassifyRequest) serve.ClassifyResponse {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		status, raw := hit(mux, "POST", "/v1/classify", body)
+		var resp serve.ClassifyResponse
+		if status != http.StatusOK {
+			t.Fatalf("classify %.40q: %d %s", body, status, raw)
 		}
+		if err := json.Unmarshal([]byte(raw), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	seen, verdicts := map[string]bool{}, map[string]bool{}
+	for _, c := range serve.FixtureCanvases(t) {
+		if seen[c.Hash+"/"+string(c.Exclude)] {
+			continue
+		}
+		seen[c.Hash+"/"+string(c.Exclude)] = true
+		got := classify(serve.ClassifyRequest{DataURL: c.DataURL, Anim: c.Exclude == detect.AnimationScript})
+		want := classify(serve.ClassifyRequest{Hash: c.Hash})
+		if got.Hash != c.Hash || !got.Known || got.Source != "index" ||
+			got.Fingerprintable != c.Fingerprintable || got.ExcludeReason != string(c.Exclude) {
+			t.Fatalf("data URL of %s (%v %q): %+v", c.Hash, c.Fingerprintable, c.Exclude, got)
+		}
+		if got.Format != want.Format || got.Width != want.Width || got.Height != want.Height ||
+			got.Extractions != want.Extractions || got.ClusterSize != want.ClusterSize || got.Vendor != want.Vendor ||
+			!reflect.DeepEqual(got.Conditions, want.Conditions) || !reflect.DeepEqual(got.Sites, want.Sites) ||
+			!reflect.DeepEqual(got.Scripts, want.Scripts) {
+			t.Fatalf("data URL of %s: index fields %+v, hash mode has %+v", c.Hash, got, want)
+		}
+		verdicts[got.Verdict+string(c.Exclude)] = true
+	}
+	if !verdicts["fingerprintable"] || len(verdicts) < 2 {
+		t.Fatalf("recorded extractions cover only %v", verdicts)
 	}
 	// Unknown hash: known=false, still 200 (a verdict of "never seen").
-	status, body = hit(mux, "POST", "/v1/classify", []byte(`{"hash":"ffff"}`))
+	status, body := hit(mux, "POST", "/v1/classify", []byte(`{"hash":"ffff"}`))
 	if status != http.StatusOK || !bytes.Contains([]byte(body), []byte(`"known": false`)) {
 		t.Fatalf("unknown hash: %d %s", status, body)
+	}
+}
+
+// TestServeClassifyKeepsNoState posts 20,000 distinct data URLs, each
+// a PNG header of its own width. Nothing may stay behind per request:
+// after a collection the live heap must have grown by less than 2 MiB
+// (a verdict cache keyed by every posted URL's hash grew it by 7.25 MB).
+func TestServeClassifyKeepsNoState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a real study bundle")
+	}
+	svc := serve.FixtureService(t, time.Nanosecond)
+	mux := serve.APIMux(svc)
+	png := []byte("\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR\x00\x00\x00\x00\x00\x00\x00\x20")
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 20000; i++ {
+		binary.BigEndian.PutUint32(png[16:20], uint32(16+i))
+		body := fmt.Sprintf(`{"data_url":"data:image/png;base64,%s"}`, base64.StdEncoding.EncodeToString(png))
+		if status, raw := hit(mux, "POST", "/v1/classify", []byte(body)); status != http.StatusOK ||
+			!strings.Contains(raw, fmt.Sprintf(`"width": %d`, 16+i)) {
+			t.Fatalf("request %d: %d %s", i, status, raw)
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(svc)
+	if after > before && after-before >= 2<<20 {
+		t.Fatalf("live heap grew by %d bytes over 20,000 distinct data URLs", after-before)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestOpsPlaneBundleInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pipeline twice")
 	}
-	opts := Options{Seed: 7, Scale: 0.02, Workers: 2, AnalysisWorkers: 4, WithAdblock: true, FaultRate: 0.35}
+	opts := Options{Seed: 7, Scale: 0.02, Workers: 2, WithAdblock: true, FaultRate: 0.35}
 
 	// Reference: no ops plane.
 	ref := Run(opts)

@@ -86,7 +86,6 @@ func (s *Study) TelemetryReport() string {
 	sb.WriteString(s.PhaseTimings())
 	sb.WriteByte('\n')
 	sb.WriteString(s.checkpointSection())
-	sb.WriteString(s.analysisSection())
 	if active := s.tel.Tracer.Active(); len(active) > 0 {
 		fmt.Fprintf(&sb, "WARNING: %d span(s) never ended (leaked):\n", len(active))
 		for _, sp := range active {
@@ -96,36 +95,6 @@ func (s *Study) TelemetryReport() string {
 	}
 	sb.WriteString("Metrics\n")
 	sb.WriteString(s.tel.Metrics.RenderText())
-	return sb.String()
-}
-
-// analysisSection renders the parallel-analysis breakdown for
-// TelemetryReport: one row per executor invocation (condition, pages,
-// classified canvases, shard count) plus the memo-cache totals. Empty
-// when no analysis has run yet.
-func (s *Study) analysisSection() string {
-	runs := s.analyzer.Runs()
-	if len(runs) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	t := report.NewTable(fmt.Sprintf("Analysis pipeline (%d workers)", s.analyzer.Workers()),
-		"condition", "pages", "canvases", "shards")
-	for _, r := range runs {
-		t.AddRow(r.Crawl, fmt.Sprint(r.Pages), fmt.Sprint(r.Canvases), fmt.Sprint(r.Shards))
-	}
-	sb.WriteString(t.String())
-	if c := s.analyzer.Cache(); c != nil {
-		hits, misses := c.Hits(), c.Misses()
-		if hits+misses > 0 {
-			rate := float64(hits) / float64(hits+misses)
-			fmt.Fprintf(&sb, "memo cache: %d hits / %d misses (%.1f%% hit rate, %d distinct verdicts)\n",
-				hits, misses, 100*rate, c.Len())
-		} else {
-			fmt.Fprintf(&sb, "memo cache: no lookups (%d distinct verdicts)\n", c.Len())
-		}
-	}
-	sb.WriteByte('\n')
 	return sb.String()
 }
 

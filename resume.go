@@ -10,6 +10,7 @@ import (
 	"canvassing/internal/checkpoint"
 	"canvassing/internal/cluster"
 	"canvassing/internal/crawler"
+	"canvassing/internal/detect"
 	"canvassing/internal/netsim"
 )
 
@@ -111,11 +112,10 @@ func restoreResult(cs *checkpoint.CrawlState) *crawler.Result {
 // replay re-derives one cohort crawl's analysis artifacts without
 // touching telemetry: the analysis ran to completion before the
 // checkpoint, so its events and counters are already in the restored
-// state. The memo cache is warmed (counter-free) so later, counted
-// analyses see the cache an uninterrupted run would have.
+// state.
 func (s *Study) replay(cond string) {
 	_, res, sites, _ := s.cohort(cond)
-	*sites = s.analyzer.Replay((*res).Pages, cond)
+	*sites = detect.AnalyzeAll((*res).Pages)
 	if cond != CondControl {
 		return
 	}

@@ -52,7 +52,6 @@ func resumeOpts(c resumeCase, dir string) Options {
 		Seed:            c.seed,
 		Scale:           0.02,
 		Workers:         c.workers,
-		AnalysisWorkers: c.workers,
 		WithAdblock:     true,
 		FaultRate:       c.fault,
 		CheckpointDir:   dir,

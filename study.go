@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"canvassing/internal/adblock"
-	"canvassing/internal/analysis"
 	"canvassing/internal/attrib"
 	"canvassing/internal/blocklist"
 	"canvassing/internal/canvas"
@@ -47,12 +46,10 @@ type Options struct {
 	// Scale shrinks the web: 1.0 is the paper's 20k+20k crawl, 0.05 a
 	// laptop-quick 1k+1k run. Values <=0 select 1.0.
 	Scale float64
-	// Workers is the crawler pool width (<=0 selects 8).
+	// Workers is the crawler pool width (<=0 selects 8). Bundles differ
+	// across widths only in the width they record — the determinism
+	// oracle in determinism_test.go enforces it.
 	Workers int
-	// AnalysisWorkers is the post-crawl analysis pool width (<=0
-	// selects Workers). Any width produces byte-identical bundles —
-	// the determinism oracle in determinism_test.go enforces it.
-	AnalysisWorkers int
 	// WithAdblock adds the Adblock Plus and uBlock Origin re-crawls
 	// (Table 2 / E5).
 	WithAdblock bool
@@ -77,10 +74,9 @@ type Options struct {
 	// CheckpointEvery is the checkpoint cadence in committed pages
 	// (<=0 selects 256).
 	CheckpointEvery int
-	// TraceVisits captures per-visit span trees from every crawl and
-	// per-shard batch spans from the analysis executor into a bounded
-	// deterministic exemplar reservoir (internal/obs/tracez). The
-	// reservoir lives outside the metrics registry and event sink, so
+	// TraceVisits captures per-visit span trees from every crawl into
+	// a bounded deterministic exemplar reservoir (internal/obs/tracez).
+	// The reservoir lives outside the metrics registry and event sink, so
 	// enabling it changes zero bundle bytes; WriteBundle adds a
 	// trace_exemplars.jsonl sidecar next to the bundle, and the ops
 	// plane serves the live view at /tracez.
@@ -147,7 +143,6 @@ type Study struct {
 
 	crawlSites []*web.Site // cohort sites in crawl order
 	tel        *obs.Telemetry
-	analyzer   *analysis.Executor
 	ckpt       *checkpoint.Writer
 	visits     *tracez.Reservoir // exemplar reservoir (nil unless TraceVisits)
 	memo       *canvas.Memo      // display-list memo every crawl shares
@@ -208,15 +203,6 @@ func New(opts Options) *Study {
 	if opts.TraceVisits {
 		s.visits = tracez.NewReservoir(opts.Seed, 0, 0)
 	}
-	aw := opts.AnalysisWorkers
-	if aw <= 0 {
-		aw = opts.Workers
-	}
-	// One executor for the whole study: the memo cache spans the
-	// control analysis and every re-analysis, which is where the
-	// cross-condition verdict reuse comes from.
-	s.analyzer = analysis.NewExecutor(aw, analysis.NewCache(tel.Metrics), tel)
-	s.analyzer.SetVisits(s.visits)
 	s.crawlSites = append(s.crawlSites, w.CohortSites(web.Popular)...)
 	s.crawlSites = append(s.crawlSites, w.CohortSites(web.Tail)...)
 	tel.Status.MarkRunning()
@@ -385,16 +371,22 @@ func (s *Study) events() *event.Sink {
 	return s.tel.Events
 }
 
-// Analysis exposes the study's parallel analysis executor (pool
-// width, memo-cache stats, per-condition run breakdown).
-func (s *Study) Analysis() *analysis.Executor { return s.analyzer }
-
-// analyzeAll routes one crawl's pages through the parallel analysis
-// executor under the given condition label. The executor guarantees
-// the evidence log and metrics are identical to a serial
-// detect.AnalyzeAllEvents call.
+// analyzeAll classifies one crawl's pages under the given condition
+// label, recording a verdict event per extraction, and accounts for
+// the pass: the analyze.<cond> span, the analysis.pages and
+// analysis.canvases counters and the /statusz analyses entry.
 func (s *Study) analyzeAll(pages []*crawler.PageResult, cond string) []detect.SiteCanvases {
-	return s.analyzer.AnalyzeAll(pages, s.events(), cond)
+	sp := s.tel.Tracer.Start("analyze."+cond, "pages", fmt.Sprint(len(pages)))
+	sites := detect.AnalyzeAllEvents(pages, s.events(), cond)
+	canvases := 0
+	for i := range sites {
+		canvases += len(sites[i].All)
+	}
+	s.tel.Metrics.Counter("analysis.pages").Add(int64(len(pages)))
+	s.tel.Metrics.Counter("analysis.canvases").Add(int64(canvases))
+	sp.End()
+	s.tel.Status.RecordAnalysis(cond, len(pages), canvases)
+	return sites
 }
 
 // RunControl performs the control crawl over both cohorts.

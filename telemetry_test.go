@@ -55,7 +55,7 @@ func TestPhaseTimingsRender(t *testing.T) {
 	}
 
 	full := s.TelemetryReport()
-	for _, want := range []string{"Control crawl", "Analysis pipeline", "memo cache", "Metrics", "crawl.visit.seconds"} {
+	for _, want := range []string{"Control crawl", "Checkpoint", "Metrics", "analysis.canvases", "crawl.visit.seconds"} {
 		if !strings.Contains(full, want) {
 			t.Fatalf("telemetry report missing %q:\n%s", want, full)
 		}

@@ -26,7 +26,7 @@ func TestTracezBundleInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pipeline twice")
 	}
-	opts := Options{Seed: 7, Scale: 0.02, Workers: 2, AnalysisWorkers: 4, WithAdblock: true, FaultRate: 0.35}
+	opts := Options{Seed: 7, Scale: 0.02, Workers: 2, WithAdblock: true, FaultRate: 0.35}
 
 	// Reference: tracing off, no ops plane.
 	ref := Run(opts)
@@ -137,7 +137,7 @@ func TestTracezSelectionWidthInvariance(t *testing.T) {
 			t.Parallel()
 			run := func(workers int) []byte {
 				s := Run(Options{
-					Seed: seed, Scale: 0.02, Workers: workers, AnalysisWorkers: workers,
+					Seed: seed, Scale: 0.02, Workers: workers,
 					WithAdblock: true, FaultRate: 0.35, TraceVisits: true,
 				})
 				key := s.Visits().SelectionKey()
