@@ -38,8 +38,15 @@ test:
 # (TestPooledPNGMatchesStdlib). internal/entropy renders EX1's machines
 # on parallel goroutines, each with its own interpreter and document,
 # running one shared program.
+# No test in internal/distrib runs a coordinator: its slot goroutines,
+# ledger updates and requeues, and the in-process units that write
+# their own journals while sharing the study's display-list and call
+# memos, run only in the root package's distributed tests.
+# TestDistribKillAndResume exercises all of them, reassignment included
+# (14-16 s of test time under the race detector on a 2-vCPU host).
 race:
 	$(GO) test -race ./internal/crawler ./internal/dom ./internal/jsvm ./internal/raster ./internal/canvas ./internal/imaging ./internal/entropy ./internal/obs ./internal/obs/event ./internal/obs/window ./internal/obs/ops ./internal/obs/tracez ./internal/netsim ./internal/bundle ./internal/detect ./internal/checkpoint ./internal/serve ./internal/distrib
+	$(GO) test -race -run 'TestDistribKillAndResume$$' .
 
 vet:
 	$(GO) vet ./...

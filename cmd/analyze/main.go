@@ -4,7 +4,9 @@
 //
 // Observability: the shared -metrics/-pprof/-status/-outdir
 // flags apply; -outdir writes a run bundle carrying one detect.classify
-// event per extraction and the cluster membership assignments.
+// event per extraction and the cluster membership assignments. analyze
+// visits no page, so it refuses -tracez, which captures visits' span
+// trees.
 package main
 
 import (
@@ -31,9 +33,12 @@ func main() {
 	topK := flag.Int("top", 25, "canvas groups to print")
 	cli := obs.BindCLI(flag.CommandLine)
 	flag.Parse()
+	if cli.Tracez {
+		fmt.Fprintln(os.Stderr, "analyze: -tracez captures the span trees of page visits, and analyze visits no page")
+		os.Exit(2)
+	}
 
 	tel := obs.NewTelemetry()
-	// Analysis-only binary: no visits, so no exemplar reservoir.
 	plane, err := ops.Start(cli, tel, nil)
 	if err != nil {
 		log.Fatal(err)

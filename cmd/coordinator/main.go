@@ -1,11 +1,16 @@
 // Command coordinator runs a distributed study: it partitions each
 // crawl condition's site frontier into seeded work-units, dispatches
 // them across a pool of worker slots, reassigns and resumes units whose
-// worker died mid-unit, merges the partial bundles, and runs the
-// analysis pipeline over the recombined crawls. The resulting bundle is
-// byte-identical to the single-process `repro` run with the same
-// options — the partition-invariance contract `make distrib-smoke`
+// worker died mid-unit, merges the units' checkpoint journals, and runs
+// the analysis pipeline over the recombined crawls. The resulting
+// bundle is byte-identical to the single-process `repro` run with the
+// same options — the partition-invariance contract `make distrib-smoke`
 // checks end to end.
+//
+// Each unit leaves its spec (unit.json) and its journal
+// (checkpoint.json, plus trace_exemplars.jsonl under -trace-visits) in
+// -dir/units/<id>. A run empties every unit directory it uses before
+// it starts, so a -dir may be reused with other flags.
 //
 // By default units run in-process (worker goroutines sharing one
 // generated web). -worker <crawl-binary> switches to the local-process
@@ -41,7 +46,7 @@ func main() {
 	partitions := flag.Int("partitions", 4, "work-units per condition")
 	slots := flag.Int("slots", 0, "concurrent worker slots (0 = default 4)")
 	maxAttempts := flag.Int("max-attempts", 0, "attempt budget per unit (0 = default 3)")
-	dir := flag.String("dir", "", "run root for unit specs, partials, and the ledger (required)")
+	dir := flag.String("dir", "", "run root for the ledger and the unit directories (unit spec and journal), which each run empties first (required)")
 	workerBin := flag.String("worker", "", "worker executable for the process transport (empty = in-process)")
 	out := flag.String("out", "", "write the merged study's run bundle to this directory")
 	compare := flag.Bool("compare", false, "render the paper-comparison report before writing the bundle (matches `repro -exp compare` bundles byte for byte)")

@@ -11,11 +11,12 @@
 //
 // Distributed runs: -distrib-unit <dir> turns the binary into a worker
 // process for cmd/coordinator — it reads the work-unit spec the
-// coordinator wrote into dir, rebuilds the study world from it, runs
-// its crawl slice as a checkpointed crawl, and writes the partial
-// bundle. Exit codes follow the distrib.Spawner contract: 0 on unit
-// completion, 3 on a mid-unit stop (-interrupt-after), anything else
-// on failure.
+// coordinator wrote into dir, rebuilds the study world from it, and
+// runs its crawl slice as a checkpointed crawl whose journal in dir is
+// the unit's output. Exit codes follow the distrib.Spawner contract: 0
+// once the journal marks the crawl done, 3 on a mid-unit stop
+// (-interrupt-after N stops after N journal writes; it needs
+// -distrib-unit), anything else on failure.
 //
 // Fault injection: -faults gives every site a seeded chance of a fault
 // plan (outage, flaky connection, latency spike, truncated response)
@@ -37,12 +38,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"canvassing"
 	"canvassing/internal/adblock"
 	"canvassing/internal/bundle"
-	"canvassing/internal/checkpoint"
 	"canvassing/internal/crawler"
 	"canvassing/internal/detect"
 	"canvassing/internal/distrib"
@@ -55,22 +54,6 @@ import (
 	"canvassing/internal/web"
 )
 
-// runOpts is the crawl configuration recorded in a checkpoint sidecar,
-// so `crawl -resume <dir>` rebuilds the exact same crawl.
-type runOpts struct {
-	Seed         uint64        `json:"seed"`
-	Scale        float64       `json:"scale"`
-	Cohort       string        `json:"cohort"`
-	Machine      string        `json:"machine"`
-	Adblock      string        `json:"adblock"`
-	Workers      int           `json:"workers"`
-	FaultRate    float64       `json:"fault_rate,omitempty"`
-	Retries      int           `json:"retries,omitempty"`
-	VisitTimeout time.Duration `json:"visit_timeout,omitempty"`
-	Interact     bool          `json:"interact,omitempty"`
-	Profile      string        `json:"interact_profile,omitempty"`
-}
-
 func main() {
 	seed := flag.Uint64("seed", 1, "generation seed")
 	scale := flag.Float64("scale", 0.05, "web scale")
@@ -80,10 +63,7 @@ func main() {
 	workers := flag.Int("workers", 8, "crawler worker pool width")
 	out := flag.String("out", "", "output JSONL path (default stdout)")
 	sweep := flag.String("fault-sweep", "", "comma-separated fault rates to crawl in sequence (prints a resilience table, suppresses page JSONL)")
-	ckptDir := flag.String("checkpoint", "", "enable periodic checkpointing into this directory")
-	ckptEvery := flag.Int("checkpoint-every", 256, "committed pages between checkpoints")
-	interruptAfter := flag.Int("interrupt-after", 0, "stop the crawl after N checkpoint writes and exit 3 (resume-smoke testing)")
-	resumeDir := flag.String("resume", "", "resume a checkpointed crawl from this directory")
+	interruptAfter := flag.Int("interrupt-after", 0, "with -distrib-unit: stop the unit after N journal writes and exit 3 (chaos testing)")
 	distribUnit := flag.Bool("distrib-unit", false, "run as a distributed-study worker: crawl the work-unit in the directory argument")
 	interact := flag.Bool("interact", false, "plant interaction-gated vendors and drive seeded per-site behaviour profiles after settle")
 	interactProfile := flag.String("interact-profile", "", "fixed behaviour profile for every site, e.g. 'click,scroll,idle' (default: seeded per-site profiles)")
@@ -91,6 +71,10 @@ func main() {
 	fcli := obs.BindFaultCLI(flag.CommandLine)
 	flag.Parse()
 
+	if *interruptAfter != 0 && !*distribUnit {
+		fmt.Fprintln(os.Stderr, "crawl: -interrupt-after needs -distrib-unit: only a work-unit's crawl keeps a journal to stop after")
+		os.Exit(2)
+	}
 	if *distribUnit {
 		dir := flag.Arg(0)
 		if dir == "" {
@@ -117,28 +101,6 @@ func main() {
 	}
 	defer plane.Close()
 	tel.Status.MarkRunning()
-
-	// Resume: the checkpoint's recorded options override the flags —
-	// a resumed crawl must be the same crawl.
-	var cp *checkpoint.Checkpoint
-	if *resumeDir != "" {
-		var err error
-		cp, err = checkpoint.Load(*resumeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var ro runOpts
-		if err := json.Unmarshal(cp.Opts, &ro); err != nil {
-			log.Fatalf("resume: checkpoint options: %v", err)
-		}
-		*seed, *scale, *cohort = ro.Seed, ro.Scale, ro.Cohort
-		*machineName, *blocker, *workers = ro.Machine, ro.Adblock, ro.Workers
-		fcli.Rate, fcli.Retries, fcli.VisitTimeout = ro.FaultRate, ro.Retries, ro.VisitTimeout
-		*interact, *interactProfile = ro.Interact, ro.Profile
-		*ckptDir = *resumeDir
-		tel.Metrics.Restore(cp.Metrics)
-		tel.Events.Restore(cp.Events, cp.EventsSeq, cp.EventsDropped)
-	}
 
 	sp := tel.Tracer.Start("webgen")
 	w := web.Generate(web.Config{Seed: *seed, Scale: *scale, TrancoMax: 1_000_000, Interact: *interact})
@@ -195,9 +157,6 @@ func main() {
 		cfg.Retries = fcli.Retries
 		cfg.VisitTimeout = fcli.VisitTimeout
 	}
-	if cp != nil && cp.Faults != nil {
-		cfg.Faults = netsim.RestoreFaultModel(*cp.Faults)
-	}
 
 	if *sweep != "" {
 		if err := runFaultSweep(w, sites, cfg, *seed, *sweep, cli, fcli); err != nil {
@@ -209,45 +168,11 @@ func main() {
 	// fresh telemetry and conditions would collide in one reservoir.
 	cfg.Visits = visits
 
-	var ckpt *checkpoint.Writer
-	if *ckptDir != "" {
-		ckpt = checkpoint.NewWriter(*ckptDir, *ckptEvery)
-		ckpt.Metrics = tel.Metrics
-		ckpt.Events = tel.Events
-		ckpt.Status = tel.Status
-		ckpt.Faults = cfg.Faults
-		ckpt.StopAfter = *interruptAfter
-		if cp != nil {
-			ckpt.Adopt(cp) // sequence and opts carry over
-		} else if err := ckpt.SetOpts(runOpts{
-			Seed: *seed, Scale: *scale, Cohort: *cohort,
-			Machine: *machineName, Adblock: *blocker, Workers: *workers,
-			FaultRate: fcli.Rate, Retries: fcli.Retries, VisitTimeout: fcli.VisitTimeout,
-			Interact: *interact, Profile: *interactProfile,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		cfg.CommitEvery = ckpt.Every()
-		ext := ""
-		if cfg.Extension != nil {
-			ext = cfg.Extension.Name()
-		}
-		cfg.OnCommit = ckpt.Hook(cfg.Profile.Name, ext)
-	}
-	if cp != nil {
-		if cs := cp.Crawl(cfg.Condition); cs != nil {
-			cfg.Resume = &crawler.ResumeState{Pages: cs.Pages}
-			fmt.Fprintf(os.Stderr, "resume: continuing %q from page %d/%d\n", cfg.Condition, cs.Frontier, cs.Total)
-		}
-	}
-
 	cfg.Telemetry = tel
 	sp = tel.Tracer.Start("crawl", "machine", *machineName, "adblock", *blocker)
 	res := crawler.Crawl(w, sites, cfg)
 	sp.End()
-	if !res.Interrupted {
-		tel.Status.MarkDone()
-	}
+	tel.Status.MarkDone()
 
 	dst := os.Stdout
 	if *out != "" {
@@ -261,9 +186,6 @@ func main() {
 	bw := bufio.NewWriter(dst)
 	enc := json.NewEncoder(bw)
 	for _, p := range res.Pages {
-		if p == nil {
-			continue // uncommitted tail of an interrupted crawl
-		}
 		if err := enc.Encode(p); err != nil {
 			log.Fatal(err)
 		}
@@ -288,11 +210,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: wrote run bundle to %s\n", cli.OutDir)
-	}
-	if res.Interrupted {
-		fmt.Fprintf(os.Stderr, "crawl interrupted at page %d/%d; resume with -resume %s\n",
-			res.Frontier, len(res.Pages), *ckptDir)
-		os.Exit(3)
 	}
 }
 

@@ -3,10 +3,10 @@
 // deployments and hosted script counts. Use it to inspect what the
 // crawler will visit before running a study.
 //
-// Observability: the shared -metrics/-pprof/-status/-tracez flags
-// apply; webgen performs no visits, so its /tracez reservoir is empty
-// and the webgen phase span is the only row of the -metrics phase
-// table and of /spans.
+// Observability: the shared -metrics/-pprof/-status flags apply; the
+// webgen phase span is the only row of the -metrics phase table and of
+// /spans. webgen visits no page, so it refuses -tracez, which captures
+// visits' span trees.
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/ops"
-	"canvassing/internal/obs/tracez"
 	"canvassing/internal/report"
 	"canvassing/internal/web"
 )
@@ -31,13 +30,13 @@ func main() {
 	trancoOut := flag.String("tranco", "", "export the ranking as a Tranco CSV to this path")
 	cli := obs.BindCLI(flag.CommandLine)
 	flag.Parse()
+	if cli.Tracez {
+		fmt.Fprintln(os.Stderr, "webgen: -tracez captures the span trees of page visits, and webgen visits no page")
+		os.Exit(2)
+	}
 
 	tel := obs.NewTelemetry()
-	var visits *tracez.Reservoir
-	if cli.Tracez {
-		visits = tracez.NewReservoir(*seed, 0, 0)
-	}
-	plane, err := ops.Start(cli, tel, visits)
+	plane, err := ops.Start(cli, tel, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

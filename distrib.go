@@ -14,8 +14,9 @@ import (
 // single-process run — the partition-invariance contract enforced by
 // TestDistribPartitionOracle.
 type DistribOptions struct {
-	// Dir is the run root: unit specs, partial bundles, and the unit
-	// ledger live under it.
+	// Dir is the run root: the unit ledger and each unit's spec and
+	// checkpoint journal live under it. A run empties the directories
+	// of its units before it starts them.
 	Dir string
 	// Partitions is the number of work-units per condition (<=0
 	// selects 1, which degenerates to a serial crawl per condition).
@@ -101,8 +102,8 @@ func RunWorkUnit(dir string, stopAfter int) (interrupted bool, err error) {
 	return interrupted, err
 }
 
-// adoptUnits loads and merges one condition's completed partials and
-// replays them into the study's telemetry — metrics summed, events
+// adoptUnits loads and merges one condition's finished unit journals
+// and replays them into the study's telemetry — metrics summed, events
 // re-recorded in page order (which re-stamps the global sequence),
 // exemplar views absorbed — and returns the recombined crawl result.
 // The replay order equals the serial pipeline's, so the downstream
@@ -141,9 +142,9 @@ func (s *Study) adoptUnits(runDir string, units []distrib.UnitSpec, cond string)
 // RunDistributed executes the full study pipeline with the crawl phase
 // partitioned across d.Partitions work-units per condition. The
 // coordinator dispatches units to worker slots (reassigning and
-// resuming any that die mid-unit), then each condition's partials are
-// merged and the serial analysis pipeline runs coordinator-side in its
-// usual order. The resulting study's bundle artifacts are
+// resuming any that die mid-unit), then each condition's unit journals
+// are merged and the serial analysis pipeline runs coordinator-side in
+// its usual order. The resulting study's bundle artifacts are
 // byte-identical to Run(opts)'s.
 //
 // The returned ledger records every unit's assignments, retries, and

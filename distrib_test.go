@@ -146,7 +146,7 @@ func TestDistribPartitionOracle(t *testing.T) {
 // roughly 25%, 50%, and 75% of its unit (the checkpoint writer's
 // StopAfter lever — the same exit-3 convention the process transport
 // maps), let the coordinator reassign each orphaned unit to the next
-// free slot where it resumes from its checkpoint sidecar, and require
+// free slot where it resumes from its checkpoint journal, and require
 // the merged bundle to STILL be byte-identical to the serial run.
 func TestDistribKillAndResume(t *testing.T) {
 	if testing.Short() {
@@ -175,6 +175,31 @@ func TestDistribKillAndResume(t *testing.T) {
 			}
 		} else if r.Status != distrib.UnitDone || r.Attempts != 1 {
 			t.Errorf("unit %s: status=%s attempts=%d; unarmed units finish first try", r.ID, r.Status, r.Attempts)
+		}
+	}
+}
+
+// A unit's journal outlives its run, so a second run on the same
+// directory with other options must start every unit afresh: no unit
+// of it resumes or is refused over the first run's journals, and its
+// bundle is the serial one.
+func TestDistribRerunOnOneDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full pipeline three times")
+	}
+	dir := t.TempDir()
+	for _, seed := range []uint64{11, 12} {
+		opts := Options{Seed: seed, Scale: 0.02, Workers: 2}
+		gotDir, _, ledger := distribBundle(t, opts, DistribOptions{Dir: dir, Partitions: 2, Slots: 2})
+		for _, r := range ledger.Records() {
+			if r.Status != distrib.UnitDone || r.Attempts != 1 || r.Resumed {
+				t.Errorf("seed %d: unit %s ended %s after %d attempt(s) (resumed=%v); want done first try",
+					seed, r.ID, r.Status, r.Attempts, r.Resumed)
+			}
+		}
+		if seed == 12 {
+			refDir, _ := serialBundle(t, opts)
+			compareBundles(t, "rerun", refDir, gotDir)
 		}
 	}
 }

@@ -153,8 +153,6 @@ func TestConnectAttemptSemantics(t *testing.T) {
 			cfg.Faults.Force(site, tc.plan)
 			cfg.Retries = 3
 			cfg.VisitTimeout = 5 * time.Second
-			cfg.BackoffBase = 500 * time.Millisecond
-			cfg.BackoffCap = 8 * time.Second
 			cfg.BreakerThreshold = tc.breaker
 
 			mx, pd, reg := connectMetrics()

@@ -38,16 +38,6 @@ type Extraction struct {
 	Seq int
 }
 
-// Record is one raw Canvas API call record (optional, Config.KeepRecords).
-type Record struct {
-	ScriptURL string
-	Iface     string
-	Member    string
-	Args      []string
-	Ret       string
-	Seq       int
-}
-
 // PageResult is the outcome of one page visit.
 type PageResult struct {
 	Domain string
@@ -72,8 +62,6 @@ type PageResult struct {
 	BlockedScripts []string
 	// ScriptErrors maps script URL → error text for scripts that failed.
 	ScriptErrors map[string]string
-	// Records holds raw API records when Config.KeepRecords is set.
-	Records []Record
 }
 
 // Result is a whole crawl.
@@ -159,8 +147,6 @@ type Config struct {
 	// Behavior, when non-nil with Interact, replaces the seeded
 	// per-site profile with a fixed action script for every page.
 	Behavior *BehaviorProfile
-	// KeepRecords retains raw API call records (memory-heavy).
-	KeepRecords bool
 	// MaxStepsPerScript bounds each script's execution; <=0 → 20M
 	// (hashing sixty data URLs in script, as the heaviest audit pages
 	// do, costs several million interpreter steps).
@@ -185,18 +171,10 @@ type Config struct {
 	// VisitTimeout is the virtual per-attempt deadline an attempt's
 	// simulated latency is compared against (<=0 selects 5s).
 	VisitTimeout time.Duration
-	// BackoffBase and BackoffCap bound the exponential retry backoff
-	// (<=0 selects 500ms and 8s).
-	BackoffBase, BackoffCap time.Duration
 	// BreakerThreshold opens the per-site circuit after that many
 	// consecutive failed attempts (<=0 selects 3; set above Retries to
 	// effectively disable the breaker).
 	BreakerThreshold int
-	// Sleep, when non-nil, receives each computed backoff delay. The
-	// simulation keeps time virtual by default (nil: delays are only
-	// recorded, never slept), so faulted crawls run at full speed; a
-	// real deployment would pass time.Sleep.
-	Sleep func(time.Duration)
 	// Memo, when non-nil, is the display-list memo every page's
 	// canvases share: a drawing one page has extracted with a hook-free
 	// toDataURL is served to the next without rasterising or encoding
@@ -441,12 +419,6 @@ func Crawl(w *web.Web, sites []*web.Site, cfg Config) *Result {
 		}
 		if cfg.VisitTimeout <= 0 {
 			cfg.VisitTimeout = 5 * time.Second
-		}
-		if cfg.BackoffBase <= 0 {
-			cfg.BackoffBase = 500 * time.Millisecond
-		}
-		if cfg.BackoffCap <= 0 {
-			cfg.BackoffCap = 8 * time.Second
 		}
 		if cfg.BreakerThreshold <= 0 {
 			cfg.BreakerThreshold = 3
@@ -695,7 +667,7 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 
 	seq := 0
 	currentScript := ""
-	doc.Tracer = canvas.TracerFunc(func(iface, member string, args []string, ret string) {
+	doc.Tracer = canvas.TracerFunc(func(_, member string, _ []string, ret string) {
 		seq++
 		ms := pr.ScriptMethods[currentScript]
 		if ms == nil {
@@ -707,16 +679,6 @@ func visit(w *web.Web, site *web.Site, idx int, cfg Config, mx *crawlMetrics, ev
 			pr.Extractions = append(pr.Extractions, Extraction{
 				ScriptURL: currentScript,
 				DataURL:   ret,
-				Seq:       seq,
-			})
-		}
-		if cfg.KeepRecords {
-			pr.Records = append(pr.Records, Record{
-				ScriptURL: currentScript,
-				Iface:     iface,
-				Member:    member,
-				Args:      args,
-				Ret:       ret,
 				Seq:       seq,
 			})
 		}

@@ -302,27 +302,6 @@ func TestPerRenderDefenseChangesExtractions(t *testing.T) {
 	}
 }
 
-func TestKeepRecords(t *testing.T) {
-	w := testWeb(t)
-	cfg := DefaultConfig()
-	cfg.KeepRecords = true
-	res := Crawl(w, w.CohortSites(web.Popular)[:100], cfg)
-	got := 0
-	for _, p := range res.SuccessfulPages() {
-		got += len(p.Records)
-	}
-	if got == 0 {
-		t.Fatal("records should be kept when requested")
-	}
-	cfg.KeepRecords = false
-	res2 := Crawl(w, w.CohortSites(web.Popular)[:100], cfg)
-	for _, p := range res2.SuccessfulPages() {
-		if len(p.Records) != 0 {
-			t.Fatal("records kept despite KeepRecords=false")
-		}
-	}
-}
-
 func TestWorkerPoolWidths(t *testing.T) {
 	w := testWeb(t)
 	sites := w.CohortSites(web.Popular)[:60]

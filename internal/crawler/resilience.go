@@ -16,6 +16,14 @@ const (
 	FailCircuitOpen = "circuit-open"
 )
 
+// The retry backoff starts at backoffBase and doubles up to backoffCap.
+// Time is virtual: connect records each delay and never sleeps it, so
+// faulted crawls run at full speed.
+const (
+	backoffBase = 500 * time.Millisecond
+	backoffCap  = 8 * time.Second
+)
+
 // backoff computes capped exponential retry delays with deterministic
 // jitter: delay(n) is uniform in [d/2, d] where d = min(base<<n, cap).
 // Keeping the lower half of the window (AWS-style "equal jitter")
@@ -78,7 +86,7 @@ func (b *breaker) ok() { b.fails = 0 }
 // attempts-1 for any visit that got past its first try, because the
 // first try of a visit is never a retry.
 func connect(site string, cfg *Config, mx *crawlMetrics, pd *pageDelta) (truncate float64, reason string, attempts int) {
-	bo := backoff{base: cfg.BackoffBase, cap: cfg.BackoffCap,
+	bo := backoff{base: backoffBase, cap: backoffCap,
 		rng: stats.NewRNG(cfg.Seed).Fork("backoff:" + site)}
 	br := breaker{threshold: cfg.BreakerThreshold}
 	max := cfg.Retries + 1
@@ -94,9 +102,6 @@ func connect(site string, cfg *Config, mx *crawlMetrics, pd *pageDelta) (truncat
 			if mx != nil && mx.faults != nil {
 				pd.inc(mx.faults.retries)
 				pd.observeDuration(mx.faults.backoff, d)
-			}
-			if cfg.Sleep != nil {
-				cfg.Sleep(d)
 			}
 		}
 		at := cfg.Faults.Attempt(site, n)

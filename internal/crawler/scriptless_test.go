@@ -54,7 +54,7 @@ func TestScriptlessPages(t *testing.T) {
 	}{{
 		name: "no scripts",
 		site: site("noscript.example"),
-		page: `{"Domain":"noscript.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{},"Records":null}`,
+		page: `{"Domain":"noscript.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{}}`,
 		eventsOn: `interact.dispatch noscript.example click ran=0 click,scroll,focus,idle handlers=0
 interact.dispatch noscript.example scroll ran=0 click,scroll,focus,idle handlers=0
 interact.dispatch noscript.example focus ran=0 click,scroll,focus,idle handlers=0
@@ -64,7 +64,7 @@ interact.dispatch noscript.example idle ran=0 click,scroll,focus,idle handlers=0
 		name:      "all blocked",
 		site:      site("blocked.example", script("cdn.tracker.example", false), script("blocked.example", false)),
 		configure: func(cfg *Config) { cfg.Extension = blockAll{} },
-		page:      `{"Domain":"blocked.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":["https://cdn.tracker.example/tag.js","https://blocked.example/tag.js"],"ScriptErrors":{},"Records":null}`,
+		page:      `{"Domain":"blocked.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":["https://cdn.tracker.example/tag.js","https://blocked.example/tag.js"],"ScriptErrors":{}}`,
 		events: `blocklist.match blocked.example https://cdn.tracker.example/tag.js blocked
 blocklist.match blocked.example https://blocked.example/tag.js blocked`,
 		eventsOn: `blocklist.match blocked.example https://cdn.tracker.example/tag.js blocked
@@ -78,7 +78,7 @@ interact.dispatch blocked.example idle ran=0 click,scroll,focus,idle handlers=0`
 		name:      "all consent-gated",
 		site:      site("consent.example", script("cmp.example", true), script("consent.example", true)),
 		configure: func(cfg *Config) { cfg.AutoConsent = false },
-		page:      `{"Domain":"consent.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{},"Records":null}`,
+		page:      `{"Domain":"consent.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{}}`,
 		eventsOn: `interact.dispatch consent.example click ran=0 click,scroll,focus,idle handlers=0
 interact.dispatch consent.example scroll ran=0 click,scroll,focus,idle handlers=0
 interact.dispatch consent.example focus ran=0 click,scroll,focus,idle handlers=0
@@ -91,7 +91,7 @@ interact.dispatch consent.example idle ran=0 click,scroll,focus,idle handlers=0`
 			cfg.Faults = netsim.NewFaultModel(cfg.Seed, 0)
 			cfg.Faults.Force("truncated.example", netsim.FaultPlan{Kind: netsim.FaultTruncate, Truncate: 0})
 		},
-		page:   `{"Domain":"truncated.example","Rank":1,"Cohort":0,"OK":true,"Degraded":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{"https://cdn.truncated.example/tag.js":"fetch: truncated response","https://truncated.example/tag.js":"fetch: truncated response"},"Records":null}`,
+		page:   `{"Domain":"truncated.example","Rank":1,"Cohort":0,"OK":true,"Degraded":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{"https://cdn.truncated.example/tag.js":"fetch: truncated response","https://truncated.example/tag.js":"fetch: truncated response"}}`,
 		events: `visit.outcome truncated.example  degraded truncate attempts=1`,
 		eventsOn: `interact.dispatch truncated.example click ran=0 click,scroll,focus,idle handlers=0
 interact.dispatch truncated.example scroll ran=0 click,scroll,focus,idle handlers=0
@@ -102,7 +102,7 @@ visit.outcome truncated.example  degraded truncate attempts=1`,
 	}, {
 		name: "one script runs",
 		site: site("runs.example", script("runs.example", false)),
-		page: `{"Domain":"runs.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{},"Records":null}`,
+		page: `{"Domain":"runs.example","Rank":1,"Cohort":0,"OK":true,"Extractions":null,"ScriptMethods":{},"BlockedScripts":null,"ScriptErrors":{}}`,
 		eventsOn: `interact.dispatch runs.example click ran=1 click,scroll,focus,idle handlers=1
 interact.dispatch runs.example scroll ran=0 click,scroll,focus,idle handlers=1
 interact.dispatch runs.example focus ran=0 click,scroll,focus,idle handlers=1

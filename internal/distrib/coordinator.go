@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"canvassing/internal/bundle"
+	"canvassing/internal/checkpoint"
 )
 
 // ExitInterrupted is the exit code a worker process uses to report a
@@ -27,7 +27,7 @@ type Spawner interface {
 	// Run executes the unit in dir. stopAfter > 0 arms the checkpoint
 	// interruption lever for chaos testing. interrupted reports a
 	// mid-unit stop (the unit stays resumable), resumed that the attempt
-	// picked up an existing checkpoint sidecar.
+	// picked up an existing checkpoint journal.
 	Run(dir string, spec UnitSpec, stopAfter int) (interrupted, resumed bool, err error)
 }
 
@@ -40,7 +40,7 @@ func UnitDir(runDir, unitID string) string {
 // Coordinator drives a distributed run: it writes every unit spec,
 // dispatches units to a fixed pool of worker slots, reassigns a failed
 // or interrupted unit to the next free slot (where it resumes from its
-// checkpoint sidecar), and keeps the ledger current throughout.
+// checkpoint journal), and keeps the ledger current throughout.
 type Coordinator struct {
 	// Dir is the run root; units live under Dir/units/<id>.
 	Dir string
@@ -80,7 +80,12 @@ func (c *Coordinator) Run() (*Ledger, error) {
 	}
 	byID := make(map[string]UnitSpec, len(c.Units))
 	for _, u := range c.Units {
+		// A journal left by an earlier run on this Dir would be resumed
+		// or refused as the unit's own: every unit starts empty.
 		dir := UnitDir(c.Dir, u.ID)
+		if err := os.RemoveAll(dir); err != nil {
+			return nil, fmt.Errorf("distrib: %w", err)
+		}
 		if err := WriteUnitSpec(dir, u); err != nil {
 			return nil, err
 		}
@@ -192,8 +197,8 @@ type ProcessSpawner struct {
 // Run spawns one worker attempt and maps its exit code back to the
 // Spawner contract.
 func (p *ProcessSpawner) Run(dir string, spec UnitSpec, stopAfter int) (interrupted, resumed bool, err error) {
-	// A sidecar on disk before the attempt means this attempt resumes.
-	_, serr := os.Stat(filepath.Join(dir, bundle.CheckpointSidecar))
+	// A journal on disk before the attempt means this attempt resumes.
+	_, serr := os.Stat(filepath.Join(dir, checkpoint.FileName))
 	resumed = serr == nil
 	args := append([]string(nil), p.Args...)
 	if stopAfter > 0 {

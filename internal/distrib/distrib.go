@@ -1,8 +1,7 @@
 // Package distrib partitions a study's crawl across worker processes
-// and deterministically recombines the partial results — the
-// coordinator/worker split ROADMAP item 2 names, built on the
-// crawler's ordered-commit pipeline, the checkpoint journal and the
-// byte-stable bundle discipline.
+// and deterministically recombines the partial results — a
+// coordinator/worker split built on the crawler's ordered-commit
+// pipeline and the checkpoint journal.
 //
 // The shape of a distributed study:
 //
@@ -10,13 +9,13 @@
 //     into contiguous work-units (Partition) and records them in a
 //     file-based ledger (Ledger);
 //   - N workers each run their unit as a normal checkpointed crawl
-//     slice (RunUnit) and emit a partial bundle (WritePartial) into
-//     the unit directory;
-//   - a deterministic merge (MergeCrawl) recombines the partials of
-//     one condition: pages concatenated in range order, events
-//     re-sequenced by page ordinal, counters summed, histograms added
-//     bucket-wise, and trace exemplar reservoirs re-selected from the
-//     union.
+//     slice (RunUnit); the unit's checkpoint.json journal, whose last
+//     frame marks the crawl done, is its output;
+//   - a deterministic merge (MergeCrawl) recombines the journals of
+//     one condition (LoadPartial): pages concatenated in range order,
+//     events re-sequenced by page ordinal, counters summed, histograms
+//     added bucket-wise, and trace exemplar reservoirs re-selected from
+//     the union.
 //
 // Partition-invariance is the package's contract, extending the
 // width-invariance the commit-order rules already guarantee: the
@@ -25,13 +24,12 @@
 // any partition count — TestDistribPartitionOracle enforces it, clean
 // and fault-injected, including a kill-and-resume worker.
 //
-// Crash tolerance rides on the checkpoint sidecar: a unit's directory
-// holds checkpoint.json while the unit runs, a dead worker's unit is
-// reassigned and resumed from that sidecar, and the sidecar is removed
-// only after the partial is fully written — so the merge's use of
-// bundle.Load refuses half-finished partials via the existing
-// ErrCheckpointed guard. Transport is local-process spawn with the
-// file-based unit ledger; no network is involved.
+// Crash tolerance rides on the same journal: a dead worker's unit is
+// reassigned and resumes from the committed frontier its journal
+// holds, and the merge refuses a unit whose journal does not mark its
+// crawl done. Each coordinator run starts every unit directory empty.
+// Transport is local-process spawn with the file-based unit ledger; no
+// network is involved.
 package distrib
 
 import (
@@ -42,8 +40,7 @@ import (
 	"time"
 )
 
-// SchemaVersion gates the unit.json / pages.json / ledger.json wire
-// formats.
+// SchemaVersion gates the unit.json and ledger.json wire formats.
 const SchemaVersion = 1
 
 // Well-known file names inside a distributed run directory.
@@ -51,9 +48,6 @@ const (
 	// UnitSpecFile describes one work-unit, written into its unit
 	// directory at partition time so process workers are self-contained.
 	UnitSpecFile = "unit.json"
-	// PagesFile carries a unit's page results next to its partial
-	// bundle.
-	PagesFile = "pages.json"
 	// LedgerFile is the coordinator's unit ledger.
 	LedgerFile = "ledger.json"
 )

@@ -18,7 +18,7 @@ const (
 	UnitPending UnitStatus = "pending"
 	// UnitRunning: assigned to a worker.
 	UnitRunning UnitStatus = "running"
-	// UnitDone: partial bundle written, checkpoint sidecar removed.
+	// UnitDone: the unit's journal marks its crawl done.
 	UnitDone UnitStatus = "done"
 	// UnitFailed: exhausted its attempt budget; the run aborts.
 	UnitFailed UnitStatus = "failed"
@@ -36,7 +36,7 @@ type UnitRecord struct {
 	Worker   string `json:"worker,omitempty"`
 	Attempts int    `json:"attempts"`
 	// Resumed reports that some attempt picked the unit up from its
-	// checkpoint sidecar rather than starting fresh.
+	// checkpoint journal rather than starting fresh.
 	Resumed bool  `json:"resumed,omitempty"`
 	WallMS  int64 `json:"wall_ms"`
 	// Failures holds one note per failed or interrupted attempt.
@@ -100,7 +100,7 @@ func (l *Ledger) Assign(id, worker string) (int, error) {
 }
 
 // Done marks a running unit complete. resumed reports whether this
-// attempt restarted from a checkpoint sidecar.
+// attempt restarted from the unit's checkpoint journal.
 func (l *Ledger) Done(id string, wall time.Duration, resumed bool) error {
 	return l.update(id, func(r *UnitRecord) error {
 		if r.Status != UnitRunning {
@@ -115,7 +115,7 @@ func (l *Ledger) Done(id string, wall time.Duration, resumed bool) error {
 
 // Release returns a running unit to the pending queue after a failed
 // or killed attempt, recording the failure note. The next assignment —
-// on any worker slot — resumes from the unit's checkpoint sidecar.
+// on any worker slot — resumes from the unit's checkpoint journal.
 func (l *Ledger) Release(id, note string, wall time.Duration) error {
 	return l.update(id, func(r *UnitRecord) error {
 		if r.Status != UnitRunning {

@@ -1,14 +1,9 @@
 package distrib
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"canvassing/internal/bundle"
-	"canvassing/internal/checkpoint"
 	"canvassing/internal/crawler"
 	"canvassing/internal/obs"
 	"canvassing/internal/obs/event"
@@ -158,40 +153,5 @@ func TestMergeCrawlRefusesBadTilings(t *testing.T) {
 	}
 	if _, err := MergeCrawl(base()); err != nil {
 		t.Fatalf("clean tiling refused: %v", err)
-	}
-}
-
-// The crash-tolerance contract: a unit directory still holding its
-// checkpoint sidecar is a half-finished attempt, and the merge path
-// must refuse it via the bundle layer's ErrCheckpointed guard.
-func TestLoadPartialRefusesCheckpointedUnit(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "unit")
-	p := mkPartial("control", 0, 0, 5, 5, 0)
-	if err := WriteUnitSpec(dir, p.Spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePartial(dir, p); err != nil {
-		t.Fatal(err)
-	}
-
-	// Complete partial loads fine and survives a write/load roundtrip.
-	got, err := LoadPartial(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Spec != p.Spec || len(got.Pages) != 5 || len(got.Events) != 5 || got.Machine != p.Machine {
-		t.Fatalf("roundtrip changed the partial: %+v", got)
-	}
-	if _, err := MergeCrawl([]*Partial{got}); err != nil {
-		t.Fatalf("roundtripped partial does not merge: %v", err)
-	}
-
-	// Drop a sidecar next to it: the same directory must now refuse.
-	if err := os.WriteFile(filepath.Join(dir, checkpoint.FileName), []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadPartial(dir)
-	if !errors.Is(err, bundle.ErrCheckpointed) {
-		t.Fatalf("sidecar-holding unit loaded (err=%v), want ErrCheckpointed", err)
 	}
 }

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -36,15 +35,15 @@ type Env struct {
 	Config crawler.Config
 }
 
-// RunUnit executes one work-unit inside dir as a normal checkpointed
-// crawl slice and, on completion, writes the partial bundle and
-// removes the checkpoint sidecar (in that order — the sidecar's
-// presence is what marks the partial unusable). A sidecar already in
-// dir resumes the unit from its committed frontier; resumed reports
-// that. stopAfter > 0 arms the checkpoint writer's interruption lever:
-// the unit stops (exit for reassignment, interrupted == true) after
-// that many checkpoint writes — the fault-injection hook the chaos
-// tests pull.
+// RunUnit executes one work-unit inside dir as a checkpointed crawl
+// slice. The unit's checkpoint journal is its output: RunUnit succeeds
+// only once the journal's frame marking the crawl done is on disk, and
+// under TraceVisits the exemplar sidecar is written next to it. A
+// journal already in dir resumes the unit from its committed frontier;
+// resumed reports that. stopAfter > 0 arms the checkpoint writer's
+// interruption lever: the unit stops (exit for reassignment,
+// interrupted == true) after that many checkpoint writes — the
+// fault-injection hook the chaos tests pull.
 func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, resumed bool, err error) {
 	if err := spec.validate(); err != nil {
 		return false, false, err
@@ -87,12 +86,8 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 	switch {
 	case lerr == nil:
 		resumed = true
-		var ckptSpec UnitSpec
-		if merr := json.Unmarshal(cp.Opts, &ckptSpec); merr != nil {
-			return false, true, fmt.Errorf("distrib: %s checkpoint options: %w", dir, merr)
-		}
-		if ckptSpec != spec {
-			return false, true, fmt.Errorf("distrib: %s holds a checkpoint for a different unit spec", dir)
+		if err := checkJournalSpec(cp, spec); err != nil {
+			return false, true, err
 		}
 		tel.Metrics.Restore(cp.Metrics)
 		tel.Events.Restore(cp.Events, cp.EventsSeq, cp.EventsDropped)
@@ -120,37 +115,32 @@ func RunUnit(dir string, spec UnitSpec, env Env, stopAfter int) (interrupted, re
 	if cfg.Extension != nil {
 		ext = cfg.Extension.Name()
 	}
-	cfg.OnCommit = ckpt.Hook(cfg.Profile.Name, ext)
+	// The writer logs a failed append and lets the crawl go on, so
+	// completion is read off its write count: the final commit must
+	// have appended a frame.
+	hook := ckpt.Hook(cfg.Profile.Name, ext)
+	journaled := false
+	cfg.OnCommit = func(st crawler.CommitState) bool {
+		before := ckpt.Writes()
+		stop := hook(st)
+		journaled = st.Final && ckpt.Writes() > before
+		return stop
+	}
 
 	res := crawler.Crawl(env.Web, env.Sites[spec.Start:spec.End], cfg)
 	if res.Interrupted {
 		return true, resumed, nil
 	}
 	if dropped := tel.Events.Dropped(); dropped != 0 {
-		return false, resumed, fmt.Errorf("distrib: unit %s overflowed its event ring (%d dropped); a lossy partial cannot merge deterministically", spec.ID, dropped)
+		return false, resumed, fmt.Errorf("distrib: unit %s overflowed its event ring (%d dropped); a lossy journal cannot merge deterministically", spec.ID, dropped)
 	}
-	p := &Partial{
-		Spec:      spec,
-		Metrics:   tel.Metrics.Snapshot(),
-		Events:    tel.Events.Events(),
-		Pages:     res.Pages,
-		Machine:   res.Machine,
-		Extension: res.Extension,
-	}
-	if err := WritePartial(dir, p); err != nil {
-		return false, resumed, err
+	if !journaled {
+		return false, resumed, fmt.Errorf("distrib: unit %s: the frame marking its crawl done was not journaled", spec.ID)
 	}
 	if visits != nil {
 		if err := tracez.WriteExemplars(filepath.Join(dir, tracez.ExemplarsFile), visits); err != nil {
 			return false, resumed, fmt.Errorf("distrib: unit %s: %w", spec.ID, err)
 		}
-	}
-	// Only now is the partial complete: drop the sidecar so merges stop
-	// refusing the directory. A crash between WritePartial and this
-	// remove re-runs a no-op resume (full prefix) and rewrites the same
-	// bytes — completion is idempotent.
-	if err := os.Remove(filepath.Join(dir, checkpoint.FileName)); err != nil {
-		return false, resumed, fmt.Errorf("distrib: %w", err)
 	}
 	return false, resumed, nil
 }
